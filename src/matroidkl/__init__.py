@@ -6,7 +6,6 @@ from .poly import Poly, compose_rational, eval_at, reverse_scaled
 from .graphs import SimpleGraph, make_family
 from .matroids import Flat, RankOracleMatroid, graphic_matroid, whirl_matroid
 from .kl import (
-    KlContext,
     kl_closed,
     kl_poly,
     kl_recurrence,
@@ -30,7 +29,6 @@ __all__ = [
     "RankOracleMatroid",
     "graphic_matroid",
     "whirl_matroid",
-    "KlContext",
     "kl_closed",
     "kl_poly",
     "kl_recurrence",

@@ -112,12 +112,12 @@ def _check_combo(family, n, kind, method):
             raise UsageError(f"brute-force {kind} for {family} is limited to n <= {hi}")
 
 
-def compute_record(family, n, kind, method, ctx=None):
+def compute_record(family, n, kind, method):
     _check_combo(family, n, kind, method)
     if kind == "kl":
-        poly = kl.compute_kl(family, n, method, ctx).poly
+        poly = kl.compute_kl(family, n, method).poly
     elif kind == "z":
-        poly = kl.compute_z(family, n, method, ctx).poly
+        poly = kl.compute_z(family, n, method).poly
     elif kind == "chromatic":
         if method == "closed":
             poly = kl.chromatic_closed(family, n)

@@ -1,12 +1,14 @@
 """Kazhdan-Lusztig and Z-polynomials of matroids.
 
-kl_poly computes P_M from the defining recursion
+kl_poly and z_poly solve every upper interval [F, top] of the lattice of flats
+in one pass from the top rank down.  By Proudfoot-Xu-Young, P_M is the unique
+polynomial with constant term 1 and deg P_M < rk M / 2 that makes
+    Z_M(t) = sum over flats F of t^(rk F) * P_{M^F}(t)
+palindromic; the interval [F, top] is the flat lattice of the simplified
+contraction M^F, so the pass never rebuilds rank oracles.  The result is
+certified against the defining recursion of Elias-Proudfoot-Wakefield,
     t^(rk M) * P_M(1/t) = sum over flats F of chi_{M_F}(t) * P_{M^F}(t),
-working directly on the lattice of flats: the upper interval [F, top] is the
-flat lattice of the simplified contraction M^F, and P depends on the lattice
-alone, so the recursion never rebuilds rank oracles.  Results are memoized
-across isomorphic lattices, keyed by an isomorphism-invariant fingerprint and
-confirmed by an exact lattice-isomorphism search on every fingerprint hit.
+at the bottom flat.
 
 The module also evaluates the closed forms, the P-recursive recurrences and
 the Hadamard coefficient factorization for the fan / square-of-path / wheel /
@@ -33,58 +35,18 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 class FlatLattice:
     """A graded lattice given by rank list and below-relation bitsets.
 
-    Index 0 is the bottom (rank 0), the last index the unique top.  below[i]
-    holds bit j exactly when flat j <= flat i (including j == i).
+    Index 0 is the bottom (rank 0), the last index the unique top, and indices
+    are sorted by rank, so flat j <= flat i implies j <= i.  below[i] holds
+    bit j exactly when flat j <= flat i (including j == i).
     """
 
-    __slots__ = ("ranks", "below", "n", "top_rank", "_rank_sets", "_fingerprint")
+    __slots__ = ("ranks", "below", "n", "top_rank")
 
     def __init__(self, ranks, below):
         self.ranks = tuple(ranks)
         self.below = tuple(below)
         self.n = len(self.ranks)
         self.top_rank = self.ranks[-1] if self.ranks else 0
-        self._rank_sets = None
-        self._fingerprint = None
-
-    def rank_sets(self):
-        if self._rank_sets is None:
-            sets = [0] * (self.top_rank + 1)
-            for i, r in enumerate(self.ranks):
-                sets[r] |= 1 << i
-            self._rank_sets = sets
-        return self._rank_sets
-
-    def fingerprint(self):
-        """Isomorphism invariant: level sizes, adjacent-level zeta counts and
-        the per-flat (rank, atoms-below) profile."""
-        if self._fingerprint is None:
-            sets = self.rank_sets()
-            levels = tuple(s.bit_count() for s in sets)
-            adjacent = []
-            for r in range(self.top_rank):
-                upper = sets[r + 1]
-                lower = sets[r]
-                count = 0
-                u = upper
-                while u:
-                    j = (u & -u).bit_length() - 1
-                    u &= u - 1
-                    count += (self.below[j] & lower).bit_count()
-                adjacent.append(count)
-            atoms = sets[1] if self.top_rank >= 1 else 0
-            profile = sorted(
-                (self.ranks[i], (self.below[i] & atoms).bit_count())
-                for i in range(self.n)
-            )
-            self._fingerprint = (
-                self.n,
-                self.top_rank,
-                levels,
-                tuple(adjacent),
-                tuple(profile),
-            )
-        return self._fingerprint
 
     def upper_sets(self):
         """For each index i, the bitset of indices j with flat i <= flat j."""
@@ -97,48 +59,6 @@ class FlatLattice:
                 b &= b - 1
                 up[i] |= bit_j
         return up
-
-    def extract(self, sel_mask):
-        """Standalone sublattice on the selected indices, ranks renormalized.
-
-        Intended for upper intervals: the selected set must contain the top
-        and be upward closed, with a unique minimal element.
-        """
-        idxs = []
-        s = sel_mask
-        while s:
-            idxs.append((s & -s).bit_length() - 1)
-            s &= s - 1
-        pos = {}
-        for p, i in enumerate(idxs):
-            pos[i] = p
-        base = self.ranks[idxs[0]]
-        ranks = [self.ranks[i] - base for i in idxs]
-        below = []
-        for i in idxs:
-            b = self.below[i] & sel_mask
-            nb = 0
-            while b:
-                j = (b & -b).bit_length() - 1
-                b &= b - 1
-                nb |= 1 << pos[j]
-            below.append(nb)
-        return FlatLattice(ranks, below)
-
-    def covers(self):
-        """Hasse diagram: covers[i] lists j of rank+1 with i below j."""
-        sets = self.rank_sets()
-        out = [[] for _ in range(self.n)]
-        for j in range(self.n):
-            r = self.ranks[j]
-            if r == 0:
-                continue
-            b = self.below[j] & sets[r - 1]
-            while b:
-                i = (b & -b).bit_length() - 1
-                b &= b - 1
-                out[i].append(j)
-        return out
 
     def mobius_from_bottom(self):
         """mu(bottom, F) for every flat F."""
@@ -174,149 +94,6 @@ def lattice_of(matroid):
     return matroid._kl_lattice
 
 
-def lattice_isomorphic(a, b, budget=2_000_000):
-    """Exact isomorphism test between two graded lattices.
-
-    Returns True/False, or None when the backtracking budget is exhausted
-    (callers must then treat the pair as distinct).
-    """
-    if a.n != b.n or a.ranks != b.ranks:
-        return False
-    n = a.n
-    sides = []
-    for lat in (a, b):
-        covers = lat.covers()
-        cocovers = [[] for _ in range(n)]
-        for i, cs in enumerate(covers):
-            for j in cs:
-                cocovers[j].append(i)
-        sides.append((lat, covers, cocovers))
-
-    # iterated refinement of vertex colors over the Hasse diagram
-    colors = [
-        [
-            (lat.ranks[i], len(cov[i]), len(coc[i]))
-            for i in range(n)
-        ]
-        for (lat, cov, coc) in sides
-    ]
-    for _ in range(8):
-        canon = {}
-        new_colors = []
-        for (lat, cov, coc), col in zip(sides, colors):
-            nc = []
-            for i in range(n):
-                sig = (
-                    col[i],
-                    tuple(sorted(col[j] for j in cov[i])),
-                    tuple(sorted(col[j] for j in coc[i])),
-                )
-                code = canon.setdefault(sig, len(canon))
-                nc.append(code)
-            new_colors.append(nc)
-        ca, cb = new_colors
-        if sorted(ca) != sorted(cb):
-            return False
-        if new_colors[0] == colors[0] and new_colors[1] == colors[1]:
-            colors = new_colors
-            break
-        colors = new_colors
-    ca, cb = colors
-
-    candidates = {}
-    for j in range(n):
-        candidates.setdefault(cb[j], []).append(j)
-    order = sorted(range(n), key=lambda i: (len(candidates.get(ca[i], ())), ca[i], i))
-    below_a, below_b = a.below, b.below
-    assigned = []
-    used = [False] * n
-    steps = 0
-
-    def consistent(i, j):
-        bi = below_a[i]
-        bj = below_b[j]
-        for i2, j2 in assigned:
-            if (bi >> i2 & 1) != (bj >> j2 & 1):
-                return False
-            if (below_a[i2] >> i & 1) != (below_b[j2] >> j & 1):
-                return False
-        return True
-
-    # iterative backtracking: frame k holds the candidate iterator for order[k]
-    iters = [None] * n
-    k = 0
-    while True:
-        if k == n:
-            return True
-        if iters[k] is None:
-            iters[k] = iter(candidates.get(ca[order[k]], ()))
-        i = order[k]
-        advanced = False
-        for j in iters[k]:
-            if used[j]:
-                continue
-            steps += 1
-            if steps > budget:
-                return None
-            if consistent(i, j):
-                used[j] = True
-                assigned.append((i, j))
-                k += 1
-                advanced = True
-                break
-        if advanced:
-            continue
-        iters[k] = None
-        if k == 0:
-            return False
-        k -= 1
-        _, j_prev = assigned.pop()
-        used[j_prev] = False
-
-
-class KlContext:
-    """Shared memo for KL computations: fingerprint -> [(lattice, P)].
-
-    Inserts are idempotent, so concurrent use can at worst recompute a value.
-    """
-
-    def __init__(self, iso_budget=2_000_000):
-        self.memo = {}
-        self.iso_budget = iso_budget
-        self.stats = {"hits": 0, "expansions": 0, "iso_checks": 0, "iso_giveups": 0}
-
-
-_default_context = KlContext()
-
-
-ISO_SHARING_LIMIT = 2000  # above this size, only syntactic-identity sharing
-
-
-def _memo_lookup(lat, ctx):
-    bucket = ctx.memo.get(lat.fingerprint())
-    if not bucket:
-        return None
-    for rep, p in bucket:
-        if rep.ranks == lat.ranks and rep.below == lat.below:
-            ctx.stats["hits"] += 1
-            return p
-    if lat.n > ISO_SHARING_LIMIT:
-        return None
-    for rep, p in bucket:
-        ctx.stats["iso_checks"] += 1
-        verdict = lattice_isomorphic(lat, rep, ctx.iso_budget)
-        if verdict is True:
-            ctx.stats["hits"] += 1
-            return p
-        if verdict is None:
-            ctx.stats["iso_giveups"] += 1
-    return None
-
-
-def _memo_store(lat, p, ctx):
-    ctx.memo.setdefault(lat.fingerprint(), []).append((lat, p))
-
-
 def _chi_from_bottom(lat):
     """Characteristic polynomial of every lower interval [bottom, F]."""
     mu = lat.mobius_from_bottom()
@@ -333,49 +110,66 @@ def _chi_from_bottom(lat):
     return chis
 
 
-def _p_of_lattice(lat, ctx):
-    r = lat.top_rank
-    if r == 0:
-        return ONE
-    hit = _memo_lookup(lat, ctx)
-    if hit is not None:
-        return hit
-    ctx.stats["expansions"] += 1
-    chis = _chi_from_bottom(lat)
-    up = lat.upper_sets()
-    s = Poly()
-    for i in range(1, lat.n):
-        child = lat.extract(up[i])
-        s = s + chis[i] * _p_of_lattice(child, ctx)
-    # mirror extraction: coefficients of degree > r/2 of S are the mirrored
-    # low coefficients of P, since deg P < r/2
-    p = Poly([s.coeff(r - j) for j in range((r - 1) // 2 + 1)])
-    if reverse_scaled(p, r) != p + s:
-        raise ArithmeticError(
-            "defining recursion is inconsistent; rank oracle or lattice bug"
-        )
-    if p.coeff(0) != 1:
-        raise ArithmeticError("KL polynomial must have constant term 1")
-    _memo_store(lat, p, ctx)
-    return p
-
-
-def kl_poly(matroid, ctx=None):
-    """KL polynomial of a loopless matroid by the defining recursion."""
-    ctx = ctx if ctx is not None else _default_context
-    return _p_of_lattice(lattice_of(matroid), ctx)
-
-
-def z_poly(matroid, ctx=None):
-    """Z-polynomial: sum over flats F of t^(rk F) * P_{M^F}(t)."""
-    ctx = ctx if ctx is not None else _default_context
-    lat = lattice_of(matroid)
-    up = lat.upper_sets()
+def _check_bottom(lat, ps):
+    """Certify per-flat KL polynomials by the defining recursion at the bottom:
+    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t)."""
     total = Poly()
-    for i in range(lat.n):
-        child = lat if i == 0 else lat.extract(up[i])
-        total = total + Poly.monomial(lat.ranks[i]) * _p_of_lattice(child, ctx)
-    return total
+    for chi, p in zip(_chi_from_bottom(lat), ps):
+        total = total + chi * p
+    if total != reverse_scaled(ps[0], lat.top_rank):
+        raise ArithmeticError(
+            "defining recursion fails at the bottom flat; rank oracle or lattice bug"
+        )
+
+
+def _flat_pass(lat):
+    """P and Z of every upper interval [F, top], indexed like the flats.
+
+    For a flat A of corank r, R_A = sum over F > A of t^(rk F - rk A) * P_F
+    is Z_A - P_A.  Z_A is palindromic of degree r and deg P_A < r/2, so the
+    high coefficients of Z_A come from R_A alone and mirror onto the low
+    ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.
+    """
+    ranks = lat.ranks
+    up = lat.upper_sets()
+    ps = [None] * lat.n
+    zs = [None] * lat.n
+    for a in reversed(range(lat.n)):
+        r = lat.top_rank - ranks[a]
+        z = [0] * (r + 1)
+        b = up[a] & ~(1 << a)
+        while b:
+            f = (b & -b).bit_length() - 1
+            b &= b - 1
+            shift = ranks[f] - ranks[a]
+            for k, c in enumerate(ps[f]):
+                z[shift + k] += c
+        p = [z[r - k] - z[k] for k in range((r + 1) // 2)] if r else [1]
+        # constant term 1 is forced; nonnegativity is the theorem of
+        # Braden-Huh-Matherne-Proudfoot-Wang
+        if p[0] != 1 or min(p) < 0:
+            raise ArithmeticError(
+                f"KL polynomial {p} of a rank-{r} interval must have constant "
+                f"term 1 and nonnegative coefficients"
+            )
+        for k, c in enumerate(p):
+            z[k] += c
+        ps[a], zs[a] = p, z
+    ps = [Poly(p) for p in ps]
+    _check_bottom(lat, ps)
+    return ps, [Poly(z) for z in zs]
+
+
+def kl_poly(matroid):
+    """KL polynomial of a loopless matroid."""
+    ps, _ = _flat_pass(lattice_of(matroid))
+    return ps[0]
+
+
+def z_poly(matroid):
+    """Z-polynomial: sum over flats F of t^(rk F) * P_{M^F}(t)."""
+    _, zs = _flat_pass(lattice_of(matroid))
+    return zs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +388,11 @@ def hadamard_wheel_coeff(n, k):
     return a, b, c
 
 
-def multiplicative_kl(g, ctx=None):
+def multiplicative_kl(g):
     """KL polynomial of a graph as the product over its biconnected blocks."""
     result = ONE
     for block in _graphs.biconnected_components(g):
-        result = result * kl_poly(_matroids.graphic_matroid(block), ctx)
+        result = result * kl_poly(_matroids.graphic_matroid(block))
     return result
 
 
@@ -672,10 +466,10 @@ def family_rank(family, n):
     return n
 
 
-def compute_kl(family, n, method, ctx=None):
+def compute_kl(family, n, method):
     family = _family_key(family)
     if method == "brute":
-        poly = kl_poly(family_matroid(family, n), ctx)
+        poly = kl_poly(family_matroid(family, n))
     elif method == "closed":
         poly = kl_closed(family, n)
     elif method == "recurrence":
@@ -690,10 +484,10 @@ def compute_kl(family, n, method, ctx=None):
     return KlResult(family, n, method, poly)
 
 
-def compute_z(family, n, method, ctx=None):
+def compute_z(family, n, method):
     family = _family_key(family)
     if method == "brute":
-        poly = z_poly(family_matroid(family, n), ctx)
+        poly = z_poly(family_matroid(family, n))
     elif method == "closed":
         poly = z_closed(family, n)
     else:

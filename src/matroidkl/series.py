@@ -129,26 +129,6 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}: " + " + ".join(parts or ["0"]) + ")"
 
 
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_scalar(a, c):
-    return a * c
-
-
-def series_inverse(a):
-    return a.inverse()
-
-
-def series_sqrt(a):
-    return a.sqrt()
-
-
 def _series(order, *coeffs):
     return TruncSeries(order, coeffs)
 

@@ -82,3 +82,106 @@ def random_simple_graph(rng, max_n=7):
 @pytest.fixture
 def frac():
     return Fraction
+
+
+def hasse_covers(lat):
+    """covers[i] lists the j of rank one more than i with i below j."""
+    out = [[] for _ in range(lat.n)]
+    for j in range(lat.n):
+        for i in range(lat.n):
+            if i != j and lat.below[j] >> i & 1 and lat.ranks[i] == lat.ranks[j] - 1:
+                out[i].append(j)
+    return out
+
+
+def lattice_isomorphic(a, b, budget=2_000_000):
+    """Exact isomorphism test between two graded lattices with ranks and
+    below-relation bitsets.
+
+    Returns True/False, or None when the backtracking budget is exhausted.
+    """
+    if a.n != b.n or a.ranks != b.ranks:
+        return False
+    n = a.n
+    sides = []
+    for lat in (a, b):
+        covers = hasse_covers(lat)
+        cocovers = [[] for _ in range(n)]
+        for i, cs in enumerate(covers):
+            for j in cs:
+                cocovers[j].append(i)
+        sides.append((lat, covers, cocovers))
+
+    # iterated refinement of vertex colors over the Hasse diagram
+    colors = [
+        [(lat.ranks[i], len(cov[i]), len(coc[i])) for i in range(n)]
+        for (lat, cov, coc) in sides
+    ]
+    for _ in range(8):
+        canon = {}
+        new_colors = []
+        for (lat, cov, coc), col in zip(sides, colors):
+            nc = []
+            for i in range(n):
+                sig = (
+                    col[i],
+                    tuple(sorted(col[j] for j in cov[i])),
+                    tuple(sorted(col[j] for j in coc[i])),
+                )
+                nc.append(canon.setdefault(sig, len(canon)))
+            new_colors.append(nc)
+        if sorted(new_colors[0]) != sorted(new_colors[1]):
+            return False
+        stable = new_colors == colors
+        colors = new_colors
+        if stable:
+            break
+    ca, cb = colors
+
+    candidates = {}
+    for j in range(n):
+        candidates.setdefault(cb[j], []).append(j)
+    order = sorted(range(n), key=lambda i: (len(candidates.get(ca[i], ())), ca[i], i))
+    below_a, below_b = a.below, b.below
+    assigned = []
+    used = [False] * n
+    steps = 0
+
+    def consistent(i, j):
+        for i2, j2 in assigned:
+            if (below_a[i] >> i2 & 1) != (below_b[j] >> j2 & 1):
+                return False
+            if (below_a[i2] >> i & 1) != (below_b[j2] >> j & 1):
+                return False
+        return True
+
+    # iterative backtracking: frame k holds the candidate iterator for order[k]
+    iters = [None] * n
+    k = 0
+    while True:
+        if k == n:
+            return True
+        if iters[k] is None:
+            iters[k] = iter(candidates.get(ca[order[k]], ()))
+        i = order[k]
+        advanced = False
+        for j in iters[k]:
+            if used[j]:
+                continue
+            steps += 1
+            if steps > budget:
+                return None
+            if consistent(i, j):
+                used[j] = True
+                assigned.append((i, j))
+                k += 1
+                advanced = True
+                break
+        if advanced:
+            continue
+        iters[k] = None
+        if k == 0:
+            return False
+        k -= 1
+        _, j_prev = assigned.pop()
+        used[j_prev] = False

@@ -8,8 +8,6 @@ from matroidkl import kl, matroids, realroot, series
 from matroidkl.graphs import make_family
 from matroidkl.poly import Poly
 
-CTX = kl.KlContext()
-
 FAN_RANGE = range(1, 9)
 WHEEL_RANGE = range(3, 8)
 
@@ -24,13 +22,13 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.time()
     ok = True
     for n in FAN_RANGE:
-        fan = kl.kl_poly(kl.family_matroid("fan", n), CTX)
-        square = kl.kl_poly(kl.family_matroid("square", n), CTX)
+        fan = kl.kl_poly(kl.family_matroid("fan", n))
+        square = kl.kl_poly(kl.family_matroid("square", n))
         closed = kl.kl_closed("fan", n)
         ok &= fan == closed and square == closed
     for n in WHEEL_RANGE:
-        ok &= kl.kl_poly(kl.family_matroid("wheel", n), CTX) == kl.kl_closed("wheel", n)
-        ok &= kl.kl_poly(kl.family_matroid("whirl", n), CTX) == kl.kl_closed("whirl", n)
+        ok &= kl.kl_poly(kl.family_matroid("wheel", n)) == kl.kl_closed("wheel", n)
+        ok &= kl.kl_poly(kl.family_matroid("whirl", n)) == kl.kl_closed("whirl", n)
     _report("criterion-1 oracle equivalence (fan/square 1-8, wheel/whirl 3-7)", ok, t0)
 
 
@@ -38,10 +36,10 @@ def test_criterion_2_z_oracle_equivalence():
     t0 = time.time()
     ok = True
     for n in FAN_RANGE:
-        ok &= kl.z_poly(kl.family_matroid("fan", n), CTX) == kl.z_closed("fan", n)
+        ok &= kl.z_poly(kl.family_matroid("fan", n)) == kl.z_closed("fan", n)
     for n in WHEEL_RANGE:
-        ok &= kl.z_poly(kl.family_matroid("wheel", n), CTX) == kl.z_closed("wheel", n)
-        ok &= kl.z_poly(kl.family_matroid("whirl", n), CTX) == kl.z_closed("whirl", n)
+        ok &= kl.z_poly(kl.family_matroid("wheel", n)) == kl.z_closed("wheel", n)
+        ok &= kl.z_poly(kl.family_matroid("whirl", n)) == kl.z_closed("whirl", n)
     _report("criterion-2 Z-oracle equivalence (fan 1-8, wheel/whirl 3-7)", ok, t0)
 
 
@@ -150,9 +148,9 @@ def test_criterion_8_spot_values():
     ok = kl.kl_closed("wheel", 3) == Poly([1, 1])
     ok &= kl.kl_closed("wheel", 4) == Poly([1, 5])
     ok &= kl.kl_closed("whirl", 3) == Poly([1, 3])
-    ok &= kl.kl_poly(kl.family_matroid("wheel", 3), CTX) == Poly([1, 1])
-    ok &= kl.kl_poly(kl.family_matroid("wheel", 4), CTX) == Poly([1, 5])
-    ok &= kl.kl_poly(kl.family_matroid("whirl", 3), CTX) == Poly([1, 3])
+    ok &= kl.kl_poly(kl.family_matroid("wheel", 3)) == Poly([1, 1])
+    ok &= kl.kl_poly(kl.family_matroid("wheel", 4)) == Poly([1, 5])
+    ok &= kl.kl_poly(kl.family_matroid("whirl", 3)) == Poly([1, 3])
     motzkin = [1, 1]
     while len(motzkin) < 16:
         k = len(motzkin) - 1

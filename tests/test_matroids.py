@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import lattice_isomorphic
 from matroidkl import kl
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
@@ -152,9 +153,7 @@ def test_contraction_matches_quotient_graph():
             assert characteristic_polynomial(contr) == characteristic_polynomial(
                 simplification(quotient)
             )
-            assert kl.lattice_isomorphic(
-                kl.lattice_of(contr), kl.lattice_of(quotient)
-            )
+            assert lattice_isomorphic(kl.lattice_of(contr), kl.lattice_of(quotient))
 
 
 def test_contraction_whirl_near_cycle():
