@@ -33,6 +33,10 @@ FAMILY_MIN = {
     ("characteristic", "closed"): {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
 }
 GRAPH_BRUTE_MAX = 10
+# largest n any command accepts, so that no request runs for minutes: the
+# Sturm chain behind every record's root flags grows in length and in
+# coefficient size with n
+N_MAX = 64
 
 
 def supported_matrix():
@@ -44,7 +48,7 @@ def supported_matrix():
             elif method == "brute":
                 hi = str(GRAPH_BRUTE_MAX)
             else:
-                hi = "any"
+                hi = str(N_MAX)
             lines.append(f"  --family {fam} --kind {kind} --method {method}: n = {lo}..{hi}")
     return "\n".join(lines)
 
@@ -78,7 +82,7 @@ class OutputRecord:
 
 def _poly_record(family, n, kind, method, poly):
     real_rooted = realroot.is_real_rooted(poly)
-    all_negative = realroot.all_zeros_negative(poly)[0] if real_rooted else False
+    all_negative = real_rooted and realroot.all_zeros_negative(poly)
     degree = len(poly.coeffs) - 1 if poly.coeffs else 0
     return OutputRecord(
         family=family,
@@ -90,13 +94,18 @@ def _poly_record(family, n, kind, method, poly):
             "real_rooted": real_rooted,
             "all_negative": all_negative,
             "degree": degree,
-            "rank": kl.family_rank(family, n),
+            "rank": n,
         },
     )
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_max_n(n):
+    if n is not None and n > N_MAX:
+        raise UsageError(f"n is limited to n <= {N_MAX}, got {n}")
 
 
 def _check_combo(family, n, kind, method):
@@ -106,6 +115,7 @@ def _check_combo(family, n, kind, method):
     lo = fams[family]
     if n < lo:
         raise UsageError(f"{family} {kind} ({method}) needs n >= {lo}")
+    _check_max_n(n)
     if method == "brute":
         hi = BRUTE_MAX[family] if kind in ("kl", "z", "characteristic") else GRAPH_BRUTE_MAX
         if n > hi:
@@ -115,9 +125,9 @@ def _check_combo(family, n, kind, method):
 def compute_record(family, n, kind, method):
     _check_combo(family, n, kind, method)
     if kind == "kl":
-        poly = kl.compute_kl(family, n, method).poly
+        poly = kl.compute_kl(family, n, method)
     elif kind == "z":
-        poly = kl.compute_z(family, n, method).poly
+        poly = kl.compute_z(family, n, method)
     elif kind == "chromatic":
         if method == "closed":
             poly = kl.chromatic_closed(family, n)
@@ -163,6 +173,7 @@ def cmd_table(args, out=None):
     fams = FAMILY_MIN.get((kind, method), {})
     if family not in fams:
         raise UsageError(f"no closed form to tabulate for family={family} kind={kind}")
+    _check_max_n(args.max_n)
     start = fams[family]
     records = []
     for n in range(start, args.max_n + 1):
@@ -218,10 +229,10 @@ def _execute_check(check):
         return True, ""
     if kind == "kl_negative":
         _, family, n = check
-        return realroot.all_zeros_negative(kl.kl_closed(family, n))[0], f"n={n}"
+        return realroot.all_zeros_negative(kl.kl_closed(family, n)), f"n={n}"
     if kind == "z_negative":
         _, family, n = check
-        return realroot.all_zeros_negative(kl.z_closed(family, n))[0], f"n={n}"
+        return realroot.all_zeros_negative(kl.z_closed(family, n)), f"n={n}"
     if kind == "z_real":
         _, family, n = check
         return realroot.is_real_rooted(kl.z_closed(family, n)), f"n={n}"
@@ -323,6 +334,7 @@ def _spot_values():
 
 
 def build_suite(suite, max_n=None, order=None):
+    _check_max_n(max_n)
     checks = []
     if suite in ("oracle", "all"):
         hi_fan = min(max_n or 8, 8)

@@ -17,7 +17,6 @@ whirl families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -431,22 +430,6 @@ def characteristic_closed(family, n):
 # family-level entry points
 
 
-@dataclass(frozen=True)
-class KlResult:
-    family: str
-    n: int
-    method: str
-    poly: Poly
-
-
-@dataclass(frozen=True)
-class ZResult:
-    family: str
-    n: int
-    method: str
-    poly: Poly
-
-
 def family_graph(family, n):
     family = _family_key(family)
     if family == "whirl":
@@ -462,10 +445,6 @@ def family_matroid(family, n):
     return _matroids.graphic_matroid(family_graph(family, n))
 
 
-def family_rank(family, n):
-    return n
-
-
 def compute_kl(family, n, method):
     family = _family_key(family)
     if method == "brute":
@@ -478,10 +457,9 @@ def compute_kl(family, n, method):
         poly = kl_recurrence(family, n)
     else:
         raise ValueError(f"unknown method {method!r}")
-    rank = family_rank(family, n)
-    if rank > 0 and not poly.degree < rank / 2:
+    if n > 0 and not poly.degree < n / 2:
         raise ArithmeticError("degree bound violated")
-    return KlResult(family, n, method, poly)
+    return poly
 
 
 def compute_z(family, n, method):
@@ -492,6 +470,6 @@ def compute_z(family, n, method):
         poly = z_closed(family, n)
     else:
         raise ValueError(f"Z-polynomials support methods brute and closed only")
-    if poly.degree != family_rank(family, n):
+    if poly.degree != n:
         raise ArithmeticError("Z-polynomial degree must equal the rank")
-    return ZResult(family, n, method, poly)
+    return poly

@@ -170,11 +170,6 @@ ONE = Poly([1])
 T = Poly([0, 1])
 
 
-def eval_at(p, x):
-    """Exact Horner evaluation of p at a rational point x."""
-    return p(x)
-
-
 def reverse_scaled(p, r):
     """Return t^r * p(1/t); requires r >= deg(p)."""
     if not isinstance(r, int) or r < 0:

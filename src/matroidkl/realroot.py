@@ -2,9 +2,14 @@
 
 Counting uses the right-continuous variation function V (zero entries are
 skipped), so N(x) = V(-inf) - V(x) is exactly the number of distinct real
-roots <= x and no endpoint perturbation is ever needed.  Multiplicities come
-from Yun's squarefree decomposition.  Infinite endpoints are handled through
-leading-coefficient signs, never through large finite stand-ins.
+roots <= x and no endpoint perturbation is ever needed.  Infinite endpoints
+are handled through leading-coefficient signs, never through large finite
+stand-ins.
+
+The verdicts (real-rootedness, negativity, the n-sequence criterion and
+interlacing) read one sign sequence at -inf, +inf and 0 and isolate no root.
+Root isolation and refinement, with multiplicities from Yun's squarefree
+decomposition, are utilities for callers that want the roots themselves.
 """
 
 from __future__ import annotations
@@ -48,17 +53,25 @@ def squarefree_part(p):
     return primitive_part(divexact(p, g))
 
 
+def _remainder_sequence(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... down to the last
+    nonzero term; each remainder is content-stripped, which keeps its signs."""
+    seq = [a, b]
+    while True:
+        rem = poly_divmod(seq[-2], seq[-1])[1]
+        if rem.is_zero():
+            return seq
+        seq.append(primitive_part(-rem))
+
+
 def sturm_chain(p):
     """Signed-remainder chain of the squarefree part, content-stripped."""
     q = squarefree_part(p)
-    chain = [q]
-    if q.degree >= 1:
-        chain.append(primitive_part(q.derivative()))
-        while chain[-1].degree >= 1:
-            rem = poly_divmod(chain[-2], chain[-1])[1]
-            if rem.is_zero():
-                raise ArithmeticError("squarefree part produced a degenerate chain")
-            chain.append(primitive_part(-rem))
+    if q.degree == 0:
+        return SturmChain((q,), q)
+    chain = _remainder_sequence(q, primitive_part(q.derivative()))
+    if chain[-1].degree != 0:
+        raise ArithmeticError("squarefree part produced a degenerate chain")
     return SturmChain(tuple(chain), q)
 
 
@@ -78,19 +91,17 @@ def _variations(signs):
     return count
 
 
-def _variations_at(chain, x):
+def _variations_at(polys, x):
     if x is NEG_INF:
-        return _variations(
-            [_sign(c.leading) * (-1) ** (len(c.coeffs) - 1) for c in chain.polys]
-        )
+        return _variations([_sign(c.leading) * (-1) ** c.degree for c in polys])
     if x is POS_INF:
-        return _variations([_sign(c.leading) for c in chain.polys])
-    return _variations([_sign(c(x)) for c in chain.polys])
+        return _variations([_sign(c.leading) for c in polys])
+    return _variations([_sign(c(x)) for c in polys])
 
 
 def _roots_le(chain, x):
     """Distinct real roots of the squarefree part in (-inf, x]."""
-    return _variations_at(chain, NEG_INF) - _variations_at(chain, x)
+    return _variations_at(chain.polys, NEG_INF) - _variations_at(chain.polys, x)
 
 
 def count_real_roots(p, lo=None, hi=None):
@@ -199,37 +210,30 @@ def refine(p, iv, predicate):
 
 
 def is_real_rooted(p):
-    """True when every zero of p (counted with multiplicity) is real."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return True
-    return sum(iv.multiplicity for iv in isolate_real_roots(p)) == p.degree
+    """True when every zero of p (counted with multiplicity) is real: the
+    squarefree part has as many distinct real roots as its degree."""
+    chain = sturm_chain(p)
+    return _roots_le(chain, POS_INF) == chain.squarefree_part.degree
 
 
 def all_zeros_negative(p):
-    """Certify that deg(p) zeros counted with multiplicity all lie in
-    (-inf, 0); returns (verdict, isolation certificate)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return True, []
-    roots = isolate_real_roots(p)
-    if sum(iv.multiplicity for iv in roots) != p.degree:
-        return False, roots
-    if p.coeff(0) == 0:
-        return False, roots
+    """True when all deg(p) zeros, counted with multiplicity, lie in
+    (-inf, 0): p(0) != 0 and every root of the squarefree part is <= 0."""
     chain = sturm_chain(p)
-    if _roots_le(chain, POS_INF) - _roots_le(chain, Fraction(0)) != 0:
-        return False, roots
-    refined = [refine(p, iv, lambda r: r.hi < 0) for iv in roots]
-    return True, refined
+    return p.coeff(0) != 0 and _roots_le(chain, 0) == chain.squarefree_part.degree
 
 
 def interleaves(g, f):
     """Exact check that g is an interleaver of f (weak inequalities, shared
     roots allowed); requires real-rooted inputs with positive leading
-    coefficients and deg f - deg g in {0, 1}."""
+    coefficients and deg f - deg g in {0, 1}.
+
+    Interlacing holds iff 0 <= N_f(x) - N_g(x) <= 1 for every x, where N
+    counts roots >= x with multiplicity.  Dividing out h = gcd(f, g) leaves
+    that difference unchanged, and for the coprime quotients f1, g1 it holds
+    iff f1 is constant or the Cauchy index of g1/f1 over the reals is
+    +deg f1.  By Sylvester's theorem that index is V(-inf) - V(+inf) of the
+    signed remainder sequence of (f1, g1)."""
     for p in (f, g):
         if p.is_zero():
             raise ValueError("zero polynomial")
@@ -237,58 +241,14 @@ def interleaves(g, f):
             raise ValueError("positive leading coefficient required")
         if not is_real_rooted(p):
             raise ValueError("interleaves requires real-rooted polynomials")
-    gap = f.degree - g.degree
-    if gap not in (0, 1):
+    if f.degree - g.degree not in (0, 1):
         raise ValueError("degree gap must be 0 or 1")
-
-    fs = squarefree_part(f)
-    gs = squarefree_part(g)
-    union = primitive_part(divexact(fs * gs, poly_gcd(fs, gs)))
-    union_chain = sturm_chain(union)
-    # descending global order of all distinct roots of f and g together
-    global_order = sorted(_isolate_squarefree(union_chain), reverse=True)
-
-    def side_positions(p):
-        sf_chain = sturm_chain(p)
-        sf = sf_chain.squarefree_part
-        out = []
-        for iv in isolate_real_roots(p):
-            placed = None
-            for pos, (lo, hi) in enumerate(global_order):
-                if lo == hi:
-                    if iv.is_exact():
-                        ok = iv.lo == lo
-                    else:
-                        ok = iv.lo < lo <= iv.hi and sf(lo) == 0
-                elif iv.is_exact():
-                    ok = lo < iv.lo <= hi
-                else:
-                    a, b = max(lo, iv.lo), min(hi, iv.hi)
-                    ok = a < b and _roots_le(sf_chain, b) - _roots_le(sf_chain, a) == 1
-                if ok:
-                    placed = pos
-                    break
-            if placed is None:
-                raise ArithmeticError("root not aligned with the union isolation")
-            out.extend([placed] * iv.multiplicity)
-        out.sort()
-        return out  # ascending positions = roots in descending order
-
-    u = side_positions(f)
-    v = side_positions(g)
-    n = len(u)
-    seq = []
-    if gap == 0:
-        for i in range(n):
-            seq.append(u[i])
-            seq.append(v[i])
-    else:
-        for i in range(n - 1):
-            seq.append(u[i])
-            seq.append(v[i])
-        if n:
-            seq.append(u[n - 1])
-    return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
+    h = poly_gcd(f, g)
+    f1 = divexact(f, h)
+    if f1.degree <= 0:
+        return True
+    seq = _remainder_sequence(f1, divexact(g, h))
+    return _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF) == f1.degree
 
 
 def n_sequence_check(gamma, n):
@@ -297,16 +257,14 @@ def n_sequence_check(gamma, n):
     if len(gamma) != n + 1:
         raise ValueError("gamma must have length n+1")
     p = Poly([Fraction(gamma[k]) * comb(n, k) for k in range(n + 1)])
-    if p.is_zero() or p.degree == 0:
+    if p.is_zero():
         return True
-    if not is_real_rooted(p):
-        return False
-    if p.coeff(0) == 0:
-        return False
     chain = sturm_chain(p)
-    nonpos = _roots_le(chain, Fraction(0))
-    pos = _roots_le(chain, POS_INF) - nonpos
-    return nonpos == 0 or pos == 0
+    real = _roots_le(chain, POS_INF)
+    if real != chain.squarefree_part.degree or p.coeff(0) == 0:
+        return False
+    nonpos = _roots_le(chain, 0)
+    return nonpos == 0 or nonpos == real
 
 
 def narayana_polynomial(n):
@@ -387,7 +345,7 @@ def verify_lucas_fibonacci(n):
         recon[n - 1 - 2 * k] = g_n.coeff(k)
     if Poly(recon) != fibonacci_polynomial(n):
         return False
-    return all_zeros_negative(f_n)[0] and all_zeros_negative(g_n)[0]
+    return all_zeros_negative(f_n) and all_zeros_negative(g_n)
 
 
 def verify_wheel_z_quadratic(n):

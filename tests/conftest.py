@@ -6,6 +6,15 @@ from fractions import Fraction
 import pytest
 
 from matroidkl.graphs import SimpleGraph
+from matroidkl.poly import divexact, poly_gcd, primitive_part
+from matroidkl.realroot import (
+    _isolate_squarefree,
+    _roots_le,
+    isolate_real_roots,
+    refine,
+    squarefree_part,
+    sturm_chain,
+)
 
 
 def all_set_partitions(items):
@@ -185,3 +194,83 @@ def lattice_isomorphic(a, b, budget=2_000_000):
         k -= 1
         _, j_prev = assigned.pop()
         used[j_prev] = False
+
+
+# ---------------------------------------------------------------------------
+# isolation-based root verdicts: the library reads its verdicts off sign
+# counts at -inf, 0 and +inf; these locate every root instead
+
+
+def root_verdicts_by_isolation(p):
+    """(all zeros real, all zeros negative, all zeros real and of one sign),
+    read off an isolation of every root of p, refined until it excludes 0."""
+    roots = isolate_real_roots(p)
+    if sum(iv.multiplicity for iv in roots) != p.degree:
+        return False, False, False
+    if p.degree <= 0:
+        return True, True, True
+    if p(0) == 0:
+        return True, False, False
+    signs = {refine(p, iv, lambda r: r.hi < 0 or r.lo >= 0).hi < 0 for iv in roots}
+    return True, signs == {True}, len(signs) == 1
+
+
+def interleaves_by_isolation(g, f):
+    """Interlacing by isolating the union of both root sets and placing each
+    root of f and of g, with multiplicity, in that one descending order."""
+    for p in (f, g):
+        if p.is_zero() or p.leading <= 0:
+            raise ValueError("positive leading coefficient required")
+        if sum(iv.multiplicity for iv in isolate_real_roots(p)) != p.degree:
+            raise ValueError("real-rooted polynomials required")
+    gap = f.degree - g.degree
+    if gap not in (0, 1):
+        raise ValueError("degree gap must be 0 or 1")
+
+    fs = squarefree_part(f)
+    gs = squarefree_part(g)
+    union = primitive_part(divexact(fs * gs, poly_gcd(fs, gs)))
+    # descending global order of all distinct roots of f and g together
+    global_order = sorted(_isolate_squarefree(sturm_chain(union)), reverse=True)
+
+    def side_positions(p):
+        sf_chain = sturm_chain(p)
+        sf = sf_chain.squarefree_part
+        out = []
+        for iv in isolate_real_roots(p):
+            placed = None
+            for pos, (lo, hi) in enumerate(global_order):
+                if lo == hi:
+                    if iv.is_exact():
+                        ok = iv.lo == lo
+                    else:
+                        ok = iv.lo < lo <= iv.hi and sf(lo) == 0
+                elif iv.is_exact():
+                    ok = lo < iv.lo <= hi
+                else:
+                    a, b = max(lo, iv.lo), min(hi, iv.hi)
+                    ok = a < b and _roots_le(sf_chain, b) - _roots_le(sf_chain, a) == 1
+                if ok:
+                    placed = pos
+                    break
+            if placed is None:
+                raise ArithmeticError("root not aligned with the union isolation")
+            out.extend([placed] * iv.multiplicity)
+        out.sort()
+        return out  # ascending positions = roots in descending order
+
+    u = side_positions(f)
+    v = side_positions(g)
+    n = len(u)
+    seq = []
+    if gap == 0:
+        for i in range(n):
+            seq.append(u[i])
+            seq.append(v[i])
+    else:
+        for i in range(n - 1):
+            seq.append(u[i])
+            seq.append(v[i])
+        if n:
+            seq.append(u[n - 1])
+    return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))

@@ -99,13 +99,13 @@ def test_criterion_5_real_rootedness():
     t0 = time.time()
     ok = True
     for n in range(1, 31):
-        ok &= realroot.all_zeros_negative(kl.kl_closed("fan", n))[0]
-        ok &= realroot.all_zeros_negative(kl.kl_closed("square", n))[0]
-        ok &= realroot.all_zeros_negative(kl.z_closed("fan", n))[0]
+        ok &= realroot.all_zeros_negative(kl.kl_closed("fan", n))
+        ok &= realroot.all_zeros_negative(kl.kl_closed("square", n))
+        ok &= realroot.all_zeros_negative(kl.z_closed("fan", n))
     for n in range(3, 31):
-        ok &= realroot.all_zeros_negative(kl.kl_closed("wheel", n))[0]
-        ok &= realroot.all_zeros_negative(kl.kl_closed("whirl", n))[0]
-        ok &= realroot.all_zeros_negative(kl.z_closed("whirl", n))[0]
+        ok &= realroot.all_zeros_negative(kl.kl_closed("wheel", n))
+        ok &= realroot.all_zeros_negative(kl.kl_closed("whirl", n))
+        ok &= realroot.all_zeros_negative(kl.z_closed("whirl", n))
         ok &= realroot.is_real_rooted(kl.z_closed("wheel", n))
     elapsed = time.time() - t0
     _report("criterion-5 Sturm certificates (P and Z, n<=30)", ok and elapsed < 60, t0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from matroidkl.cli import OutputRecord, build_suite, main, supported_matrix
+from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
 
 
 def run(capsys, *argv):
@@ -73,6 +73,17 @@ def test_unsupported_combo_exits_2(capsys):
     code, _, err = run(capsys, "compute", "--family", "square", "--n", "4",
                        "--kind", "z", "--method", "recurrence")
     assert code == 2
+    # every command fails fast past the size bound, before computing anything
+    too_big = str(N_MAX + 1)
+    for argv in (
+        ("compute", "--family", "wheel", "--n", too_big, "--kind", "kl", "--method", "closed"),
+        ("compute", "--family", "fan", "--n", too_big, "--kind", "kl", "--method", "recurrence"),
+        ("table", "--family", "fan", "--kind", "z", "--max-n", too_big),
+        ("verify", "--suite", "roots", "--max-n", too_big),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"n <= {N_MAX}" in err
 
 
 def test_bad_flag_exits_2(capsys):

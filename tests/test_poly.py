@@ -8,7 +8,6 @@ from matroidkl.poly import (
     Poly,
     compose_rational,
     divexact,
-    eval_at,
     poly_divmod,
     poly_gcd,
     primitive_part,
@@ -88,10 +87,10 @@ def test_compose_rational_rejects_low_clear_power():
 
 
 def test_eval_examples():
-    assert eval_at(Poly([1, 6, 2]), 1) == 9
-    assert eval_at(Poly([4, 9, 1]), 0) == 4
-    assert eval_at(Poly([1, 3, 1]), 1) == 5
-    assert eval_at(Poly([1, 1]), Fraction(1, 2)) == Fraction(3, 2)
+    assert Poly([1, 6, 2])(1) == 9
+    assert Poly([4, 9, 1])(0) == 4
+    assert Poly([1, 3, 1])(1) == 5
+    assert Poly([1, 1])(Fraction(1, 2)) == Fraction(3, 2)
 
 
 def test_divmod_and_divexact():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import interleaves_by_isolation, root_verdicts_by_isolation
 from matroidkl import kl
 from matroidkl.poly import Poly
 from matroidkl.realroot import (
@@ -16,6 +19,7 @@ from matroidkl.realroot import (
     lucas_polynomial,
     n_sequence_check,
     narayana_polynomial,
+    refine,
     squarefree_decomposition,
     verify_lucas_fibonacci,
     verify_narayana_identity,
@@ -88,15 +92,16 @@ def test_isolation_invariants():
 
 
 def test_all_zeros_negative():
-    ok, cert = all_zeros_negative(Poly([1, 0, 1]))
-    assert not ok
-    ok, cert = all_zeros_negative(poly_from_roots([-1, -1, -3]))
-    assert ok
+    assert all_zeros_negative(Poly([1, 0, 1])) is False
+    p = poly_from_roots([-1, -1, -3])
+    assert all_zeros_negative(p) is True
+    # the interval certificate behind the verdict, built on request
+    cert = [refine(p, iv, lambda r: r.hi < 0) for iv in isolate_real_roots(p)]
     assert sum(iv.multiplicity for iv in cert) == 3
     assert all(iv.hi < 0 or (iv.is_exact() and iv.lo < 0) for iv in cert)
-    assert not all_zeros_negative(Poly([0, 1, 1]))[0]  # zero root
-    assert not all_zeros_negative(Poly([-1, 0, 1]))[0]  # root at +1
-    assert all_zeros_negative(Poly([7]))[0]  # constant: vacuous
+    assert all_zeros_negative(Poly([0, 1, 1])) is False  # zero root
+    assert all_zeros_negative(Poly([-1, 0, 1])) is False  # root at +1
+    assert all_zeros_negative(Poly([7])) is True  # constant: vacuous
     with pytest.raises(ValueError):
         all_zeros_negative(Poly())
 
@@ -104,14 +109,13 @@ def test_all_zeros_negative():
 def test_kl_polynomials_all_negative():
     for fam, lo in (("fan", 3), ("square", 3), ("wheel", 3), ("whirl", 3)):
         for n in range(lo, 16):
-            ok, _ = all_zeros_negative(kl.kl_closed(fam, n))
-            assert ok, (fam, n)
+            assert all_zeros_negative(kl.kl_closed(fam, n)), (fam, n)
 
 
 def test_z_polynomials_roots():
     for n in range(1, 16):
-        assert all_zeros_negative(kl.z_closed("fan", n))[0]
-        assert all_zeros_negative(kl.z_closed("whirl", n))[0]
+        assert all_zeros_negative(kl.z_closed("fan", n))
+        assert all_zeros_negative(kl.z_closed("whirl", n))
     for n in range(3, 16):
         assert is_real_rooted(kl.z_closed("wheel", n))
 
@@ -121,8 +125,7 @@ def test_log_concavity_consequence():
     for fam in ("fan", "wheel", "whirl"):
         for n in range(3, 14):
             p = kl.kl_closed(fam, n)
-            ok, _ = all_zeros_negative(p)
-            assert ok
+            assert all_zeros_negative(p)
             cs = p.coeffs
             assert all(c > 0 for c in cs)
             for i in range(1, len(cs) - 1):
@@ -159,38 +162,100 @@ def test_interleaves_classical_cases():
     assert interleaves(p, r) is False
 
 
-def test_interleaves_differential_with_known_roots():
-    # build both polynomials from explicit rational roots (drawn from a small
-    # pool so shared roots are frequent) and compare against the chain
-    # definition evaluated directly on the known root lists
-    def naive(u_desc, v_desc, gap):
-        seq = []
-        if gap == 0:
-            for a, b in zip(u_desc, v_desc):
-                seq += [a, b]
-        else:
-            for a, b in zip(u_desc[:-1], v_desc):
-                seq += [a, b]
-            seq.append(u_desc[-1])
-        return all(x >= y for x, y in zip(seq, seq[1:]))
+def interleaves_by_definition(f_roots, g_roots):
+    """The interlacing chain u1 >= v1 >= u2 >= ... read off the root lists."""
+    u_desc = sorted(f_roots, reverse=True)
+    v_desc = sorted(g_roots, reverse=True)
+    seq = []
+    for i, a in enumerate(u_desc):
+        seq.append(a)
+        if i < len(v_desc):
+            seq.append(v_desc[i])
+    return all(x >= y for x, y in zip(seq, seq[1:]))
 
+
+def known_root_pairs():
+    """Root lists of f and g with deg f - deg g in {0, 1}, drawn from a small
+    pool so that shared roots are frequent."""
     pool = [Fraction(x, 2) for x in range(-10, 7)]
     rng = random.Random(1009)
-    agree = {True: 0, False: 0}
     for _ in range(250):
         dg = rng.randint(0, 3)
-        gap = rng.choice([0, 1])
-        df = dg + gap
+        df = dg + rng.choice([0, 1])
         if df == 0:
             continue
-        f_roots = sorted((rng.choice(pool) for _ in range(df)), reverse=True)
-        g_roots = sorted((rng.choice(pool) for _ in range(dg)), reverse=True)
-        f = poly_from_roots(f_roots)
-        g = poly_from_roots(g_roots)
-        want = naive(f_roots, g_roots, gap)
-        assert interleaves(g, f) is want, (f_roots, g_roots)
+        yield [rng.choice(pool) for _ in range(df)], [rng.choice(pool) for _ in range(dg)]
+
+
+def test_interleaves_differential_with_known_roots():
+    # compare against the chain definition evaluated on the known root lists
+    agree = {True: 0, False: 0}
+    for f_roots, g_roots in known_root_pairs():
+        want = interleaves_by_definition(f_roots, g_roots)
+        assert interleaves(poly_from_roots(g_roots), poly_from_roots(f_roots)) is want, (
+            f_roots,
+            g_roots,
+        )
         agree[want] += 1
     assert agree[True] > 10 and agree[False] > 10  # both outcomes exercised
+
+
+def _n_sequence_of(p):
+    """gamma with sum(gamma_k * C(d,k) * t^k) == p, d = deg p."""
+    d = p.degree
+    return [Fraction(p.coeff(k)) / comb(d, k) for k in range(d + 1)], d
+
+
+def test_verdicts_match_isolation_oracle():
+    # sign-count verdicts against verdicts that locate every root
+    fan_chain = [(kl.kl_closed("fan", n), kl.kl_closed("fan", n + 1)) for n in range(3, 26)]
+    assert all(interleaves(g, f) for g, f in fan_chain)
+    known = [(poly_from_roots(g), poly_from_roots(f)) for f, g in known_root_pairs()]
+    for g, f in fan_chain + known:
+        assert interleaves(g, f) is interleaves_by_isolation(g, f), (g, f)
+    for p in {p for pair in fan_chain + known for p in pair}:
+        gamma, d = _n_sequence_of(p)
+        got = (is_real_rooted(p), all_zeros_negative(p), n_sequence_check(gamma, d))
+        assert got == root_verdicts_by_isolation(p), p
+
+
+# known rational roots from a small pool (ties, multiplicities and the root 0
+# all occur) times an optional irreducible quadratic t^2 + a*t + b, a^2 < 4b
+ROOT_POOL = [Fraction(x, 2) for x in range(-8, 5)]
+ROOT_LISTS = st.lists(st.sampled_from(ROOT_POOL), max_size=6)
+IRREDUCIBLE_QUADRATICS = st.tuples(st.integers(-3, 3), st.integers(1, 5)).filter(
+    lambda ab: ab[0] ** 2 < 4 * ab[1]
+)
+QUADRATICS = st.none() | IRREDUCIBLE_QUADRATICS
+VERDICT_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def _with_quadratic(p, quad):
+    return p if quad is None else p * Poly([quad[1], quad[0], 1])
+
+
+@VERDICT_SETTINGS
+@given(ROOT_LISTS, QUADRATICS, st.integers(1, 4))
+def test_certifiers_match_root_list_definitions(roots, quad, lead):
+    p = _with_quadratic(poly_from_roots(roots, lead), quad)
+    assert is_real_rooted(p) is (quad is None)
+    assert all_zeros_negative(p) is (quad is None and all(r < 0 for r in roots))
+
+
+@VERDICT_SETTINGS
+@given(ROOT_LISTS, st.integers(0, 1), st.data())
+def test_interleaves_matches_root_list_definition(f_roots, gap, data):
+    # g's roots are drawn partly from f's, so that shared roots are frequent
+    dg = max(len(f_roots) - gap, 0)
+    g_roots = data.draw(
+        st.lists(st.sampled_from(f_roots + ROOT_POOL), min_size=dg, max_size=dg)
+    )
+    f, g = poly_from_roots(f_roots), poly_from_roots(g_roots)
+    assert interleaves(g, f) is interleaves_by_definition(f_roots, g_roots)
+    # a shared complex pair leaves the domain, whatever the real roots do
+    quad = data.draw(IRREDUCIBLE_QUADRATICS)
+    with pytest.raises(ValueError):
+        interleaves(_with_quadratic(g, quad), _with_quadratic(f, quad))
 
 
 def test_fan_chain_interlacing():
