@@ -14,11 +14,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import graphs, kl, matroids, realroot, series
 from .poly import Poly
-
-JOBS_ENV_VAR = "MATROIDKL_JOBS"
 
 BRUTE_MAX = {"fan": 8, "square": 8, "wheel": 7, "whirl": 7}
 FAMILY_MIN = {
@@ -81,8 +80,10 @@ class OutputRecord:
 
 
 def _poly_record(family, n, kind, method, poly):
-    real_rooted = realroot.is_real_rooted(poly)
-    all_negative = real_rooted and realroot.all_zeros_negative(poly)
+    # one Sturm chain when all zeros are negative: V(-inf) - V(0) = deg q
+    # already says that every zero is real
+    all_negative = realroot.all_zeros_negative(poly)
+    real_rooted = all_negative or realroot.is_real_rooted(poly)
     degree = len(poly.coeffs) - 1 if poly.coeffs else 0
     return OutputRecord(
         family=family,
@@ -193,87 +194,68 @@ def cmd_table(args, out=None):
 
 
 # ---------------------------------------------------------------------------
-# verification suites: each check is a picklable (name, payload) pair handled
-# by _execute_check, so a process pool can run them when --jobs > 1
+# verification suites: each check is a (name, partial of a module-level
+# function) pair that returns (ok, detail); partials of module-level functions
+# pickle, so a process pool can run them when --jobs > 1
 
 
-def _execute_check(check):
-    kind = check[0]
-    if kind == "oracle_kl":
-        _, family, n = check
-        got = kl.kl_poly(kl.family_matroid(family, n))
-        want = kl.kl_closed(family, n)
-        return got == want, f"{got!r} vs {want!r}"
-    if kind == "oracle_z":
-        _, family, n = check
-        got = kl.z_poly(kl.family_matroid(family, n))
-        want = kl.z_closed(family, n)
-        return got == want, f"{got!r} vs {want!r}"
-    if kind == "square_equals_fan":
-        _, n = check
-        got = kl.kl_poly(kl.family_matroid("square", n))
-        want = kl.kl_poly(kl.family_matroid("fan", n))
-        return got == want, f"{got!r} vs {want!r}"
-    if kind == "whirl_flats":
-        _, n = check
-        return _whirl_flat_partition(n), "flat classification mismatch"
-    if kind == "gf":
-        _, which, order = check
-        return _gf_matches(which, order)
-    if kind == "recurrence":
-        _, family, max_n = check
-        lo = {"fan": 1, "wheel": 2, "whirl": 3}[family]
-        for n in range(lo, max_n + 1):
-            if kl.kl_recurrence(family, n) != kl.kl_closed(family, n):
-                return False, f"mismatch at n={n}"
-        return True, ""
-    if kind == "kl_negative":
-        _, family, n = check
-        return realroot.all_zeros_negative(kl.kl_closed(family, n)), f"n={n}"
-    if kind == "z_negative":
-        _, family, n = check
-        return realroot.all_zeros_negative(kl.z_closed(family, n)), f"n={n}"
-    if kind == "z_real":
-        _, family, n = check
-        return realroot.is_real_rooted(kl.z_closed(family, n)), f"n={n}"
-    if kind == "interlacing":
-        _, lo, hi = check
-        for n in range(lo, hi + 1):
-            if not realroot.interleaves(kl.kl_closed("fan", n), kl.kl_closed("fan", n + 1)):
-                return False, f"chain breaks at n={n}"
-        return True, ""
-    if kind == "narayana":
-        _, max_n = check
-        return all(realroot.verify_narayana_identity(n) for n in range(1, max_n + 1)), ""
-    if kind == "hadamard":
-        _, max_n = check
-        for n in range(3, max_n + 1):
-            p = kl.kl_closed("wheel", n)
-            for k in range((n - 1) // 2 + 1):
-                a, b, c = kl.hadamard_wheel_coeff(n, k)
-                if a * b * c != p.coeff(k):
-                    return False, f"n={n} k={k}"
-        return True, ""
-    if kind == "wheel_z_quadratic":
-        _, max_n = check
-        return all(realroot.verify_wheel_z_quadratic(n) for n in range(3, max_n + 1)), ""
-    if kind == "lucas_fibonacci":
-        _, max_n = check
-        return all(realroot.verify_lucas_fibonacci(n) for n in range(3, max_n + 1)), ""
-    if kind == "n_sequence":
-        _, lo, hi = check
-        for n in range(lo, hi + 1):
-            m = (n - 1) // 2
-            gamma = [
-                (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + k**3 + 3 * k**2 - k - 1
-                for k in range(m + 1)
-            ]
-            if not realroot.n_sequence_check(gamma, m):
-                return False, f"n={n}"
-        return True, ""
-    if kind == "spot_values":
-        return _spot_values()
-    raise ValueError(f"unknown check {kind}")
+def _compare(got, want, n):
+    """(ok, detail) for got == want; the detail names n and the first
+    coefficient where the two polynomials differ."""
+    for k in range(max(len(got.coeffs), len(want.coeffs))):
+        if got.coeff(k) != want.coeff(k):
+            return False, f"n={n}: t^{k}: got {got.coeff(k)}, want {want.coeff(k)}"
+    return True, ""
+
+
+def _oracle(poly_fn, closed_fn, family, n):
+    """poly_fn over the flat lattice of the family's matroid against the closed form."""
+    return _compare(poly_fn(kl.family_matroid(family, n)), closed_fn(family, n), n)
+
+
+def _square_equals_fan(n):
+    got = kl.kl_poly(kl.family_matroid("square", n))
+    return _compare(got, kl.kl_poly(kl.family_matroid("fan", n)), n)
+
+
+def _root_verdict(verdict_fn, poly_fn, family, n):
+    return verdict_fn(poly_fn(family, n)), f"n={n}"
+
+
+def _agrees(got_fn, want_fn, lo, hi):
+    """got_fn(n) == want_fn(n) for every n in lo..hi; a failure names the first n."""
+    for n in range(lo, hi + 1):
+        ok, detail = _compare(got_fn(n), want_fn(n), n)
+        if not ok:
+            return False, detail
+    return True, ""
+
+
+def _holds(test, lo, hi):
+    """test(n) for every n in lo..hi; a failure names the first n."""
+    for n in range(lo, hi + 1):
+        if not test(n):
+            return False, f"n={n}"
+    return True, ""
+
+
+def _fan_interlaces(n):
+    return realroot.interleaves(kl.kl_closed("fan", n), kl.kl_closed("fan", n + 1))
+
+
+def _hadamard_product(n):
+    """The wheel KL polynomial rebuilt from its three-sequence factorization."""
+    factors = (kl.hadamard_wheel_coeff(n, k) for k in range((n - 1) // 2 + 1))
+    return Poly([a * b * c for a, b, c in factors])
+
+
+def _n_sequence_holds(n):
+    m = (n - 1) // 2
+    gamma = [
+        (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + k**3 + 3 * k**2 - k - 1
+        for k in range(m + 1)
+    ]
+    return realroot.n_sequence_check(gamma, m)
 
 
 def _whirl_flat_partition(n):
@@ -295,7 +277,7 @@ def _gf_matches(which, order):
     start = {"kl_fan": 0, "kl_wheel": 2, "kl_whirl": 1, "z_fan": 0, "z_wheel": 2, "z_whirl": 1}[which]
     for n in range(start):
         if not s.coefficient(n).is_zero():
-            return False, f"u^{n} should vanish"
+            return False, f"n={n}: u^{n} should vanish"
     for n in range(start, order + 1):
         if kind == "kl":
             if family == "fan":
@@ -309,84 +291,89 @@ def _gf_matches(which, order):
                 want = Poly([1]) if n == 0 else kl.z_closed("fan", n)
             else:
                 want = kl.z_closed(family, n)
-        if s.coefficient(n) != want:
-            return False, f"u^{n}: {s.coefficient(n)!r} vs {want!r}"
+        ok, detail = _compare(s.coefficient(n), want, n)
+        if not ok:
+            return False, detail
     return True, ""
 
 
 def _spot_values():
-    checks = [
-        (kl.kl_closed("wheel", 3), Poly([1, 1])),
-        (kl.kl_closed("wheel", 4), Poly([1, 5])),
-        (kl.kl_closed("whirl", 3), Poly([1, 3])),
-    ]
-    for got, want in checks:
-        if got != want:
-            return False, f"{got!r} vs {want!r}"
+    for family, n, want in (("wheel", 3, Poly([1, 1])), ("wheel", 4, Poly([1, 5])),
+                            ("whirl", 3, Poly([1, 3]))):
+        ok, detail = _compare(kl.kl_closed(family, n), want, n)
+        if not ok:
+            return False, f"{family} {detail}"
     motzkin = [1, 1]
     while len(motzkin) < 16:
         k = len(motzkin) - 1
         motzkin.append(motzkin[k] + sum(motzkin[i] * motzkin[k - 1 - i] for i in range(k)))
     for n in range(1, 16):
         if kl.kl_closed("fan", n)(1) != motzkin[n - 1]:
-            return False, f"fan({n})(1) != Motzkin({n - 1})"
+            return False, f"n={n}: fan({n})(1) != Motzkin({n - 1})"
     return True, ""
 
 
 def build_suite(suite, max_n=None, order=None):
     _check_max_n(max_n)
     checks = []
+
+    def add(name, fn, *args):
+        checks.append((name, partial(fn, *args)))
+
     if suite in ("oracle", "all"):
         hi_fan = min(max_n or 8, 8)
         hi_wheel = min(max_n or 7, 7)
         for fam, hi in (("fan", hi_fan), ("square", hi_fan)):
             for n in range(1, hi + 1):
-                checks.append((f"oracle/kl/{fam}/{n}", ("oracle_kl", fam, n)))
+                add(f"oracle/kl/{fam}/{n}", _oracle, kl.kl_poly, kl.kl_closed, fam, n)
         for fam in ("wheel", "whirl"):
             for n in range(3, hi_wheel + 1):
-                checks.append((f"oracle/kl/{fam}/{n}", ("oracle_kl", fam, n)))
+                add(f"oracle/kl/{fam}/{n}", _oracle, kl.kl_poly, kl.kl_closed, fam, n)
         for n in range(1, hi_fan + 1):
-            checks.append((f"oracle/z/fan/{n}", ("oracle_z", "fan", n)))
+            add(f"oracle/z/fan/{n}", _oracle, kl.z_poly, kl.z_closed, "fan", n)
         for fam in ("wheel", "whirl"):
             for n in range(3, hi_wheel + 1):
-                checks.append((f"oracle/z/{fam}/{n}", ("oracle_z", fam, n)))
+                add(f"oracle/z/{fam}/{n}", _oracle, kl.z_poly, kl.z_closed, fam, n)
         for n in range(1, hi_fan + 1):
-            checks.append((f"oracle/square-equals-fan/{n}", ("square_equals_fan", n)))
+            add(f"oracle/square-equals-fan/{n}", _square_equals_fan, n)
         for n in range(3, min(hi_wheel, 6) + 1):
-            checks.append((f"oracle/whirl-flats/{n}", ("whirl_flats", n)))
+            add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
     if suite in ("gf", "all"):
         o = order or 12
         for which in series.GF_NAMES:
             use = min(o, 10) if which == "kl_wheel" else o
-            checks.append((f"gf/{which}/order-{use}", ("gf", which, use)))
+            add(f"gf/{which}/order-{use}", _gf_matches, which, use)
     if suite in ("recurrence", "all"):
         hi = max_n or 40
-        for fam in ("fan", "wheel", "whirl"):
-            checks.append((f"recurrence/{fam}/n-{hi}", ("recurrence", fam, hi)))
+        for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3)):
+            add(f"recurrence/{fam}/n-{hi}", _agrees, partial(kl.kl_recurrence, fam),
+                partial(kl.kl_closed, fam), lo, hi)
     if suite in ("roots", "all"):
         hi = max_n or 30
+        negative = realroot.all_zeros_negative
         for fam in ("fan", "square", "wheel", "whirl"):
             lo = 1 if fam in ("fan", "square") else 3
             for n in range(lo, hi + 1):
-                checks.append((f"roots/kl-negative/{fam}/{n}", ("kl_negative", fam, n)))
+                add(f"roots/kl-negative/{fam}/{n}", _root_verdict, negative, kl.kl_closed, fam, n)
         for n in range(1, hi + 1):
-            checks.append((f"roots/z-negative/fan/{n}", ("z_negative", "fan", n)))
+            add(f"roots/z-negative/fan/{n}", _root_verdict, negative, kl.z_closed, "fan", n)
         for n in range(3, hi + 1):
-            checks.append((f"roots/z-negative/whirl/{n}", ("z_negative", "whirl", n)))
-            checks.append((f"roots/z-real/wheel/{n}", ("z_real", "wheel", n)))
+            add(f"roots/z-negative/whirl/{n}", _root_verdict, negative, kl.z_closed, "whirl", n)
+            add(f"roots/z-real/wheel/{n}", _root_verdict, realroot.is_real_rooted,
+                kl.z_closed, "wheel", n)
         hi_int = min(max_n or 25, 25)
-        checks.append((f"roots/fan-interlacing/3-{hi_int}", ("interlacing", 3, hi_int)))
+        add(f"roots/fan-interlacing/3-{hi_int}", _holds, _fan_interlaces, 3, hi_int)
     if suite in ("identities", "all"):
-        checks.append(("identities/narayana/n-20", ("narayana", min(max_n or 20, 20))))
-        checks.append(("identities/hadamard/n-30", ("hadamard", min(max_n or 30, 30))))
-        checks.append(
-            ("identities/wheel-z-quadratic/n-30", ("wheel_z_quadratic", min(max_n or 30, 30)))
-        )
-        checks.append(
-            ("identities/lucas-fibonacci/n-40", ("lucas_fibonacci", min(max_n or 40, 40)))
-        )
-        checks.append(("identities/n-sequence/7-30", ("n_sequence", 7, min(max_n or 30, 30))))
-        checks.append(("identities/spot-values", ("spot_values",)))
+        add("identities/narayana/n-20", _holds, realroot.verify_narayana_identity,
+            1, min(max_n or 20, 20))
+        add("identities/hadamard/n-30", _agrees, _hadamard_product,
+            partial(kl.kl_closed, "wheel"), 3, min(max_n or 30, 30))
+        add("identities/wheel-z-quadratic/n-30", _holds, realroot.verify_wheel_z_quadratic,
+            3, min(max_n or 30, 30))
+        add("identities/lucas-fibonacci/n-40", _holds, realroot.verify_lucas_fibonacci,
+            3, min(max_n or 40, 40))
+        add("identities/n-sequence/7-30", _holds, _n_sequence_holds, 7, min(max_n or 30, 30))
+        add("identities/spot-values", _spot_values)
     if not checks:
         raise UsageError(f"unknown suite {suite!r}")
     return checks
@@ -396,7 +383,7 @@ def _run_check_timed(item):
     name, check = item
     start = time.perf_counter()
     try:
-        ok, detail = _execute_check(check)
+        ok, detail = check()
     except Exception as exc:  # a crash is a failure, not an abort
         ok, detail = False, f"exception: {exc!r}"
     return name, ok, detail, time.perf_counter() - start
@@ -404,8 +391,11 @@ def _run_check_timed(item):
 
 def cmd_verify(args, out=None):
     out = out if out is not None else sys.stdout
+    jobs, cpus = args.jobs, os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        # checked before any pool starts: the pool forks all its workers at once
+        raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
     checks = build_suite(args.suite, args.max_n, args.order)
-    jobs = args.jobs
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -424,34 +414,11 @@ def cmd_verify(args, out=None):
     return 1 if failures else 0
 
 
-# ---------------------------------------------------------------------------
-
-
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    allowed = {"jobs", "max_n", "order"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _default_jobs(cfg):
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return int(cfg.get("jobs", 1))
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="matroidkl",
         description="Exact KL/Z polynomials of fan, square-of-path, wheel and whirl matroids",
     )
-    parser.add_argument("--config", help="optional JSON config: jobs / max_n / order defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="one polynomial as a JSON line or CSV row")
@@ -469,7 +436,8 @@ def build_parser():
     )
     pv.add_argument("--max-n", dest="max_n", type=int, default=None)
     pv.add_argument("--order", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=None)
+    pv.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, 1 (the default) to the CPU count")
 
     pt = sub.add_parser("table", help="closed-form table over a range of n")
     pt.add_argument("--family", required=True, choices=["fan", "square", "wheel", "whirl"])
@@ -483,14 +451,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
         if args.command == "verify":
-            if args.max_n is None:
-                args.max_n = cfg.get("max_n")
-            if args.order is None:
-                args.order = cfg.get("order")
-            if args.jobs is None:
-                args.jobs = _default_jobs(cfg)
             return cmd_verify(args)
         if args.command == "compute":
             return cmd_compute(args)

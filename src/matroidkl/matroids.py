@@ -1,8 +1,8 @@
 """Matroids as exact rank oracles over bitset subsets.
 
 A matroid is stored as a full rank table over the 2^m subsets of its ground
-set (guarded to m <= 16), which makes closures, flats, localizations and
-contractions cheap exact lookups.  Graphic matroids and whirls are the two
+set (guarded to m <= 16), which makes flats, localizations and contractions
+cheap exact lookups.  Graphic matroids and whirls are the two
 primitive constructors; localization and contraction derive new oracles.
 """
 
@@ -75,18 +75,6 @@ class RankOracleMatroid:
 
     def rank(self, subset):
         return self.table[subset]
-
-    def closure(self, subset):
-        t = self.table
-        r = t[subset]
-        out = subset
-        rest = ((1 << self.m) - 1) & ~subset
-        while rest:
-            bit = rest & -rest
-            rest &= rest - 1
-            if t[subset | bit] == r:
-                out |= bit
-        return out
 
     def is_flat(self, subset):
         t = self.table

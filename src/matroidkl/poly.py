@@ -55,9 +55,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_integer(self):
-        return all(isinstance(c, int) for c in self.coeffs)
-
     def integerized(self):
         """Return self with int coefficients, or raise if any is non-integral."""
         out = []

@@ -1,8 +1,12 @@
 import json
+import os
+import re
 
 import pytest
 
+from matroidkl import cli, kl, realroot
 from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
+from matroidkl.poly import Poly
 
 
 def run(capsys, *argv):
@@ -168,31 +172,70 @@ def test_table_json(capsys):
     assert recs[1]["coeffs"] == ["1", "3", "1"]
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"max_n": 6, "jobs": 1}')
-    code, out, _ = run(capsys, "--config", str(cfg), "verify", "--suite", "recurrence")
-    assert code == 0
-    assert "recurrence/fan/n-6" in out
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"unknown_key": 1}')
-    code, _, err = run(capsys, "--config", str(bad), "verify", "--suite", "recurrence")
-    assert code == 2
+def test_jobs_out_of_range_exits_2(capsys):
+    # rejected before any worker process starts
+    for jobs in (0, (os.cpu_count() or 1) + 1):
+        code, out, err = run(capsys, "verify", "--suite", "recurrence", "--max-n", "3",
+                             "--jobs", str(jobs))
+        assert code == 2 and out == ""
+        assert "--jobs" in err
 
 
-def test_jobs_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("MATROIDKL_JOBS", "1")
-    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "5")
-    assert code == 0
+def pass_names(out):
+    return [re.sub(r" \(\d+\.\d+s\)$", "", line) for line in out.splitlines()
+            if line.startswith("PASS")]
 
 
 def test_verify_parallel_jobs(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "8",
-                       "--jobs", "2")
+    # every kind of check must pickle for the pool, and output order must not
+    # depend on completion order
+    code, serial, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5",
+                          "--order", "5", "--jobs", "1")
     assert code == 0
-    # deterministic ordering regardless of completion order
-    lines = [l for l in out.splitlines() if l.startswith("PASS")]
-    assert lines == sorted(lines, key=lambda s: ["fan", "wheel", "whirl"].index(s.split("/")[1]))
+    code, pooled, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5",
+                          "--order", "5", "--jobs", "2")
+    assert code == 0
+    names = pass_names(serial)
+    assert len(names) == len(build_suite("all", max_n=5, order=5))
+    assert pass_names(pooled) == names
+
+
+def test_verify_failure_names_first_difference(capsys, monkeypatch):
+    closed = kl.kl_closed
+
+    def perturbed(family, n):
+        p = closed(family, n)
+        return p + Poly.monomial(1) if (family, n) == ("fan", 3) else p
+
+    monkeypatch.setattr(kl, "kl_closed", perturbed)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert re.fullmatch(r"FAIL oracle/kl/fan/3 \(\d+\.\d+s\): n=3: t\^1: got 1, want 2",
+                        fails[0])
+
+
+def test_poly_record_builds_one_sturm_chain(monkeypatch):
+    calls = []
+    chain = realroot.sturm_chain
+
+    def counted(p):
+        calls.append(p)
+        return chain(p)
+
+    monkeypatch.setattr(realroot, "sturm_chain", counted)
+    rec = cli._poly_record("wheel", 30, "z", "closed", kl.z_closed("wheel", 30))
+    assert len(calls) == 1
+    assert rec.flags["real_rooted"] is True and rec.flags["all_negative"] is True
+    for coeffs, real_rooted, all_negative in (
+        ([1, 1, 1], False, False),  # 1 + t + t^2
+        ([-2, 1, 1], True, False),  # (t - 1)(t + 2)
+        ([3, 7, 5, 1], True, True),  # (t + 1)^2 (t + 3)
+    ):
+        flags = cli._poly_record("fan", 3, "kl", "closed", Poly(coeffs)).flags
+        assert flags["real_rooted"] is real_rooted
+        assert flags["all_negative"] is all_negative
 
 
 def test_suite_registry_covers_all():
