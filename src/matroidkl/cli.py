@@ -142,22 +142,29 @@ def compute_record(family, n, kind, method):
     return _poly_record(family, n, kind, method, poly)
 
 
+def _write_csv(records, before, after, out):
+    """One CSV row per record: the columns named in before, c0..cK padded to
+    the largest degree, then the columns named in after."""
+    max_deg = max((len(rec.coeffs) - 1 for rec in records), default=0)
+    out.write(",".join([*before, *(f"c{k}" for k in range(max_deg + 1)), *after]) + "\n")
+    for rec in records:
+        fields = {"family": rec.family, "n": rec.n, "kind": rec.kind,
+                  "method": rec.method, **rec.flags}
+        cell = {name: str(v).lower() if isinstance(v, bool) else str(v)
+                for name, v in fields.items()}
+        cells = [cell[name] for name in before]
+        cells += [rec.coeffs[k] if k < len(rec.coeffs) else "" for k in range(max_deg + 1)]
+        cells += [cell[name] for name in after]
+        out.write(",".join(cells) + "\n")
+
+
 def _emit_records(records, fmt, out):
     if fmt == "json":
         for rec in records:
             out.write(rec.to_json() + "\n")
         return
-    max_deg = max((len(rec.coeffs) - 1 for rec in records), default=0)
-    coeff_cols = [f"c{k}" for k in range(max_deg + 1)]
-    out.write(",".join(["family", "n", "kind", "method", "degree", "rank",
-                        "real_rooted", "all_negative", *coeff_cols]) + "\n")
-    for rec in records:
-        cells = [rec.family, str(rec.n), rec.kind, rec.method,
-                 str(rec.flags["degree"]), str(rec.flags["rank"]),
-                 str(rec.flags["real_rooted"]).lower(),
-                 str(rec.flags["all_negative"]).lower()]
-        cells += [rec.coeffs[k] if k < len(rec.coeffs) else "" for k in range(max_deg + 1)]
-        out.write(",".join(cells) + "\n")
+    _write_csv(records, ["family", "n", "kind", "method", "degree", "rank",
+                         "real_rooted", "all_negative"], [], out)
 
 
 def cmd_compute(args, out=None):
@@ -181,15 +188,8 @@ def cmd_table(args, out=None):
         records.append(compute_record(family, n, kind, method))
     if args.format == "json":
         _emit_records(records, "json", out)
-        return 0
-    max_deg = max((len(r.coeffs) - 1 for r in records), default=0)
-    cols = ["n", "degree"] + [f"c{k}" for k in range(max_deg + 1)] + ["real_rooted"]
-    out.write(",".join(cols) + "\n")
-    for r in records:
-        cells = [str(r.n), str(r.flags["degree"])]
-        cells += [r.coeffs[k] if k < len(r.coeffs) else "" for k in range(max_deg + 1)]
-        cells.append(str(r.flags["real_rooted"]).lower())
-        out.write(",".join(cells) + "\n")
+    else:
+        _write_csv(records, ["n", "degree"], ["real_rooted"], out)
     return 0
 
 
@@ -222,21 +222,27 @@ def _root_verdict(verdict_fn, poly_fn, family, n):
     return verdict_fn(poly_fn(family, n)), f"n={n}"
 
 
-def _agrees(got_fn, want_fn, lo, hi):
-    """got_fn(n) == want_fn(n) for every n in lo..hi; a failure names the first n."""
+def _each_n(step, lo, hi):
+    """step(n) -> (ok, detail) for every n in lo..hi, up to the first failure;
+    a step that raises fails with a detail that names its n."""
     for n in range(lo, hi + 1):
-        ok, detail = _compare(got_fn(n), want_fn(n), n)
+        try:
+            ok, detail = step(n)
+        except Exception as exc:
+            return False, f"n={n}: exception: {exc!r}"
         if not ok:
             return False, detail
     return True, ""
 
 
+def _agrees(got_fn, want_fn, lo, hi):
+    """got_fn(n) == want_fn(n) for every n in lo..hi; a failure names the first n."""
+    return _each_n(lambda n: _compare(got_fn(n), want_fn(n), n), lo, hi)
+
+
 def _holds(test, lo, hi):
     """test(n) for every n in lo..hi; a failure names the first n."""
-    for n in range(lo, hi + 1):
-        if not test(n):
-            return False, f"n={n}"
-    return True, ""
+    return _each_n(lambda n: (test(n), f"n={n}"), lo, hi)
 
 
 def _fan_interlaces(n):
@@ -458,7 +464,8 @@ def main(argv=None):
         return cmd_table(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(supported_matrix(), file=sys.stderr)
+        if args.command in ("compute", "table"):
+            print(supported_matrix(), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,87 +23,23 @@ from math import comb, factorial
 from .poly import ONE, Poly, divexact, reverse_scaled
 from . import graphs as _graphs
 from . import matroids as _matroids
+from .matroids import lattice_of
 
 FAMILIES = ("fan", "square", "wheel", "whirl")
 
 
 # ---------------------------------------------------------------------------
-# flat-lattice engine
-
-
-class FlatLattice:
-    """A graded lattice given by rank list and below-relation bitsets.
-
-    Index 0 is the bottom (rank 0), the last index the unique top, and indices
-    are sorted by rank, so flat j <= flat i implies j <= i.  below[i] holds
-    bit j exactly when flat j <= flat i (including j == i).
-    """
-
-    __slots__ = ("ranks", "below", "n", "top_rank")
-
-    def __init__(self, ranks, below):
-        self.ranks = tuple(ranks)
-        self.below = tuple(below)
-        self.n = len(self.ranks)
-        self.top_rank = self.ranks[-1] if self.ranks else 0
-
-    def upper_sets(self):
-        """For each index i, the bitset of indices j with flat i <= flat j."""
-        up = [0] * self.n
-        for j in range(self.n):
-            b = self.below[j]
-            bit_j = 1 << j
-            while b:
-                i = (b & -b).bit_length() - 1
-                b &= b - 1
-                up[i] |= bit_j
-        return up
-
-    def mobius_from_bottom(self):
-        """mu(bottom, F) for every flat F."""
-        mu = [0] * self.n
-        mu[0] = 1
-        for i in range(1, self.n):
-            acc = 0
-            b = self.below[i] & ~(1 << i)
-            while b:
-                j = (b & -b).bit_length() - 1
-                b &= b - 1
-                acc += mu[j]
-            mu[i] = -acc
-        return mu
-
-
-def lattice_of(matroid):
-    """The flat lattice of a rank-oracle matroid, cached on the oracle."""
-    if matroid._kl_lattice is None:
-        flats = matroid.flats()
-        n = len(flats)
-        masks = [f.elements for f in flats]
-        ranks = [f.rank for f in flats]
-        below = []
-        for i in range(n):
-            mi = masks[i]
-            b = 1 << i
-            for j in range(i):
-                if masks[j] & mi == masks[j]:
-                    b |= 1 << j
-            below.append(b)
-        matroid._kl_lattice = FlatLattice(ranks, below)
-    return matroid._kl_lattice
+# the KL/Z pass over the lattice of flats (matroids.lattice_of)
 
 
 def _chi_from_bottom(lat):
     """Characteristic polynomial of every lower interval [bottom, F]."""
     mu = lat.mobius_from_bottom()
     chis = []
-    for i in range(lat.n):
-        ri = lat.ranks[i]
+    for i, ri in enumerate(lat.ranks):
         coeffs = [0] * (ri + 1)
-        b = lat.below[i]
-        while b:
-            j = (b & -b).bit_length() - 1
-            b &= b - 1
+        coeffs[0] = mu[i]
+        for j in lat.below[i]:
             coeffs[ri - lat.ranks[j]] += mu[j]
         chis.append(Poly(coeffs))
     return chis
@@ -130,16 +66,12 @@ def _flat_pass(lat):
     ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.
     """
     ranks = lat.ranks
-    up = lat.upper_sets()
     ps = [None] * lat.n
     zs = [None] * lat.n
     for a in reversed(range(lat.n)):
         r = lat.top_rank - ranks[a]
         z = [0] * (r + 1)
-        b = up[a] & ~(1 << a)
-        while b:
-            f = (b & -b).bit_length() - 1
-            b &= b - 1
+        for f in lat.above[a]:
             shift = ranks[f] - ranks[a]
             for k, c in enumerate(ps[f]):
                 z[shift + k] += c

@@ -1,9 +1,11 @@
-"""Matroids as exact rank oracles over bitset subsets.
+"""Matroids as exact rank oracles over bitset subsets, and their lattices of flats.
 
 A matroid is stored as a full rank table over the 2^m subsets of its ground
 set (guarded to m <= 16), which makes flats, localizations and contractions
 cheap exact lookups.  Graphic matroids and whirls are the two
 primitive constructors; localization and contraction derive new oracles.
+lattice_of orders the flats, and the lattice's Moebius function gives the
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Flat:
 class RankOracleMatroid:
     """Ground set 0..m-1 plus an exact rank function tabulated over subsets."""
 
-    __slots__ = ("m", "labels", "table", "full_rank", "_flats", "_kl_lattice")
+    __slots__ = ("m", "labels", "table", "full_rank", "_flats", "_lattice")
 
     def __init__(self, m, table, labels=None, check=True):
         if m > MAX_GROUND:
@@ -47,7 +49,7 @@ class RankOracleMatroid:
         self.labels = tuple(labels) if labels is not None else tuple(range(m))
         self.full_rank = table[(1 << m) - 1]
         self._flats = None
-        self._kl_lattice = None  # cache used by the kl engine
+        self._lattice = None
         if check:
             self._spot_check_axioms()
 
@@ -91,19 +93,7 @@ class RankOracleMatroid:
         """Every closed set exactly once, sorted by (rank, bitmask)."""
         if self._flats is None:
             t = self.table
-            found = []
-            for x in range(1 << self.m):
-                r = t[x]
-                rest = ((1 << self.m) - 1) & ~x
-                closed = True
-                while rest:
-                    bit = rest & -rest
-                    rest &= rest - 1
-                    if t[x | bit] == r:
-                        closed = False
-                        break
-                if closed:
-                    found.append(Flat(x, r))
+            found = [Flat(x, t[x]) for x in range(1 << self.m) if self.is_flat(x)]
             found.sort(key=lambda f: (f.rank, f.elements))
             self._flats = tuple(found)
         return self._flats
@@ -171,60 +161,46 @@ def whirl_matroid(n):
     return RankOracleMatroid(len(edge_list), table, labels=edge_list)
 
 
-def localization(m, flat):
-    """Restriction M_F to the elements of the flat F."""
+def _flat_mask(m, flat, operation):
     fmask = flat.elements if isinstance(flat, Flat) else flat
     if not m.is_flat(fmask):
-        raise ValueError("localization requires a flat")
-    elems = []
-    x = fmask
-    while x:
-        elems.append((x & -x).bit_length() - 1)
-        x &= x - 1
-    k = len(elems)
-    table = bytearray(1 << k)
-    for sub in range(1 << k):
-        embedded = 0
-        s = sub
-        while s:
-            i = (s & -s).bit_length() - 1
-            s &= s - 1
-            embedded |= 1 << elems[i]
-        table[sub] = m.table[embedded]
-    return RankOracleMatroid(k, table, labels=[m.labels[e] for e in elems])
+        raise ValueError(f"{operation} requires a flat")
+    return fmask
+
+
+def _minor(m, base, elems):
+    """The matroid on elems with rank(X) = rank(base | X) - rank(base)."""
+    embedded = [base]  # embedded[sub] = base | the elems picked by the bits of sub
+    for e in elems:
+        bit = 1 << e
+        embedded += [x | bit for x in embedded]
+    rb = m.table[base]
+    table = bytearray(m.table[x] - rb for x in embedded)
+    return RankOracleMatroid(len(elems), table, labels=[m.labels[e] for e in elems])
+
+
+def localization(m, flat):
+    """Restriction M_F to the elements of the flat F."""
+    fmask = _flat_mask(m, flat, "localization")
+    return _minor(m, 0, [e for e in range(m.m) if fmask >> e & 1])
 
 
 def contraction(m, flat):
     """Contraction M^F, simplified: parallel classes collapse to their
     smallest-index element (flats guarantee looplessness)."""
-    fmask = flat.elements if isinstance(flat, Flat) else flat
-    if not m.is_flat(fmask):
-        raise ValueError("contraction requires a flat")
+    fmask = _flat_mask(m, flat, "contraction")
     rf = m.table[fmask]
-    rest = []
-    x = ((1 << m.m) - 1) & ~fmask
-    while x:
-        rest.append((x & -x).bit_length() - 1)
-        x &= x - 1
     # parallel classes: e ~ f iff rank(F+e+f) - rank(F) == 1
     reps = []
-    for e in rest:
+    for e in range(m.m):
+        if fmask >> e & 1:
+            continue
         for r in reps:
             if m.table[fmask | (1 << e) | (1 << r)] - rf == 1:
                 break
         else:
             reps.append(e)
-    k = len(reps)
-    table = bytearray(1 << k)
-    for sub in range(1 << k):
-        embedded = fmask
-        s = sub
-        while s:
-            i = (s & -s).bit_length() - 1
-            s &= s - 1
-            embedded |= 1 << reps[i]
-        table[sub] = m.table[embedded] - rf
-    return RankOracleMatroid(k, table, labels=[m.labels[e] for e in reps])
+    return _minor(m, fmask, reps)
 
 
 def simplification(m):
@@ -232,22 +208,58 @@ def simplification(m):
     return contraction(m, 0)
 
 
+# ---------------------------------------------------------------------------
+# the lattice of flats
+
+
+class FlatLattice:
+    """A graded lattice given by its ranks and its order relation as index lists.
+
+    Index 0 is the bottom (rank 0), the last index the unique top, and indices
+    are sorted by rank, so flat j < flat i implies j < i.  The order is
+    strict: below[i] lists, ascending, the j with flat j < flat i, and
+    above[j] lists, ascending, the i with flat j < flat i; neither holds i
+    itself.
+    """
+
+    __slots__ = ("ranks", "below", "above", "n", "top_rank")
+
+    def __init__(self, ranks, below):
+        self.ranks = tuple(ranks)
+        self.below = tuple(below)
+        self.n = len(self.ranks)
+        self.top_rank = self.ranks[-1] if self.ranks else 0
+        above = [[] for _ in range(self.n)]
+        for i, js in enumerate(self.below):
+            for j in js:
+                above[j].append(i)
+        self.above = tuple(above)
+
+    def mobius_from_bottom(self):
+        """mu(bottom, F) for every flat F."""
+        mu = [0] * self.n
+        mu[0] = 1
+        for i in range(1, self.n):
+            mu[i] = -sum(mu[j] for j in self.below[i])
+        return mu
+
+
+def lattice_of(matroid):
+    """The lattice of flats of a rank-oracle matroid, cached on the oracle."""
+    if matroid._lattice is None:
+        flats = matroid.flats()
+        masks = [f.elements for f in flats]
+        below = [[j for j in range(i) if masks[j] & mi == masks[j]]
+                 for i, mi in enumerate(masks)]
+        matroid._lattice = FlatLattice([f.rank for f in flats], below)
+    return matroid._lattice
+
+
 def characteristic_polynomial(m):
-    """Moebius-weighted rank generating polynomial over the lattice of flats."""
-    flats = m.flats()
-    n = len(flats)
-    masks = [f.elements for f in flats]
-    mu = [0] * n
-    mu[0] = 1
-    for i in range(1, n):
-        mi = masks[i]
-        acc = 0
-        for j in range(i):
-            if masks[j] & mi == masks[j]:
-                acc += mu[j]
-        mu[i] = -acc
+    """Sum over flats F of mu(bottom, F) * t^(rk M - rk F)."""
+    lat = lattice_of(m)
     r = m.full_rank
     coeffs = [0] * (r + 1)
-    for i, f in enumerate(flats):
-        coeffs[r - f.rank] += mu[i]
+    for rank, mu in zip(lat.ranks, lat.mobius_from_bottom()):
+        coeffs[r - rank] += mu
     return Poly(coeffs)

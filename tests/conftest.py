@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from matroidkl.graphs import SimpleGraph
-from matroidkl.poly import divexact, poly_gcd, primitive_part
+from matroidkl.poly import Poly, divexact, poly_gcd, primitive_part
 from matroidkl.realroot import (
     _isolate_squarefree,
     _roots_le,
@@ -93,19 +93,36 @@ def frac():
     return Fraction
 
 
+def characteristic_by_masks(m):
+    """Characteristic polynomial from a Moebius function computed on the flat
+    bitmasks themselves (flat j <= flat i iff mask j is a subset of mask i),
+    independent of the library's lattice of flats."""
+    flats = m.flats()
+    masks = [f.elements for f in flats]
+    mu = [0] * len(flats)
+    mu[0] = 1
+    for i in range(1, len(flats)):
+        mu[i] = -sum(mu[j] for j in range(i) if masks[j] & masks[i] == masks[j])
+    r = m.full_rank
+    coeffs = [0] * (r + 1)
+    for f, mu_f in zip(flats, mu):
+        coeffs[r - f.rank] += mu_f
+    return Poly(coeffs)
+
+
 def hasse_covers(lat):
     """covers[i] lists the j of rank one more than i with i below j."""
     out = [[] for _ in range(lat.n)]
     for j in range(lat.n):
-        for i in range(lat.n):
-            if i != j and lat.below[j] >> i & 1 and lat.ranks[i] == lat.ranks[j] - 1:
+        for i in lat.below[j]:
+            if lat.ranks[i] == lat.ranks[j] - 1:
                 out[i].append(j)
     return out
 
 
 def lattice_isomorphic(a, b, budget=2_000_000):
     """Exact isomorphism test between two graded lattices with ranks and
-    below-relation bitsets.
+    strict below-relation index lists.
 
     Returns True/False, or None when the backtracking budget is exhausted.
     """
@@ -151,16 +168,17 @@ def lattice_isomorphic(a, b, budget=2_000_000):
     for j in range(n):
         candidates.setdefault(cb[j], []).append(j)
     order = sorted(range(n), key=lambda i: (len(candidates.get(ca[i], ())), ca[i], i))
-    below_a, below_b = a.below, b.below
+    below_a = [set(js) for js in a.below]
+    below_b = [set(js) for js in b.below]
     assigned = []
     used = [False] * n
     steps = 0
 
     def consistent(i, j):
         for i2, j2 in assigned:
-            if (below_a[i] >> i2 & 1) != (below_b[j] >> j2 & 1):
+            if (i2 in below_a[i]) != (j2 in below_b[j]):
                 return False
-            if (below_a[i2] >> i & 1) != (below_b[j2] >> j & 1):
+            if (i in below_a[i2]) != (j in below_b[j2]):
                 return False
         return True
 

@@ -90,6 +90,15 @@ def test_unsupported_combo_exits_2(capsys):
         assert f"n <= {N_MAX}" in err
 
 
+def test_verify_usage_error_omits_matrix(capsys):
+    # the matrix lists compute/table combinations, which verify errors are not about
+    for argv in (("verify", "--suite", "recurrence", "--jobs", "0"),
+                 ("verify", "--suite", "recurrence", "--max-n", str(N_MAX + 1))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "supported" not in err
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--family", "torus", "--n", "3", "--kind", "kl"])
@@ -214,6 +223,23 @@ def test_verify_failure_names_first_difference(capsys, monkeypatch):
     assert len(fails) == 1
     assert re.fullmatch(r"FAIL oracle/kl/fan/3 \(\d+\.\d+s\): n=3: t\^1: got 1, want 2",
                         fails[0])
+
+
+def test_ranged_check_names_n_of_exception(capsys, monkeypatch):
+    recurrence = kl.kl_recurrence
+
+    def crashing(family, n):
+        if (family, n) == ("fan", 5):
+            raise ZeroDivisionError("injected")
+        return recurrence(family, n)
+
+    monkeypatch.setattr(kl, "kl_recurrence", crashing)
+    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "6")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert re.fullmatch(r"FAIL recurrence/fan/n-6 \(\d+\.\d+s\): "
+                        r"n=5: exception: ZeroDivisionError\('injected'\)", fails[0])
 
 
 def test_poly_record_builds_one_sturm_chain(monkeypatch):

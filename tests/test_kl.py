@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lattice_isomorphic
+from conftest import characteristic_by_masks, lattice_isomorphic
 from matroidkl import kl
 from matroidkl.graphs import SimpleGraph, make_family
-from matroidkl.matroids import RankOracleMatroid, graphic_matroid, whirl_matroid
+from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
 from matroidkl.poly import Poly, reverse_scaled
 
 
@@ -88,15 +88,11 @@ def test_every_flat_against_naive():
 def _rederive_below(lat, ps, i):
     """Recompute P at every flat strictly below flat i from the values above
     it by palindromicity of Z, the way the pass carries a fault at i down."""
-    up = lat.upper_sets()
-    for a in sorted(range(lat.n), key=lambda a: -lat.ranks[a]):
-        if a == i or not lat.below[i] >> a & 1:
-            continue
+    for a in sorted(lat.below[i], key=lambda a: -lat.ranks[a]):
         r = lat.top_rank - lat.ranks[a]
         rest = Poly()
-        for f in range(lat.n):
-            if f != a and up[a] >> f & 1:
-                rest = rest + Poly.monomial(lat.ranks[f] - lat.ranks[a]) * ps[f]
+        for f in lat.above[a]:
+            rest = rest + Poly.monomial(lat.ranks[f] - lat.ranks[a]) * ps[f]
         ps[a] = Poly([rest.coeff(r - k) - rest.coeff(k) for k in range((r + 1) // 2)])
 
 
@@ -237,8 +233,9 @@ def test_compute_wrappers():
 def naive_kl(m):
     """Slow independent route: build localization/contraction oracles per
     flat and read P off the low-degree equations of the defining identity
-    (the engine uses the mirrored high-degree ones)."""
-    from matroidkl.matroids import characteristic_polynomial, contraction, localization
+    (the engine uses the mirrored high-degree ones).  chi comes from the
+    mask-based Moebius oracle, not the lattice the engine's certificate uses."""
+    from matroidkl.matroids import contraction, localization
 
     r = m.full_rank
     if r == 0:
@@ -247,7 +244,7 @@ def naive_kl(m):
     for f in m.flats():
         if f.elements == 0:
             continue
-        chi = characteristic_polynomial(localization(m, f))
+        chi = characteristic_by_masks(localization(m, f))
         s = s + chi * naive_kl(contraction(m, f))
     # t^r P(1/t) - P = S gives p_d = -s_d for every d below r/2
     p = Poly([-s.coeff(d) for d in range((r - 1) // 2 + 1)])
@@ -306,16 +303,13 @@ def _bipartite_rank3_lattice(coatom_atoms):
     """Rank-3 graded order: bottom, 4 atoms, 4 coatoms (with the given atom
     sets below them), top."""
     ranks = [0] + [1] * 4 + [2] * 4 + [3]
-    below = [1]  # bottom
-    for i in range(4):
-        below.append(1 | 1 << (1 + i))
-    for j, atoms in enumerate(coatom_atoms):
-        b = 1 | 1 << (5 + j)
-        for a in atoms:
-            b |= 1 << (1 + a)
-        below.append(b)
-    below.append((1 << 10) - 1)
-    return kl.FlatLattice(ranks, below)
+    below = [[]]  # bottom
+    for _ in range(4):
+        below.append([0])
+    for atoms in coatom_atoms:
+        below.append([0] + sorted(1 + a for a in atoms))
+    below.append(list(range(9)))
+    return FlatLattice(ranks, below)
 
 
 def _cheap_invariants(lat):
@@ -323,13 +317,13 @@ def _cheap_invariants(lat):
     (rank, atoms below) profile."""
     levels = [sum(1 for r in lat.ranks if r == k) for k in range(lat.top_rank + 1)]
     adjacent = [
-        sum(lat.below[j] >> i & 1 for j in range(lat.n) for i in range(lat.n)
+        sum(1 for j in range(lat.n) for i in lat.below[j]
             if lat.ranks[j] == k + 1 and lat.ranks[i] == k)
         for k in range(lat.top_rank)
     ]
-    atoms = [i for i in range(lat.n) if lat.ranks[i] == 1]
+    atoms = {i for i in range(lat.n) if lat.ranks[i] == 1}
     profile = sorted(
-        (lat.ranks[i], sum(lat.below[i] >> a & 1 for a in atoms)) for i in range(lat.n)
+        (lat.ranks[i], len(atoms & {i, *lat.below[i]})) for i in range(lat.n)
     )
     return levels, adjacent, profile
 

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import lattice_isomorphic
-from matroidkl import kl
+from conftest import characteristic_by_masks, lattice_isomorphic, random_simple_graph
+from matroidkl import kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     Flat,
@@ -12,6 +12,7 @@ from matroidkl.matroids import (
     characteristic_polynomial,
     contraction,
     graphic_matroid,
+    lattice_of,
     localization,
     outer_cycle_mask,
     simplification,
@@ -199,12 +200,37 @@ def test_characteristic_closed_forms():
         assert characteristic_polynomial(m) == kl.characteristic_closed("wheel", n)
 
 
+def test_characteristic_matches_mask_oracle():
+    cases = [RankOracleMatroid(0, bytearray(1))]
+    for family, lo in (("fan", 1), ("square", 1), ("wheel", 3), ("whirl", 3)):
+        cases += [kl.family_matroid(family, n) for n in range(lo, 8)]
+    rng = random.Random(505)
+    cases += [graphic_matroid(random_simple_graph(rng, max_n=6)) for _ in range(15)]
+    for m in cases:
+        assert characteristic_polynomial(m) == characteristic_by_masks(m)
+
+
+def test_lattice_order_is_flat_inclusion():
+    assert kl.lattice_of is matroids.lattice_of
+    for family in ("fan", "wheel", "whirl"):
+        m = kl.family_matroid(family, 4)
+        lat = lattice_of(m)
+        assert lattice_of(m) is lat
+        masks = [f.elements for f in m.flats()]
+        assert lat.ranks == tuple(f.rank for f in m.flats())
+        for i, mi in enumerate(masks):
+            assert lat.below[i] == [j for j, mj in enumerate(masks)
+                                    if j != i and mj & mi == mj]
+            assert lat.above[i] == [j for j, mj in enumerate(masks)
+                                    if j != i and mi & mj == mi]
+        pairs = {(j, i) for i in range(lat.n) for j in lat.below[i]}
+        assert pairs == {(j, i) for j in range(lat.n) for i in lat.above[j]}
+
+
 def test_characteristic_structure():
     empty = RankOracleMatroid(0, bytearray(1))
     assert characteristic_polynomial(empty) == Poly([1])
     rng = random.Random(77)
-    from conftest import random_simple_graph
-
     for _ in range(15):
         g = random_simple_graph(rng, max_n=6)
         m = graphic_matroid(g)
@@ -219,8 +245,6 @@ def test_chromatic_vs_characteristic_relation():
     from matroidkl.graphs import chromatic_polynomial, components
 
     rng = random.Random(201)
-    from conftest import random_simple_graph
-
     for _ in range(15):
         g = random_simple_graph(rng, max_n=6)
         k = len(components(g))
