@@ -32,24 +32,11 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 # the KL/Z pass over the lattice of flats (matroids.lattice_of)
 
 
-def _chi_from_bottom(lat):
-    """Characteristic polynomial of every lower interval [bottom, F]."""
-    mu = lat.mobius_from_bottom()
-    chis = []
-    for i, ri in enumerate(lat.ranks):
-        coeffs = [0] * (ri + 1)
-        coeffs[0] = mu[i]
-        for j in lat.below[i]:
-            coeffs[ri - lat.ranks[j]] += mu[j]
-        chis.append(Poly(coeffs))
-    return chis
-
-
 def _check_bottom(lat, ps):
     """Certify per-flat KL polynomials by the defining recursion at the bottom:
     sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t)."""
     total = Poly()
-    for chi, p in zip(_chi_from_bottom(lat), ps):
+    for chi, p in zip(lat.chi_from_bottom(), ps):
         total = total + chi * p
     if total != reverse_scaled(ps[0], lat.top_rank):
         raise ArithmeticError(

@@ -11,6 +11,7 @@ characteristic polynomial.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from .poly import Poly
@@ -213,35 +214,45 @@ def simplification(m):
 
 
 class FlatLattice:
-    """A graded lattice given by its ranks and its order relation as index lists.
+    """A graded lattice given by its ranks and its strict order as index arrays.
 
     Index 0 is the bottom (rank 0), the last index the unique top, and indices
-    are sorted by rank, so flat j < flat i implies j < i.  The order is
-    strict: below[i] lists, ascending, the j with flat j < flat i, and
-    above[j] lists, ascending, the i with flat j < flat i; neither holds i
-    itself.
+    are sorted by rank, so flat j < flat i implies j < i.  above[j] lists,
+    ascending, the i with flat j < flat i (strict: never j itself).
+    lattice_of stores each above[j] as an array('H'), which holds every index
+    since a matroid on at most MAX_GROUND = 16 elements has at most 2^16 flats.
     """
 
-    __slots__ = ("ranks", "below", "above", "n", "top_rank")
+    __slots__ = ("ranks", "above", "n", "top_rank")
 
-    def __init__(self, ranks, below):
+    def __init__(self, ranks, above):
         self.ranks = tuple(ranks)
-        self.below = tuple(below)
+        self.above = tuple(above)
         self.n = len(self.ranks)
         self.top_rank = self.ranks[-1] if self.ranks else 0
-        above = [[] for _ in range(self.n)]
-        for i, js in enumerate(self.below):
-            for j in js:
-                above[j].append(i)
-        self.above = tuple(above)
 
     def mobius_from_bottom(self):
-        """mu(bottom, F) for every flat F."""
-        mu = [0] * self.n
-        mu[0] = 1
-        for i in range(1, self.n):
-            mu[i] = -sum(mu[j] for j in self.below[i])
+        """mu(bottom, F) for every flat F, pushed up the order: by the time
+        flat j is reached, every flat below it has added its mu to partial[j]."""
+        partial = [0] * self.n
+        mu = []
+        for j, ups in enumerate(self.above):
+            mu_j = -partial[j] if j else 1
+            mu.append(mu_j)
+            for i in ups:
+                partial[i] += mu_j
         return mu
+
+    def chi_from_bottom(self):
+        """Characteristic polynomial of every lower interval [bottom, F]:
+        sum over flats G <= F of mu(bottom, G) * t^(rk F - rk G)."""
+        ranks = self.ranks
+        coeffs = [[0] * (r + 1) for r in ranks]
+        for j, mu_j in enumerate(self.mobius_from_bottom()):
+            coeffs[j][0] += mu_j
+            for i in self.above[j]:
+                coeffs[i][ranks[i] - ranks[j]] += mu_j
+        return [Poly(c) for c in coeffs]
 
 
 def lattice_of(matroid):
@@ -249,17 +260,13 @@ def lattice_of(matroid):
     if matroid._lattice is None:
         flats = matroid.flats()
         masks = [f.elements for f in flats]
-        below = [[j for j in range(i) if masks[j] & mi == masks[j]]
-                 for i, mi in enumerate(masks)]
-        matroid._lattice = FlatLattice([f.rank for f in flats], below)
+        above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
+                 for j, mj in enumerate(masks)]
+        matroid._lattice = FlatLattice([f.rank for f in flats], above)
     return matroid._lattice
 
 
 def characteristic_polynomial(m):
-    """Sum over flats F of mu(bottom, F) * t^(rk M - rk F)."""
-    lat = lattice_of(m)
-    r = m.full_rank
-    coeffs = [0] * (r + 1)
-    for rank, mu in zip(lat.ranks, lat.mobius_from_bottom()):
-        coeffs[r - rank] += mu
-    return Poly(coeffs)
+    """Sum over flats F of mu(bottom, F) * t^(rk M - rk F): the
+    characteristic polynomial of the whole lattice [bottom, top]."""
+    return lattice_of(m).chi_from_bottom()[-1]

@@ -112,17 +112,23 @@ def characteristic_by_masks(m):
 
 def hasse_covers(lat):
     """covers[i] lists the j of rank one more than i with i below j."""
-    out = [[] for _ in range(lat.n)]
-    for j in range(lat.n):
-        for i in lat.below[j]:
-            if lat.ranks[i] == lat.ranks[j] - 1:
-                out[i].append(j)
-    return out
+    return [[j for j in lat.above[i] if lat.ranks[j] == lat.ranks[i] + 1]
+            for i in range(lat.n)]
+
+
+def below_lists(lat):
+    """below[i] lists, ascending, the j strictly below i: the transpose of
+    lat.above."""
+    below = [[] for _ in range(lat.n)]
+    for j, ups in enumerate(lat.above):
+        for i in ups:
+            below[i].append(j)
+    return below
 
 
 def lattice_isomorphic(a, b, budget=2_000_000):
     """Exact isomorphism test between two graded lattices with ranks and
-    strict below-relation index lists.
+    strict above-relation index arrays.
 
     Returns True/False, or None when the backtracking budget is exhausted.
     """
@@ -168,8 +174,8 @@ def lattice_isomorphic(a, b, budget=2_000_000):
     for j in range(n):
         candidates.setdefault(cb[j], []).append(j)
     order = sorted(range(n), key=lambda i: (len(candidates.get(ca[i], ())), ca[i], i))
-    below_a = [set(js) for js in a.below]
-    below_b = [set(js) for js in b.below]
+    below_a = [set(js) for js in below_lists(a)]
+    below_b = [set(js) for js in below_lists(b)]
     assigned = []
     used = [False] * n
     steps = 0

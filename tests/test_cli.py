@@ -88,15 +88,11 @@ def test_unsupported_combo_exits_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"n <= {N_MAX}" in err
-
-
-def test_verify_usage_error_omits_matrix(capsys):
-    # the matrix lists compute/table combinations, which verify errors are not about
-    for argv in (("verify", "--suite", "recurrence", "--jobs", "0"),
-                 ("verify", "--suite", "recurrence", "--max-n", str(N_MAX + 1))):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "supported" not in err
+        # the matrix lists compute/table combinations, which verify errors are not about
+        assert ("supported" in err) == (argv[0] != "verify")
+    code, out, err = run(capsys, "verify", "--suite", "recurrence", "--jobs", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "supported" not in err
 
 
 def test_bad_flag_exits_2(capsys):

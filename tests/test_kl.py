@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import characteristic_by_masks, lattice_isomorphic
+from conftest import below_lists, characteristic_by_masks, lattice_isomorphic
 from matroidkl import kl
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
@@ -88,7 +88,7 @@ def test_every_flat_against_naive():
 def _rederive_below(lat, ps, i):
     """Recompute P at every flat strictly below flat i from the values above
     it by palindromicity of Z, the way the pass carries a fault at i down."""
-    for a in sorted(lat.below[i], key=lambda a: -lat.ranks[a]):
+    for a in sorted(below_lists(lat)[i], key=lambda a: -lat.ranks[a]):
         r = lat.top_rank - lat.ranks[a]
         rest = Poly()
         for f in lat.above[a]:
@@ -303,27 +303,28 @@ def _bipartite_rank3_lattice(coatom_atoms):
     """Rank-3 graded order: bottom, 4 atoms, 4 coatoms (with the given atom
     sets below them), top."""
     ranks = [0] + [1] * 4 + [2] * 4 + [3]
-    below = [[]]  # bottom
-    for _ in range(4):
-        below.append([0])
-    for atoms in coatom_atoms:
-        below.append([0] + sorted(1 + a for a in atoms))
-    below.append(list(range(9)))
-    return FlatLattice(ranks, below)
+    above = [range(1, 10)]  # bottom
+    for a in range(4):
+        above.append([5 + c for c, atoms in enumerate(coatom_atoms) if a in atoms] + [9])
+    for _ in coatom_atoms:
+        above.append([9])
+    above.append([])  # top
+    return FlatLattice(ranks, above)
 
 
 def _cheap_invariants(lat):
     """Level sizes, comparable pairs between adjacent levels and the sorted
     (rank, atoms below) profile."""
     levels = [sum(1 for r in lat.ranks if r == k) for k in range(lat.top_rank + 1)]
+    below = below_lists(lat)
     adjacent = [
-        sum(1 for j in range(lat.n) for i in lat.below[j]
+        sum(1 for j in range(lat.n) for i in below[j]
             if lat.ranks[j] == k + 1 and lat.ranks[i] == k)
         for k in range(lat.top_rank)
     ]
     atoms = {i for i in range(lat.n) if lat.ranks[i] == 1}
     profile = sorted(
-        (lat.ranks[i], len(atoms & {i, *lat.below[i]})) for i in range(lat.n)
+        (lat.ranks[i], len(atoms & {i, *below[i]})) for i in range(lat.n)
     )
     return levels, adjacent, profile
 
