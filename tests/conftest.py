@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from matroidkl.graphs import SimpleGraph
-from matroidkl.poly import Poly, divexact, poly_gcd, primitive_part
+from matroidkl.poly import Poly, divexact, poly_divmod, poly_gcd, primitive_part
 from matroidkl.realroot import (
+    NEG_INF,
+    POS_INF,
     _isolate_squarefree,
     _roots_le,
+    _variations_at,
     isolate_real_roots,
     refine,
     squarefree_part,
@@ -258,8 +261,8 @@ def interleaves_by_isolation(g, f):
     global_order = sorted(_isolate_squarefree(sturm_chain(union)), reverse=True)
 
     def side_positions(p):
-        sf_chain = sturm_chain(p)
-        sf = sf_chain.squarefree_part
+        sf = squarefree_part(p)
+        sf_chain = sturm_chain(sf)
         out = []
         for iv in isolate_real_roots(p):
             placed = None
@@ -298,3 +301,58 @@ def interleaves_by_isolation(g, f):
         if n:
             seq.append(u[n - 1])
     return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
+
+
+# ---------------------------------------------------------------------------
+# squarefree-chain verdicts: the library reads its verdicts off one
+# content-stripped remainder sequence of (p, p') or (f, g); these first divide
+# out the gcd, found by Euclid over Q with no content stripping
+
+
+def euclid_over_q(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... over Q, no content
+    stripped, down to the last nonzero term; a zero b ends it at a."""
+    seq = [a.rationalized()]
+    while b:
+        seq.append(b.rationalized())
+        b = -poly_divmod(seq[-2], seq[-1])[1]
+    return seq
+
+
+def gcd_over_q(a, b):
+    """Primitive gcd with positive leading coefficient, by Euclid over Q."""
+    g = euclid_over_q(a, b)[-1]
+    if not g:
+        return Poly()
+    g = primitive_part(g)
+    return -g if g.leading < 0 else g
+
+
+def root_verdicts_by_squarefree_chain(p):
+    """(all zeros real, all zeros negative, all zeros real and of one sign),
+    read off the Sturm chain of the squarefree part q = p / gcd(p, p')."""
+    q = divexact(p, gcd_over_q(p, p.derivative()))
+    chain = euclid_over_q(q, q.derivative())
+
+    def roots_le(x):
+        return _variations_at(chain, NEG_INF) - _variations_at(chain, x)
+
+    real = roots_le(POS_INF)
+    if real != q.degree:
+        return False, False, False
+    if p(0) == 0:
+        return True, False, False
+    nonpos = roots_le(0)
+    return True, nonpos == real, nonpos in (0, real)
+
+
+def interleaves_by_squarefree_chain(g, f):
+    """Interlacing for valid inputs (real-rooted, positive leading
+    coefficients, deg f - deg g in {0, 1}): divide both by h = gcd(f, g), then
+    compare Sylvester's index of g1/f1 with deg f1."""
+    h = gcd_over_q(f, g)
+    f1 = divexact(f, h)
+    if f1.degree <= 0:
+        return True
+    seq = euclid_over_q(f1, divexact(g, h))
+    return _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF) == f1.degree

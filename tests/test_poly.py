@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import gcd_over_q
 from matroidkl.poly import (
     NEG_INF,
+    ZERO,
     Poly,
     compose_rational,
     divexact,
@@ -108,6 +111,26 @@ def test_gcd_and_primitive_part():
     q = Poly([1, 1]) * Poly([5, 1])
     assert poly_gcd(p, q) == Poly([1, 1])
     assert primitive_part(Poly([Fraction(2, 3), Fraction(4, 3)])) == Poly([1, 2])
+    # a zero argument ends the remainder sequence at once: no division by zero
+    assert poly_gcd(ZERO, Poly([2, 4])) == Poly([1, 2])
+    assert poly_gcd(Poly([-3, -6, 0, 9]), ZERO) == Poly([-1, -2, 0, 3])
+    assert poly_gcd(Poly([-2, -4]), ZERO) == Poly([1, 2])
+    assert poly_gcd(ZERO, ZERO) == ZERO
+    assert poly_gcd(Poly([6]), Poly([4])) == Poly([1])
+    assert poly_gcd(Poly([Fraction(1, 2)]), Poly([-3])) == Poly([1])
+
+
+# products s*u and s*v of a shared factor s and unshared factors u, v
+INT_POLYS = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(INT_POLYS, INT_POLYS, INT_POLYS)
+def test_gcd_matches_euclid_over_q_oracle(s, u, v):
+    a, b = s * u, s * v
+    assert poly_gcd(a, b) == gcd_over_q(a, b)
+    if b:
+        assert divexact(a * b, b) == a
 
 
 def test_integerized_signal():

@@ -5,9 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import interleaves_by_isolation, root_verdicts_by_isolation
-from matroidkl import kl
-from matroidkl.poly import Poly
+from conftest import (
+    interleaves_by_isolation,
+    interleaves_by_squarefree_chain,
+    root_verdicts_by_isolation,
+    root_verdicts_by_squarefree_chain,
+)
+from matroidkl import cli, kl, poly, realroot
+from matroidkl.poly import Poly, content
 from matroidkl.realroot import (
     RootInterval,
     all_zeros_negative,
@@ -21,6 +26,7 @@ from matroidkl.realroot import (
     narayana_polynomial,
     refine,
     squarefree_decomposition,
+    sturm_chain,
     verify_lucas_fibonacci,
     verify_narayana_identity,
     verify_wheel_z_quadratic,
@@ -206,17 +212,78 @@ def _n_sequence_of(p):
     return [Fraction(p.coeff(k)) / comb(d, k) for k in range(d + 1)], d
 
 
+def _verdicts(p):
+    gamma, d = _n_sequence_of(p)
+    return is_real_rooted(p), all_zeros_negative(p), n_sequence_check(gamma, d)
+
+
 def test_verdicts_match_isolation_oracle():
-    # sign-count verdicts against verdicts that locate every root
+    # sign-count verdicts against verdicts that locate every root, and against
+    # verdicts read off the chain of the squarefree part
     fan_chain = [(kl.kl_closed("fan", n), kl.kl_closed("fan", n + 1)) for n in range(3, 26)]
     assert all(interleaves(g, f) for g, f in fan_chain)
     known = [(poly_from_roots(g), poly_from_roots(f)) for f, g in known_root_pairs()]
     for g, f in fan_chain + known:
-        assert interleaves(g, f) is interleaves_by_isolation(g, f), (g, f)
+        got = interleaves(g, f)
+        assert got is interleaves_by_isolation(g, f), (g, f)
+        assert got is interleaves_by_squarefree_chain(g, f), (g, f)
     for p in {p for pair in fan_chain + known for p in pair}:
-        gamma, d = _n_sequence_of(p)
-        got = (is_real_rooted(p), all_zeros_negative(p), n_sequence_check(gamma, d))
+        got = _verdicts(p)
         assert got == root_verdicts_by_isolation(p), p
+        assert got == root_verdicts_by_squarefree_chain(p), p
+    for kind, closed in (("kl", kl.kl_closed), ("z", kl.z_closed)):
+        for fam in ("fan", "wheel", "whirl"):
+            for n in range(cli.FAMILY_MIN[kind, "closed"][fam], 31):
+                p = closed(fam, n)
+                assert _verdicts(p) == root_verdicts_by_squarefree_chain(p), (kind, fam, n)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, rebound wherever poly or realroot hold it."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    for holder in (poly, realroot):
+        if getattr(holder, name, None) is func:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
+    gcds = _count_calls(monkeypatch, poly, "poly_gcd")
+    divisions = _count_calls(monkeypatch, poly, "divexact")
+    chains = _count_calls(monkeypatch, realroot, "sturm_chain")
+    sequences = _count_calls(monkeypatch, poly, "remainder_sequence")
+    z = kl.z_closed("wheel", 20)
+    gamma, d = _n_sequence_of(z)
+    g, f = kl.kl_closed("fan", 10), kl.kl_closed("fan", 11)
+    # (verdict, its arguments, chains built, remainder sequences built): one
+    # sequence per verdict, plus one chain per input check of interleaves
+    for verdict, args, n_chains, n_sequences in (
+        (is_real_rooted, (z,), 1, 1),
+        (all_zeros_negative, (z,), 1, 1),
+        (n_sequence_check, (gamma, d), 1, 1),
+        (interleaves, (g, f), 2, 3),
+    ):
+        chains.clear()
+        sequences.clear()
+        assert verdict(*args) is True, verdict.__name__
+        assert (len(chains), len(sequences)) == (n_chains, n_sequences), verdict.__name__
+    assert gcds == [] and divisions == []
+
+
+def test_sturm_chain_terms_are_primitive():
+    # every term is content-stripped, so coefficients stay integers of content 1
+    for p in (kl.z_closed("wheel", 40), kl.kl_closed("whirl", 40)):
+        chain = sturm_chain(p)
+        assert len(chain.polys) > 2
+        for term in chain.polys:
+            assert all(type(c) is int for c in term.coeffs), term
+            assert content(term) == 1, term
 
 
 # known rational roots from a small pool (ties, multiplicities and the root 0
@@ -240,6 +307,7 @@ def test_certifiers_match_root_list_definitions(roots, quad, lead):
     p = _with_quadratic(poly_from_roots(roots, lead), quad)
     assert is_real_rooted(p) is (quad is None)
     assert all_zeros_negative(p) is (quad is None and all(r < 0 for r in roots))
+    assert _verdicts(p) == root_verdicts_by_squarefree_chain(p)
 
 
 @VERDICT_SETTINGS
@@ -252,6 +320,7 @@ def test_interleaves_matches_root_list_definition(f_roots, gap, data):
     )
     f, g = poly_from_roots(f_roots), poly_from_roots(g_roots)
     assert interleaves(g, f) is interleaves_by_definition(f_roots, g_roots)
+    assert interleaves(g, f) is interleaves_by_squarefree_chain(g, f)
     # a shared complex pair leaves the domain, whatever the real roots do
     quad = data.draw(IRREDUCIBLE_QUADRATICS)
     with pytest.raises(ValueError):
