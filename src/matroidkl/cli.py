@@ -19,19 +19,6 @@ from functools import partial
 from . import graphs, kl, matroids, realroot, series
 from .poly import Poly
 
-BRUTE_MAX = {"fan": 8, "square": 8, "wheel": 7, "whirl": 7}
-FAMILY_MIN = {
-    ("kl", "brute"): {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
-    ("kl", "closed"): {"fan": 1, "square": 1, "wheel": 2, "whirl": 3},
-    ("kl", "recurrence"): {"fan": 1, "wheel": 2, "whirl": 1},
-    ("z", "brute"): {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
-    ("z", "closed"): {"fan": 1, "square": 1, "wheel": 2, "whirl": 1},
-    ("chromatic", "brute"): {"fan": 1, "square": 1, "wheel": 3},
-    ("chromatic", "closed"): {"fan": 1, "wheel": 3},
-    ("characteristic", "brute"): {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
-    ("characteristic", "closed"): {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
-}
-GRAPH_BRUTE_MAX = 10
 # largest n any command accepts, so that no request runs for minutes: the
 # Sturm chain behind every record's root flags grows in length and in
 # coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
@@ -40,16 +27,61 @@ GRAPH_BRUTE_MAX = 10
 N_MAX = 64
 
 
+# Every route is a module-level function of (family, n), so that verify --jobs
+# can pickle partials of it, and it looks its library function up on the
+# module when it runs, so that rebinding that function reaches every route.
+
+
+def _kl_brute(family, n):
+    return kl.kl_poly(kl.family_matroid(family, n))
+
+
+def _z_brute(family, n):
+    return kl.z_poly(kl.family_matroid(family, n))
+
+
+def _chromatic_brute(family, n):
+    return graphs.chromatic_polynomial(kl.family_graph(family, n))
+
+
+def _characteristic_brute(family, n):
+    return matroids.characteristic_polynomial(kl.family_matroid(family, n))
+
+
+def _kl_function(name, family, n):
+    return getattr(kl, name)(family, n)
+
+
+# ROUTES[(kind, method)] = (fn(family, n), {family: (lo, hi)}): the supported
+# matrix.  The brute routes stop where the rank table (2^m subsets) or the
+# deletion-contraction tree grows too large.
+_BRUTE = {"fan": (1, 8), "square": (1, 8), "wheel": (3, 7), "whirl": (3, 7)}
+ROUTES = {
+    ("kl", "brute"): (_kl_brute, _BRUTE),
+    ("kl", "closed"): (partial(_kl_function, "kl_closed"),
+                       {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
+                        "whirl": (3, N_MAX)}),
+    ("kl", "recurrence"): (partial(_kl_function, "kl_recurrence"),
+                           {"fan": (1, N_MAX), "wheel": (2, N_MAX), "whirl": (1, N_MAX)}),
+    ("z", "brute"): (_z_brute, _BRUTE),
+    ("z", "closed"): (partial(_kl_function, "z_closed"),
+                      {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
+                       "whirl": (1, N_MAX)}),
+    ("chromatic", "brute"): (_chromatic_brute, {"fan": (1, 10), "square": (1, 10),
+                                                "wheel": (3, 10)}),
+    ("chromatic", "closed"): (partial(_kl_function, "chromatic_closed"),
+                              {"fan": (1, N_MAX), "wheel": (3, N_MAX)}),
+    ("characteristic", "brute"): (_characteristic_brute, _BRUTE),
+    ("characteristic", "closed"): (partial(_kl_function, "characteristic_closed"),
+                                   {"fan": (1, N_MAX), "square": (1, N_MAX),
+                                    "wheel": (3, N_MAX), "whirl": (3, N_MAX)}),
+}
+
+
 def supported_matrix():
     lines = ["supported (family, kind, method) combinations:"]
-    for (kind, method), fams in sorted(FAMILY_MIN.items()):
-        for fam, lo in sorted(fams.items()):
-            if method == "brute" and kind in ("kl", "z", "characteristic"):
-                hi = str(BRUTE_MAX[fam])
-            elif method == "brute":
-                hi = str(GRAPH_BRUTE_MAX)
-            else:
-                hi = str(N_MAX)
+    for kind, method in sorted(ROUTES):
+        for fam, (lo, hi) in sorted(ROUTES[kind, method][1].items()):
             lines.append(f"  --family {fam} --kind {kind} --method {method}: n = {lo}..{hi}")
     return "\n".join(lines)
 
@@ -112,35 +144,33 @@ def _check_max_n(n):
 
 
 def _check_combo(family, n, kind, method):
-    fams = FAMILY_MIN.get((kind, method))
-    if fams is None or family not in fams:
+    fams = ROUTES.get((kind, method), (None, {}))[1]
+    if family not in fams:
         raise UsageError(f"unsupported combination family={family} kind={kind} method={method}")
-    lo = fams[family]
+    lo, hi = fams[family]
     if n < lo:
         raise UsageError(f"{family} {kind} ({method}) needs n >= {lo}")
-    _check_max_n(n)
-    if method == "brute":
-        hi = BRUTE_MAX[family] if kind in ("kl", "z", "characteristic") else GRAPH_BRUTE_MAX
-        if n > hi:
-            raise UsageError(f"brute-force {kind} for {family} is limited to n <= {hi}")
+    if n > hi:
+        raise UsageError(f"{family} {kind} ({method}) is limited to n <= {hi}, got {n}")
+
+
+def _check_invariants(kind, n, poly):
+    """Theorem-level invariants of every KL and Z record, whatever its route:
+    P has constant term 1, nonnegative coefficients and degree < n/2; Z is
+    palindromic of degree n."""
+    c = poly.coeffs
+    if kind == "kl" and not (c[:1] == (1,) and min(c) >= 0 and 2 * poly.degree < n):
+        raise ArithmeticError(f"KL polynomial {poly} of rank {n} needs constant term 1, "
+                              f"nonnegative coefficients and degree < {n}/2")
+    if kind == "z" and not (poly.degree == n and c == c[::-1]):
+        raise ArithmeticError(f"Z-polynomial {poly} of rank {n} must be palindromic of "
+                              f"degree {n}")
 
 
 def compute_record(family, n, kind, method):
     _check_combo(family, n, kind, method)
-    if kind == "kl":
-        poly = kl.compute_kl(family, n, method)
-    elif kind == "z":
-        poly = kl.compute_z(family, n, method)
-    elif kind == "chromatic":
-        if method == "closed":
-            poly = kl.chromatic_closed(family, n)
-        else:
-            poly = graphs.chromatic_polynomial(kl.family_graph(family, n))
-    else:  # characteristic
-        if method == "closed":
-            poly = kl.characteristic_closed(family, n)
-        else:
-            poly = matroids.characteristic_polynomial(kl.family_matroid(family, n))
+    poly = ROUTES[kind, method][0](family, n)
+    _check_invariants(kind, n, poly)
     return _poly_record(family, n, kind, method, poly)
 
 
@@ -179,15 +209,14 @@ def cmd_compute(args, out=None):
 def cmd_table(args, out=None):
     out = out if out is not None else sys.stdout
     kind, family = args.kind, args.family
-    method = "closed"
-    fams = FAMILY_MIN.get((kind, method), {})
+    fams = ROUTES.get((kind, "closed"), (None, {}))[1]
     if family not in fams:
         raise UsageError(f"no closed form to tabulate for family={family} kind={kind}")
     _check_max_n(args.max_n)
-    start = fams[family]
+    start = fams[family][0]
     records = []
     for n in range(start, args.max_n + 1):
-        records.append(compute_record(family, n, kind, method))
+        records.append(compute_record(family, n, kind, "closed"))
     if args.format == "json":
         _emit_records(records, "json", out)
     else:
@@ -210,14 +239,13 @@ def _compare(got, want, n):
     return True, ""
 
 
-def _oracle(poly_fn, closed_fn, family, n):
-    """poly_fn over the flat lattice of the family's matroid against the closed form."""
-    return _compare(poly_fn(kl.family_matroid(family, n)), closed_fn(family, n), n)
+def _oracle(brute_fn, closed_fn, family, n):
+    """The brute route over the flat lattice against the closed form."""
+    return _compare(brute_fn(family, n), closed_fn(family, n), n)
 
 
 def _square_equals_fan(n):
-    got = kl.kl_poly(kl.family_matroid("square", n))
-    return _compare(got, kl.kl_poly(kl.family_matroid("fan", n)), n)
+    return _compare(_kl_brute("square", n), _kl_brute("fan", n), n)
 
 
 def _root_verdict(verdict_fn, poly_fn, family, n):
@@ -259,10 +287,7 @@ def _hadamard_product(n):
 
 def _n_sequence_holds(n):
     m = (n - 1) // 2
-    gamma = [
-        (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + k**3 + 3 * k**2 - k - 1
-        for k in range(m + 1)
-    ]
+    gamma = [kl.hadamard_wheel_coeff(n, k)[0] for k in range(m + 1)]
     return realroot.n_sequence_check(gamma, m)
 
 
@@ -329,23 +354,21 @@ def build_suite(suite, max_n=None, order=None):
         checks.append((name, partial(fn, *args)))
 
     if suite in ("oracle", "all"):
-        hi_fan = min(max_n or 8, 8)
-        hi_wheel = min(max_n or 7, 7)
-        for fam, hi in (("fan", hi_fan), ("square", hi_fan)):
-            for n in range(1, hi + 1):
-                add(f"oracle/kl/{fam}/{n}", _oracle, kl.kl_poly, kl.kl_closed, fam, n)
-        for fam in ("wheel", "whirl"):
-            for n in range(3, hi_wheel + 1):
-                add(f"oracle/kl/{fam}/{n}", _oracle, kl.kl_poly, kl.kl_closed, fam, n)
-        for n in range(1, hi_fan + 1):
-            add(f"oracle/z/fan/{n}", _oracle, kl.z_poly, kl.z_closed, "fan", n)
-        for fam in ("wheel", "whirl"):
-            for n in range(3, hi_wheel + 1):
-                add(f"oracle/z/{fam}/{n}", _oracle, kl.z_poly, kl.z_closed, fam, n)
-        for n in range(1, hi_fan + 1):
+        def brute_range(kind, fam):
+            lo, hi = ROUTES[kind, "brute"][1][fam]
+            return range(lo, min(max_n or hi, hi) + 1)
+
+        for kind, fams in (("kl", ("fan", "square", "wheel", "whirl")),
+                           ("z", ("fan", "wheel", "whirl"))):
+            brute, closed = ROUTES[kind, "brute"][0], ROUTES[kind, "closed"][0]
+            for fam in fams:
+                for n in brute_range(kind, fam):
+                    add(f"oracle/{kind}/{fam}/{n}", _oracle, brute, closed, fam, n)
+        for n in brute_range("kl", "square"):
             add(f"oracle/square-equals-fan/{n}", _square_equals_fan, n)
-        for n in range(3, min(hi_wheel, 6) + 1):
-            add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
+        for n in brute_range("kl", "whirl"):
+            if n <= 6:
+                add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
     if suite in ("gf", "all"):
         o = order or 12
         for which in series.GF_NAMES:

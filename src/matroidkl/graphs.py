@@ -1,7 +1,9 @@
-"""Simple labeled graphs and the structural operations the KL recursion needs.
+"""Simple labeled graphs: the family constructors, compositions (partitions of
+the vertices into connected blocks), contraction, the chromatic polynomial and
+biconnected blocks.
 
-Vertices are 0..n-1.  Graphs are immutable; contraction and induced subgraphs
-return fresh values.  Vertex sets are handled as bitmasks internally.
+Vertices are 0..n-1.  Graphs are immutable; contraction returns a fresh
+value.  Vertex sets are handled as bitmasks internally.
 """
 
 from __future__ import annotations
@@ -104,15 +106,6 @@ def _components(n, adj, within=None):
     return comps
 
 
-def components(g):
-    return _components(g.n, g.adjacency())
-
-
-def rank(g):
-    """|V| minus the number of connected components."""
-    return g.n - len(components(g)) if g.n else 0
-
-
 def _blocks_to_masks(g, blocks):
     masks = []
     covered = 0
@@ -138,29 +131,6 @@ def _check_connected_blocks(g, masks):
     for m in masks:
         if len(_components(g.n, adj, m)) != 1:
             raise ValueError("partition block induces a disconnected subgraph")
-
-
-def is_composition(g, blocks):
-    """True when blocks partition V(g) and every block induces a connected subgraph."""
-    try:
-        masks = _blocks_to_masks(g, blocks)
-        _check_connected_blocks(g, masks)
-    except ValueError:
-        return False
-    return True
-
-
-def induced_union(g, blocks):
-    """G[C]: same vertex set, only edges inside a common block kept."""
-    masks = _blocks_to_masks(g, blocks)
-    _check_connected_blocks(g, masks)
-    keep = []
-    for u, v in g.edges:
-        bu = 1 << u
-        bv = 1 << v
-        if any((m & bu) and (m & bv) for m in masks):
-            keep.append((u, v))
-    return SimpleGraph(g.n, keep)
 
 
 def contract(g, blocks):
@@ -281,28 +251,6 @@ def chromatic_polynomial(g):
     return result
 
 
-def count_proper_colorings(g, q):
-    """Brute-force count of proper q-colorings (independent oracle, small graphs)."""
-    if g.n > 8:
-        raise ValueError("brute-force coloring limited to 8 vertices")
-    count = 0
-    colors = [0] * g.n
-    edges = g.edges
-
-    def rec(i):
-        nonlocal count
-        if i == g.n:
-            count += 1
-            return
-        for c in range(q):
-            colors[i] = c
-            if all(colors[u] != colors[v] for u, v in edges if u < i and v == i or v < i and u == i):
-                rec(i + 1)
-
-    rec(0)
-    return count
-
-
 def biconnected_components(g):
     """Maximal biconnected subgraphs (blocks); a bridge is a 2-vertex block."""
     adj = [[] for _ in range(g.n)]
@@ -362,36 +310,3 @@ def biconnected_components(g):
         if not visited[s] and adj[s]:
             dfs(s)
     return blocks
-
-
-def canonical_form(g):
-    """Lexicographically minimal adjacency bitmatrix over all vertex orderings.
-
-    Exhaustive, so guarded to 8 vertices; enough for the recursion subgraphs
-    and isomorphism assertions in scope.
-    """
-    if g.n > 8:
-        raise ValueError("canonical_form limited to 8 vertices")
-    from itertools import permutations
-
-    adjset = set(g.edges)
-    best = None
-    verts = range(g.n)
-    for perm in permutations(verts):
-        bits = 0
-        pos = 0
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                u, v = perm[i], perm[j]
-                if ((u, v) if u < v else (v, u)) in adjset:
-                    bits |= 1 << pos
-                pos += 1
-        if best is None or bits < best:
-            best = bits
-    return (g.n, best)
-
-
-def are_isomorphic(g1, g2):
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_form(g1) == canonical_form(g2)

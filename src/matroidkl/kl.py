@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import ONE, Poly, divexact, reverse_scaled
+from .poly import ONE, T, Poly, divexact, reverse_scaled
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -108,8 +108,6 @@ def _comb(n, k):
 
 
 def _family_key(family):
-    if family == "square_of_path":
-        return "square"
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return family
@@ -315,18 +313,11 @@ def multiplicative_kl(g):
 
 
 def chromatic_closed(family, n):
-    """Closed-form chromatic polynomial of the fan or wheel graph."""
-    family = _family_key(family)
-    t = Poly([0, 1])
-    if family == "fan":
-        if n < 1:
-            raise ValueError("fan needs n >= 1")
-        return t * Poly([-1, 1]) * Poly([-2, 1]) ** (n - 1)
-    if family == "wheel":
-        if n < 3:
-            raise ValueError("wheel needs n >= 3")
-        return t * (Poly([-2, 1]) ** n - (-1) ** (n - 1) * Poly([-2, 1]))
-    raise ValueError(f"no chromatic closed form for {family}")
+    """Closed-form chromatic polynomial of the fan or wheel graph: t times the
+    characteristic polynomial of its cycle matroid, as both are connected."""
+    if _family_key(family) not in ("fan", "wheel"):
+        raise ValueError(f"no chromatic closed form for {family}")
+    return T * characteristic_closed(family, n)
 
 
 def characteristic_closed(family, n):
@@ -362,33 +353,3 @@ def family_matroid(family, n):
     if family == "whirl":
         return _matroids.whirl_matroid(n)
     return _matroids.graphic_matroid(family_graph(family, n))
-
-
-def compute_kl(family, n, method):
-    family = _family_key(family)
-    if method == "brute":
-        poly = kl_poly(family_matroid(family, n))
-    elif method == "closed":
-        poly = kl_closed(family, n)
-    elif method == "recurrence":
-        if family == "square":
-            raise ValueError("no printed recurrence for square-of-path; use fan")
-        poly = kl_recurrence(family, n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if n > 0 and not poly.degree < n / 2:
-        raise ArithmeticError("degree bound violated")
-    return poly
-
-
-def compute_z(family, n, method):
-    family = _family_key(family)
-    if method == "brute":
-        poly = z_poly(family_matroid(family, n))
-    elif method == "closed":
-        poly = z_closed(family, n)
-    else:
-        raise ValueError(f"Z-polynomials support methods brute and closed only")
-    if poly.degree != n:
-        raise ArithmeticError("Z-polynomial degree must equal the rank")
-    return poly

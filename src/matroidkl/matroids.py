@@ -1,11 +1,9 @@
 """Matroids as exact rank oracles over bitset subsets, and their lattices of flats.
 
 A matroid is stored as a full rank table over the 2^m subsets of its ground
-set (guarded to m <= 16), which makes flats, localizations and contractions
-cheap exact lookups.  Graphic matroids and whirls are the two
-primitive constructors; localization and contraction derive new oracles.
-lattice_of orders the flats, and the lattice's Moebius function gives the
-characteristic polynomial.
+set (guarded to m <= 16), which makes flats cheap exact lookups.  Graphic
+matroids and whirls are the two constructors.  lattice_of orders the flats,
+and the lattice's Moebius function gives the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -27,32 +25,23 @@ class Flat:
     elements: int
     rank: int
 
-    def members(self):
-        m, out = self.elements, []
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
-
 
 class RankOracleMatroid:
     """Ground set 0..m-1 plus an exact rank function tabulated over subsets."""
 
-    __slots__ = ("m", "labels", "table", "full_rank", "_flats", "_lattice")
+    __slots__ = ("m", "table", "full_rank", "_flats", "_lattice")
 
-    def __init__(self, m, table, labels=None, check=True):
+    def __init__(self, m, table):
         if m > MAX_GROUND:
             raise ValueError(f"ground sets above {MAX_GROUND} elements unsupported")
         if len(table) != 1 << m:
             raise ValueError("rank table size mismatch")
         self.m = m
         self.table = table
-        self.labels = tuple(labels) if labels is not None else tuple(range(m))
         self.full_rank = table[(1 << m) - 1]
         self._flats = None
         self._lattice = None
-        if check:
-            self._spot_check_axioms()
+        self._spot_check_axioms()
 
     def _spot_check_axioms(self):
         t = self.table
@@ -136,7 +125,7 @@ def graphic_matroid(g):
     if len(edge_list) > MAX_GROUND:
         raise ValueError(f"graphs above {MAX_GROUND} edges unsupported")
     table = _graphic_rank_table(g.n, edge_list)
-    return RankOracleMatroid(len(edge_list), table, labels=edge_list)
+    return RankOracleMatroid(len(edge_list), table)
 
 
 def outer_cycle_mask(n):
@@ -159,54 +148,7 @@ def whirl_matroid(n):
     edge_list = list(g.edges)
     table = bytearray(_graphic_rank_table(g.n, edge_list))
     table[outer_cycle_mask(n)] = n
-    return RankOracleMatroid(len(edge_list), table, labels=edge_list)
-
-
-def _flat_mask(m, flat, operation):
-    fmask = flat.elements if isinstance(flat, Flat) else flat
-    if not m.is_flat(fmask):
-        raise ValueError(f"{operation} requires a flat")
-    return fmask
-
-
-def _minor(m, base, elems):
-    """The matroid on elems with rank(X) = rank(base | X) - rank(base)."""
-    embedded = [base]  # embedded[sub] = base | the elems picked by the bits of sub
-    for e in elems:
-        bit = 1 << e
-        embedded += [x | bit for x in embedded]
-    rb = m.table[base]
-    table = bytearray(m.table[x] - rb for x in embedded)
-    return RankOracleMatroid(len(elems), table, labels=[m.labels[e] for e in elems])
-
-
-def localization(m, flat):
-    """Restriction M_F to the elements of the flat F."""
-    fmask = _flat_mask(m, flat, "localization")
-    return _minor(m, 0, [e for e in range(m.m) if fmask >> e & 1])
-
-
-def contraction(m, flat):
-    """Contraction M^F, simplified: parallel classes collapse to their
-    smallest-index element (flats guarantee looplessness)."""
-    fmask = _flat_mask(m, flat, "contraction")
-    rf = m.table[fmask]
-    # parallel classes: e ~ f iff rank(F+e+f) - rank(F) == 1
-    reps = []
-    for e in range(m.m):
-        if fmask >> e & 1:
-            continue
-        for r in reps:
-            if m.table[fmask | (1 << e) | (1 << r)] - rf == 1:
-                break
-        else:
-            reps.append(e)
-    return _minor(m, fmask, reps)
-
-
-def simplification(m):
-    """Simple matroid with the same lattice of flats."""
-    return contraction(m, 0)
+    return RankOracleMatroid(len(edge_list), table)
 
 
 # ---------------------------------------------------------------------------

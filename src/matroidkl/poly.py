@@ -10,6 +10,7 @@ never -1, so accidental arithmetic on it fails loudly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 NEG_INF = float("-inf")
 
@@ -227,28 +228,16 @@ def divexact(a, b):
     return q
 
 
-def content(p):
-    """Positive rational c with p/c primitive integer (zero poly -> 1)."""
-    if p.is_zero():
-        return Fraction(1)
-    from math import gcd, lcm
-
-    den = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    num = 0
-    for c in p.coeffs:
-        num = gcd(num, int(c * den))
-    return Fraction(num, den)
-
-
 def primitive_part(p):
-    """p divided by its content: primitive integer coefficients, sign kept."""
+    """p divided by its content: primitive integer coefficients, sign kept.
+    The denominators are cleared first (a no-op on an int polynomial), so the
+    division by the positive gcd stays in integers."""
     if p.is_zero():
         return p
-    c = content(p)
-    return Poly([int(x / c) for x in p.rationalized().coeffs])
+    den = lcm(*(c.denominator for c in p.coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*cs)
+    return Poly([c // g for c in cs])
 
 
 def remainder_sequence(a, b):

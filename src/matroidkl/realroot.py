@@ -8,9 +8,9 @@ stand-ins.
 
 The verdicts (real-rootedness, negativity, the n-sequence criterion and
 interlacing) read one remainder sequence at -inf, +inf and 0; they take no
-gcd, divide nothing out and isolate no root.  Root counting on intervals,
-isolation and refinement, with multiplicities from Yun's squarefree
-decomposition, are utilities for callers that want the roots themselves.
+gcd, divide nothing out and isolate no root.  count_real_roots, which
+counts the distinct real roots in an interval on the chain of the squarefree
+part, is the one utility for callers that want more than a verdict.
 """
 
 from __future__ import annotations
@@ -30,19 +30,6 @@ POS_INF = object()
 class SturmChain:
     polys: tuple
     distinct_roots: int  # distinct complex roots: deg p - deg gcd(p, p')
-
-
-@dataclass(frozen=True)
-class RootInterval:
-    """One distinct real root: in (lo, hi] when lo < hi, exactly at lo when
-    lo == hi."""
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
-
-    def is_exact(self):
-        return self.lo == self.hi
 
 
 def squarefree_part(p):
@@ -98,101 +85,6 @@ def count_real_roots(p, lo=None, hi=None):
     upper = _roots_le(chain, POS_INF if hi is None else Fraction(hi))
     lower = 0 if lo is None else _roots_le(chain, Fraction(lo))
     return upper - lower
-
-
-def squarefree_decomposition(p):
-    """Yun's algorithm: [(factor, multiplicity)] with p = lead * prod f_i^i."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    w = divexact(p, g)
-    y = divexact(p.derivative(), g)
-    z = y - w.derivative()
-    i = 1
-    while w.degree >= 1:
-        a = poly_gcd(w, z)
-        if a.degree >= 1:
-            out.append((a, i))
-        w = divexact(w, a)
-        y = divexact(z, a)
-        z = y - w.derivative()
-        i += 1
-    return out
-
-
-def _root_bound(q):
-    lead = abs(Fraction(q.leading))
-    m = max((abs(Fraction(c)) for c in q.coeffs[:-1]), default=Fraction(0))
-    b = 1 + m / lead
-    return Fraction(b.numerator // b.denominator + 1)
-
-
-def _isolate_squarefree(chain):
-    """Disjoint (lo, hi] pieces, one distinct root each; exact roots become
-    points.  A root sitting exactly at a bisection midpoint stays the hi
-    endpoint of its piece until that piece reaches count one."""
-    q = chain.polys[0]
-    if q.degree <= 0:
-        return []
-    b = _root_bound(q)
-    total = _roots_le(chain, POS_INF)
-    found = []
-    stack = [(-b, b, total)]
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            if q(hi) == 0:
-                found.append((hi, hi))
-            else:
-                found.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        left = _roots_le(chain, mid) - _roots_le(chain, lo)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, k - left))
-    found.sort()
-    return found
-
-
-def isolate_real_roots(p):
-    """Disjoint rational intervals, one per distinct real root, with
-    multiplicities; sorted ascending."""
-    raw = _isolate_squarefree(sturm_chain(squarefree_part(p)))
-    factor_chains = [(sturm_chain(f), m) for f, m in squarefree_decomposition(p)]
-    out = []
-    for lo, hi in raw:
-        mult = 0
-        for fchain, fm in factor_chains:
-            if lo == hi:
-                if fchain.polys[0](lo) == 0:
-                    mult = fm
-                    break
-            elif _roots_le(fchain, hi) - _roots_le(fchain, lo) == 1:
-                mult = fm
-                break
-        if mult == 0:
-            raise ArithmeticError("isolated root not matched to a squarefree factor")
-        out.append(RootInterval(lo, hi, mult))
-    return out
-
-
-def refine(p, iv, predicate):
-    """Bisect a root interval until predicate(iv) holds or the root is exact."""
-    chain = sturm_chain(squarefree_part(p))
-    while not predicate(iv) and not iv.is_exact():
-        mid = (iv.lo + iv.hi) / 2
-        if chain.polys[0](mid) == 0:
-            iv = RootInterval(mid, mid, iv.multiplicity)
-        elif _roots_le(chain, mid) - _roots_le(chain, iv.lo) == 1:
-            iv = RootInterval(iv.lo, mid, iv.multiplicity)
-        else:
-            iv = RootInterval(mid, iv.hi, iv.multiplicity)
-    return iv
 
 
 def is_real_rooted(p):

@@ -1,20 +1,22 @@
-"""Shared independent oracles: these deliberately avoid the library's own
-algorithms so they can serve as cross-checks."""
+"""Shared independent oracles, which deliberately avoid the library's own
+algorithms so they can serve as cross-checks, and the helpers that only the
+tests call (graph isomorphism, colorings, matroid minors, root isolation)."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 
-from matroidkl.graphs import SimpleGraph
+from matroidkl.graphs import SimpleGraph, _blocks_to_masks, _check_connected_blocks, _components
+from matroidkl.matroids import Flat, RankOracleMatroid
 from matroidkl.poly import Poly, divexact, poly_divmod, poly_gcd, primitive_part
 from matroidkl.realroot import (
     NEG_INF,
     POS_INF,
-    _isolate_squarefree,
     _roots_le,
     _variations_at,
-    isolate_real_roots,
-    refine,
     squarefree_part,
     sturm_chain,
 )
@@ -94,6 +96,158 @@ def random_simple_graph(rng, max_n=7):
 @pytest.fixture
 def frac():
     return Fraction
+
+
+# ---------------------------------------------------------------------------
+# graph helpers that only the tests use: components and rank, compositions
+# checked and kept as induced subgraphs, proper colorings counted one by one,
+# and an exhaustive isomorphism test
+
+
+def components(g):
+    return _components(g.n, g.adjacency())
+
+
+def rank(g):
+    """|V| minus the number of connected components."""
+    return g.n - len(components(g)) if g.n else 0
+
+
+def is_composition(g, blocks):
+    """True when blocks partition V(g) and every block induces a connected subgraph."""
+    try:
+        masks = _blocks_to_masks(g, blocks)
+        _check_connected_blocks(g, masks)
+    except ValueError:
+        return False
+    return True
+
+
+def induced_union(g, blocks):
+    """G[C]: same vertex set, only edges inside a common block kept."""
+    masks = _blocks_to_masks(g, blocks)
+    _check_connected_blocks(g, masks)
+    keep = []
+    for u, v in g.edges:
+        bu = 1 << u
+        bv = 1 << v
+        if any((m & bu) and (m & bv) for m in masks):
+            keep.append((u, v))
+    return SimpleGraph(g.n, keep)
+
+
+def count_proper_colorings(g, q):
+    """Brute-force count of proper q-colorings (independent oracle, small graphs)."""
+    if g.n > 8:
+        raise ValueError("brute-force coloring limited to 8 vertices")
+    count = 0
+    colors = [0] * g.n
+    edges = g.edges
+
+    def rec(i):
+        nonlocal count
+        if i == g.n:
+            count += 1
+            return
+        for c in range(q):
+            colors[i] = c
+            if all(colors[u] != colors[v] for u, v in edges if u < i and v == i or v < i and u == i):
+                rec(i + 1)
+
+    rec(0)
+    return count
+
+
+def canonical_form(g):
+    """Lexicographically minimal adjacency bitmatrix over all vertex orderings.
+
+    Exhaustive, so guarded to 8 vertices; enough for the isomorphism
+    assertions of the tests.
+    """
+    if g.n > 8:
+        raise ValueError("canonical_form limited to 8 vertices")
+    adjset = set(g.edges)
+    best = None
+    verts = range(g.n)
+    for perm in permutations(verts):
+        bits = 0
+        pos = 0
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                u, v = perm[i], perm[j]
+                if ((u, v) if u < v else (v, u)) in adjset:
+                    bits |= 1 << pos
+                pos += 1
+        if best is None or bits < best:
+            best = bits
+    return (g.n, best)
+
+
+def are_isomorphic(g1, g2):
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    return canonical_form(g1) == canonical_form(g2)
+
+
+# ---------------------------------------------------------------------------
+# minors of a rank-oracle matroid, rebuilt as rank tables: the naive KL route
+# works on these, where the library's pass reads upper intervals of one lattice
+
+
+def flat_members(flat):
+    """The ground-set indices of a flat, ascending."""
+    m, out = flat.elements, []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return tuple(out)
+
+
+def _flat_mask(m, flat, operation):
+    fmask = flat.elements if isinstance(flat, Flat) else flat
+    if not m.is_flat(fmask):
+        raise ValueError(f"{operation} requires a flat")
+    return fmask
+
+
+def _minor(m, base, elems):
+    """The matroid on elems with rank(X) = rank(base | X) - rank(base)."""
+    embedded = [base]  # embedded[sub] = base | the elems picked by the bits of sub
+    for e in elems:
+        bit = 1 << e
+        embedded += [x | bit for x in embedded]
+    rb = m.table[base]
+    table = bytearray(m.table[x] - rb for x in embedded)
+    return RankOracleMatroid(len(elems), table)
+
+
+def localization(m, flat):
+    """Restriction M_F to the elements of the flat F."""
+    fmask = _flat_mask(m, flat, "localization")
+    return _minor(m, 0, [e for e in range(m.m) if fmask >> e & 1])
+
+
+def contraction(m, flat):
+    """Contraction M^F, simplified: parallel classes collapse to their
+    smallest-index element (flats guarantee looplessness)."""
+    fmask = _flat_mask(m, flat, "contraction")
+    rf = m.table[fmask]
+    # parallel classes: e ~ f iff rank(F+e+f) - rank(F) == 1
+    reps = []
+    for e in range(m.m):
+        if fmask >> e & 1:
+            continue
+        for r in reps:
+            if m.table[fmask | (1 << e) | (1 << r)] - rf == 1:
+                break
+        else:
+            reps.append(e)
+    return _minor(m, fmask, reps)
+
+
+def simplification(m):
+    """Simple matroid with the same lattice of flats."""
+    return contraction(m, 0)
 
 
 def characteristic_by_masks(m):
@@ -221,6 +375,134 @@ def lattice_isomorphic(a, b, budget=2_000_000):
         k -= 1
         _, j_prev = assigned.pop()
         used[j_prev] = False
+
+
+# ---------------------------------------------------------------------------
+# root isolation and refinement: the library counts roots without locating
+# them; these locate every distinct root in a rational interval, with its
+# multiplicity from Yun's squarefree decomposition
+
+
+def content(p):
+    """Positive rational c with p/c primitive integer (zero poly -> 1)."""
+    if p.is_zero():
+        return Fraction(1)
+    den = 1
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            den = lcm(den, c.denominator)
+    num = 0
+    for c in p.coeffs:
+        num = gcd(num, int(c * den))
+    return Fraction(num, den)
+
+
+@dataclass(frozen=True)
+class RootInterval:
+    """One distinct real root: in (lo, hi] when lo < hi, exactly at lo when
+    lo == hi."""
+
+    lo: Fraction
+    hi: Fraction
+    multiplicity: int = 1
+
+    def is_exact(self):
+        return self.lo == self.hi
+
+
+def squarefree_decomposition(p):
+    """Yun's algorithm: [(factor, multiplicity)] with p = lead * prod f_i^i."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.degree <= 0:
+        return []
+    out = []
+    g = poly_gcd(p, p.derivative())
+    w = divexact(p, g)
+    y = divexact(p.derivative(), g)
+    z = y - w.derivative()
+    i = 1
+    while w.degree >= 1:
+        a = poly_gcd(w, z)
+        if a.degree >= 1:
+            out.append((a, i))
+        w = divexact(w, a)
+        y = divexact(z, a)
+        z = y - w.derivative()
+        i += 1
+    return out
+
+
+def _root_bound(q):
+    lead = abs(Fraction(q.leading))
+    m = max((abs(Fraction(c)) for c in q.coeffs[:-1]), default=Fraction(0))
+    b = 1 + m / lead
+    return Fraction(b.numerator // b.denominator + 1)
+
+
+def _isolate_squarefree(chain):
+    """Disjoint (lo, hi] pieces, one distinct root each; exact roots become
+    points.  A root sitting exactly at a bisection midpoint stays the hi
+    endpoint of its piece until that piece reaches count one."""
+    q = chain.polys[0]
+    if q.degree <= 0:
+        return []
+    b = _root_bound(q)
+    total = _roots_le(chain, POS_INF)
+    found = []
+    stack = [(-b, b, total)]
+    while stack:
+        lo, hi, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1:
+            if q(hi) == 0:
+                found.append((hi, hi))
+            else:
+                found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        left = _roots_le(chain, mid) - _roots_le(chain, lo)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, k - left))
+    found.sort()
+    return found
+
+
+def isolate_real_roots(p):
+    """Disjoint rational intervals, one per distinct real root, with
+    multiplicities; sorted ascending."""
+    raw = _isolate_squarefree(sturm_chain(squarefree_part(p)))
+    factor_chains = [(sturm_chain(f), m) for f, m in squarefree_decomposition(p)]
+    out = []
+    for lo, hi in raw:
+        mult = 0
+        for fchain, fm in factor_chains:
+            if lo == hi:
+                if fchain.polys[0](lo) == 0:
+                    mult = fm
+                    break
+            elif _roots_le(fchain, hi) - _roots_le(fchain, lo) == 1:
+                mult = fm
+                break
+        if mult == 0:
+            raise ArithmeticError("isolated root not matched to a squarefree factor")
+        out.append(RootInterval(lo, hi, mult))
+    return out
+
+
+def refine(p, iv, predicate):
+    """Bisect a root interval until predicate(iv) holds or the root is exact."""
+    chain = sturm_chain(squarefree_part(p))
+    while not predicate(iv) and not iv.is_exact():
+        mid = (iv.lo + iv.hi) / 2
+        if chain.polys[0](mid) == 0:
+            iv = RootInterval(mid, mid, iv.multiplicity)
+        elif _roots_le(chain, mid) - _roots_le(chain, iv.lo) == 1:
+            iv = RootInterval(iv.lo, mid, iv.multiplicity)
+        else:
+            iv = RootInterval(mid, iv.hi, iv.multiplicity)
+    return iv
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,42 @@ def test_unsupported_combo_exits_2(capsys):
     assert err.startswith("error: ") and "supported" not in err
 
 
+def test_every_route_accepts_exactly_its_range(capsys):
+    # the matrix printed on a rejection is the table itself
+    matrix = supported_matrix()
+    for (kind, method), (_, fams) in cli.ROUTES.items():
+        for fam, (lo, hi) in fams.items():
+            assert f"--family {fam} --kind {kind} --method {method}: n = {lo}..{hi}" in matrix
+            code, out, _ = run(capsys, "compute", "--family", fam, "--n", str(lo),
+                               "--kind", kind, "--method", method)
+            assert code == 0, (kind, method, fam)
+            assert json.loads(out)["n"] == lo
+            for n in (lo - 1, hi + 1):
+                code, out, err = run(capsys, "compute", "--family", fam, "--n", str(n),
+                                     "--kind", kind, "--method", method)
+                assert code == 2 and out == "", (kind, method, fam, n)
+                assert matrix in err
+
+
+def test_records_assert_theorem_invariants(monkeypatch):
+    for name, kind, bad in (
+        ("kl_closed", "kl", Poly([1, -1])),  # negative coefficient
+        ("kl_closed", "kl", Poly([2, 1])),  # constant term not 1
+        ("kl_closed", "kl", Poly([1, 1, 1])),  # degree 2, not below 4/2
+        ("z_closed", "z", Poly([1, 2, 2, 2, 2])),  # degree 4, not palindromic
+        ("z_closed", "z", Poly([1, 2, 1])),  # palindromic, degree 2, not 4
+    ):
+        monkeypatch.setattr(kl, name, lambda family, n, bad=bad: bad)
+        with pytest.raises(ArithmeticError):
+            cli.compute_record("whirl", 4, kind, "closed")
+        monkeypatch.undo()
+    # and they hold on every KL and Z route
+    for (kind, method), (_, fams) in cli.ROUTES.items():
+        if kind in ("kl", "z"):
+            for fam, (lo, _) in fams.items():
+                cli.compute_record(fam, lo + 1, kind, method)
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--family", "torus", "--n", "3", "--kind", "kl"])

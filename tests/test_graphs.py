@@ -2,19 +2,15 @@ import random
 
 import pytest
 
+from conftest import are_isomorphic, count_proper_colorings, induced_union, is_composition, rank
 from matroidkl import kl, matroids
 from matroidkl.graphs import (
     SimpleGraph,
-    are_isomorphic,
     biconnected_components,
     chromatic_polynomial,
     compositions,
     contract,
-    count_proper_colorings,
-    induced_union,
-    is_composition,
     make_family,
-    rank,
 )
 from matroidkl.poly import Poly
 
@@ -164,6 +160,7 @@ def test_chromatic_closed_forms():
         assert chromatic_polynomial(make_family("path", b)) == T * T1 ** (b - 1)
     for n in range(1, 8):
         assert chromatic_polynomial(make_family("fan", n)) == T * T1 * T2 ** (n - 1)
+        assert kl.chromatic_closed("fan", n) == T * T1 * T2 ** (n - 1)
     for n in range(3, 8):
         want = T * (T2**n - (-1) ** (n - 1) * T2)
         assert chromatic_polynomial(make_family("wheel", n)) == want
@@ -184,8 +181,7 @@ def test_chromatic_counts_colorings():
 def test_chromatic_multiplicativity_over_blocks():
     # chi_G = t^(k-m) * prod over blocks, cross-multiplied to stay polynomial
     rng = random.Random(41)
-    from conftest import random_simple_graph
-    from matroidkl.graphs import components
+    from conftest import components, random_simple_graph
 
     for _ in range(25):
         g = random_simple_graph(rng, max_n=7)

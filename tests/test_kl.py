@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import below_lists, characteristic_by_masks, lattice_isomorphic
-from matroidkl import kl
+from conftest import below_lists, characteristic_by_masks, contraction, lattice_isomorphic, localization
+from matroidkl import cli, kl
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
 from matroidkl.poly import Poly, reverse_scaled
@@ -73,8 +73,6 @@ def test_degree_bound_and_constant_term():
 def test_every_flat_against_naive():
     # the pass solves every upper interval [F, top]: each is the lattice of
     # the contraction at F, which the naive route rebuilds from rank oracles
-    from matroidkl.matroids import contraction
-
     for family, n in (("fan", 4), ("wheel", 4), ("whirl", 4)):
         m = fam_matroid(family, n)
         ps, zs = kl._flat_pass(kl.lattice_of(m))
@@ -222,12 +220,12 @@ def test_square_equals_fan_brute():
 
 
 def test_compute_wrappers():
-    assert kl.compute_kl("fan", 5, "closed") == Poly([1, 6, 2])
-    assert kl.compute_z("whirl", 3, "closed") == Poly([1, 9, 9, 1])
-    with pytest.raises(ValueError):
-        kl.compute_kl("square", 4, "recurrence")
-    with pytest.raises(ValueError):
-        kl.compute_z("fan", 4, "recurrence")
+    assert cli.compute_record("fan", 5, "kl", "closed").coeffs == ["1", "6", "2"]
+    assert cli.compute_record("whirl", 3, "z", "closed").coeffs == ["1", "9", "9", "1"]
+    with pytest.raises(cli.UsageError):
+        cli.compute_record("square", 4, "kl", "recurrence")
+    with pytest.raises(cli.UsageError):
+        cli.compute_record("fan", 4, "z", "recurrence")
 
 
 def naive_kl(m):
@@ -235,8 +233,6 @@ def naive_kl(m):
     flat and read P off the low-degree equations of the defining identity
     (the engine uses the mirrored high-degree ones).  chi comes from the
     mask-based Moebius oracle, not the lattice the engine's certificate uses."""
-    from matroidkl.matroids import contraction, localization
-
     r = m.full_rank
     if r == 0:
         return Poly([1])
@@ -253,8 +249,6 @@ def naive_kl(m):
 
 
 def naive_z(m):
-    from matroidkl.matroids import contraction
-
     total = Poly()
     for f in m.flats():
         total = total + Poly.monomial(f.rank) * naive_kl(contraction(m, f))

@@ -3,19 +3,26 @@ from itertools import combinations
 
 import pytest
 
-from conftest import characteristic_by_masks, lattice_isomorphic, random_simple_graph
+from conftest import (
+    characteristic_by_masks,
+    components,
+    contraction,
+    flat_members,
+    induced_union,
+    lattice_isomorphic,
+    localization,
+    random_simple_graph,
+    simplification,
+)
 from matroidkl import kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     Flat,
     RankOracleMatroid,
     characteristic_polynomial,
-    contraction,
     graphic_matroid,
     lattice_of,
-    localization,
     outer_cycle_mask,
-    simplification,
     whirl_matroid,
 )
 from matroidkl.poly import Poly
@@ -138,7 +145,7 @@ def test_localization():
 
 
 def test_contraction_matches_quotient_graph():
-    from matroidkl.graphs import compositions, contract as graph_contract, induced_union
+    from matroidkl.graphs import compositions, contract as graph_contract
 
     for family, n in (("fan", 4), ("wheel", 4)):
         g = make_family(family, n)
@@ -238,7 +245,7 @@ def test_characteristic_structure():
 
 def test_chromatic_vs_characteristic_relation():
     # chi_G(t) = t^(number of components) * chi_{M(G)}(t)
-    from matroidkl.graphs import chromatic_polynomial, components
+    from matroidkl.graphs import chromatic_polynomial
 
     rng = random.Random(201)
     for _ in range(15):
@@ -262,4 +269,4 @@ def test_characteristic_multiplicative_on_direct_sums():
 
 def test_flat_members_roundtrip():
     f = Flat(0b1011, 2)
-    assert f.members() == (0, 1, 3)
+    assert flat_members(f) == (0, 1, 3)

@@ -111,6 +111,13 @@ def test_gcd_and_primitive_part():
     q = Poly([1, 1]) * Poly([5, 1])
     assert poly_gcd(p, q) == Poly([1, 1])
     assert primitive_part(Poly([Fraction(2, 3), Fraction(4, 3)])) == Poly([1, 2])
+    # denominators cleared by their lcm (12), then the gcd divided out; the
+    # sign is kept and every coefficient comes back an int
+    mixed = primitive_part(Poly([Fraction(1, 2), Fraction(-3, 4), 5, Fraction(-5, 6)]))
+    assert mixed == Poly([6, -9, 60, -10])
+    assert all(type(c) is int for c in mixed.coeffs)
+    assert primitive_part(Poly([4, 0, -6, -8])) == Poly([2, 0, -3, -4])
+    assert primitive_part(Poly([Fraction(-4, 3), Fraction(-2, 9)])) == Poly([-6, -1])
     # a zero argument ends the remainder sequence at once: no division by zero
     assert poly_gcd(ZERO, Poly([2, 4])) == Poly([1, 2])
     assert poly_gcd(Poly([-3, -6, 0, 9]), ZERO) == Poly([-1, -2, 0, 3])

@@ -6,26 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    RootInterval,
+    content,
     interleaves_by_isolation,
     interleaves_by_squarefree_chain,
+    isolate_real_roots,
+    refine,
     root_verdicts_by_isolation,
     root_verdicts_by_squarefree_chain,
+    squarefree_decomposition,
 )
 from matroidkl import cli, kl, poly, realroot
-from matroidkl.poly import Poly, content
+from matroidkl.poly import Poly
 from matroidkl.realroot import (
-    RootInterval,
     all_zeros_negative,
     count_real_roots,
     fibonacci_polynomial,
     interleaves,
     is_real_rooted,
-    isolate_real_roots,
     lucas_polynomial,
     n_sequence_check,
     narayana_polynomial,
-    refine,
-    squarefree_decomposition,
     sturm_chain,
     verify_lucas_fibonacci,
     verify_narayana_identity,
@@ -233,7 +234,7 @@ def test_verdicts_match_isolation_oracle():
         assert got == root_verdicts_by_squarefree_chain(p), p
     for kind, closed in (("kl", kl.kl_closed), ("z", kl.z_closed)):
         for fam in ("fan", "wheel", "whirl"):
-            for n in range(cli.FAMILY_MIN[kind, "closed"][fam], 31):
+            for n in range(cli.ROUTES[kind, "closed"][1][fam][0], 31):
                 p = closed(fam, n)
                 assert _verdicts(p) == root_verdicts_by_squarefree_chain(p), (kind, fam, n)
 
