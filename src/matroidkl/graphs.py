@@ -1,9 +1,9 @@
 """Simple labeled graphs: the family constructors, compositions (partitions of
-the vertices into connected blocks), contraction, the chromatic polynomial and
-biconnected blocks.
+the vertices into connected blocks), the chromatic polynomial and biconnected
+blocks.
 
-Vertices are 0..n-1.  Graphs are immutable; contraction returns a fresh
-value.  Vertex sets are handled as bitmasks internally.
+Vertices are 0..n-1.  Graphs are immutable.  Vertex sets are handled as
+bitmasks internally.
 """
 
 from __future__ import annotations
@@ -106,53 +106,6 @@ def _components(n, adj, within=None):
     return comps
 
 
-def _blocks_to_masks(g, blocks):
-    masks = []
-    covered = 0
-    for block in blocks:
-        m = 0
-        for v in block:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range")
-            m |= 1 << v
-        if m == 0:
-            raise ValueError("empty block in partition")
-        if m & covered:
-            raise ValueError("blocks overlap")
-        covered |= m
-        masks.append(m)
-    if covered != (1 << g.n) - 1:
-        raise ValueError("blocks do not cover the vertex set")
-    return masks
-
-
-def _check_connected_blocks(g, masks):
-    adj = g.adjacency()
-    for m in masks:
-        if len(_components(g.n, adj, m)) != 1:
-            raise ValueError("partition block induces a disconnected subgraph")
-
-
-def contract(g, blocks):
-    """G/C: one vertex per block (ordered by smallest member), simplified."""
-    masks = _blocks_to_masks(g, blocks)
-    _check_connected_blocks(g, masks)
-    order = sorted(range(len(masks)), key=lambda i: (masks[i] & -masks[i]).bit_length())
-    vmap = {}
-    for new, i in enumerate(order):
-        m = masks[i]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            vmap[v] = new
-    edges = set()
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return SimpleGraph(len(masks), sorted(edges))
-
-
 def compositions(g):
     """Yield every partition of V(g) into connected blocks exactly once.
 
@@ -226,10 +179,10 @@ def _chromatic_connected(n, edges):
     # deletion-contraction on an edge at a maximum-degree vertex
     u, v = max(edges, key=lambda e: degs[e[0]] + degs[e[1]])
     deleted = SimpleGraph(n, [e for e in edges if e != (u, v)])
-    merged = contract(
-        SimpleGraph(n, edges),
-        [{u, v}] + [{w} for w in range(n) if w not in (u, v)],
-    )
+    # G/uv: v merges into u (u < v), the vertices above v shift down by one,
+    # and the edge uv is dropped
+    image = [w if w < v else u if w == v else w - 1 for w in range(n)]
+    merged = SimpleGraph(n - 1, [(image[a], image[b]) for a, b in edges if (a, b) != (u, v)])
     result = chromatic_polynomial(deleted) - chromatic_polynomial(merged)
     _chromatic_memo[key] = result
     return result

@@ -236,11 +236,10 @@ _rec_cache = {"fan": [], "wheel": [], "whirl": []}
 
 def _rec_sequence(family, length):
     """First `length` entries of the recurrence-defined sequence a[0], a[1], ..."""
+    data = {"fan": _FAN_REC, "wheel": _WHEEL_REC, "whirl": _WHIRL_REC}[family]
     cache = _rec_cache[family]
     if not cache:
-        data = {"fan": _FAN_REC, "wheel": _WHEEL_REC, "whirl": _WHIRL_REC}[family]
         cache.extend(Poly(s) for s in data["seeds"])
-    data = {"fan": _FAN_REC, "wheel": _WHEEL_REC, "whirl": _WHIRL_REC}[family]
     while len(cache) < length:
         m = len(cache)
         if family == "fan":

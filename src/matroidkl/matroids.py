@@ -3,7 +3,8 @@
 A matroid is stored as a full rank table over the 2^m subsets of its ground
 set (guarded to m <= 16), which makes flats cheap exact lookups.  Graphic
 matroids and whirls are the two constructors.  lattice_of orders the flats,
-and the lattice's Moebius function gives the characteristic polynomial.
+and one walk up that order gives the Moebius function and the
+characteristic polynomial of every lower interval.
 """
 
 from __future__ import annotations
@@ -93,28 +94,27 @@ class RankOracleMatroid:
 
 
 def _graphic_rank_table(n_vertices, edge_list):
+    """Rank of every edge subset by one include/exclude recursion over the
+    edges, reaching each subset once, from its highest edge.  The recursion
+    carries the component label of every vertex under the current subset:
+    an edge inside a component keeps the rank, an edge between two
+    components relabels one of them and adds 1."""
     m = len(edge_list)
     table = bytearray(1 << m)
-    parent = list(range(n_vertices))
-    for x in range(1, 1 << m):
-        for i in range(n_vertices):
-            parent[i] = i
-        r = 0
-        bits = x
-        while bits:
-            e = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+
+    def extend(first, x, labels, r):
+        for e in range(first, m):
             a, b = edge_list[e]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                r += 1
-        table[x] = r
+            la, lb = labels[a], labels[b]
+            y = x | 1 << e
+            if la == lb:
+                table[y] = r
+                extend(e + 1, y, labels, r)
+            else:
+                table[y] = r + 1
+                extend(e + 1, y, [la if c == lb else c for c in labels], r + 1)
+
+    extend(0, 0, list(range(n_vertices)), 0)
     return table
 
 
@@ -173,26 +173,19 @@ class FlatLattice:
         self.n = len(self.ranks)
         self.top_rank = self.ranks[-1] if self.ranks else 0
 
-    def mobius_from_bottom(self):
-        """mu(bottom, F) for every flat F, pushed up the order: by the time
-        flat j is reached, every flat below it has added its mu to partial[j]."""
-        partial = [0] * self.n
-        mu = []
-        for j, ups in enumerate(self.above):
-            mu_j = -partial[j] if j else 1
-            mu.append(mu_j)
-            for i in ups:
-                partial[i] += mu_j
-        return mu
-
     def chi_from_bottom(self):
         """Characteristic polynomial of every lower interval [bottom, F]:
-        sum over flats G <= F of mu(bottom, G) * t^(rk F - rk G)."""
+        sum over flats G <= F of mu(bottom, G) * t^(rk F - rk G).
+
+        One walk up the order: by the time flat j is reached, every flat G
+        below it has pushed mu(bottom, G) into coefficient rk j - rk G of
+        chi_j, so mu(bottom, j) is minus the sum of what chi_j holds."""
         ranks = self.ranks
         coeffs = [[0] * (r + 1) for r in ranks]
-        for j, mu_j in enumerate(self.mobius_from_bottom()):
-            coeffs[j][0] += mu_j
-            for i in self.above[j]:
+        for j, ups in enumerate(self.above):
+            chi_j = coeffs[j]
+            mu_j = chi_j[0] = -sum(chi_j) if j else 1
+            for i in ups:
                 coeffs[i][ranks[i] - ranks[j]] += mu_j
         return [Poly(c) for c in coeffs]
 

@@ -194,12 +194,6 @@ def verify_narayana_identity(n):
     return True
 
 
-def _wheel_lucas_coeff(n, k):
-    return Fraction(
-        (n - 1) * factorial(n - 2 - k), factorial(k) * factorial(n - 1 - 2 * k)
-    )
-
-
 def verify_lucas_fibonacci(n):
     """Coefficient identities mapping the wheel factorial sum onto the Lucas
     polynomial and the whirl binomial sum onto the Fibonacci polynomial, plus
@@ -208,7 +202,7 @@ def verify_lucas_fibonacci(n):
     if n < 3:
         raise ValueError("needs n >= 3")
     m = (n - 1) // 2
-    f_n = Poly([_wheel_lucas_coeff(n, k) for k in range(m + 1)]).integerized()
+    f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)]).integerized()
     recon = [0] * n
     for k in range(m + 1):
         recon[n - 1 - 2 * k] = f_n.coeff(k)

@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
-from matroidkl.graphs import SimpleGraph, _blocks_to_masks, _check_connected_blocks, _components
+from matroidkl.graphs import SimpleGraph, _components
 from matroidkl.matroids import Flat, RankOracleMatroid
 from matroidkl.poly import Poly, divexact, poly_divmod, poly_gcd, primitive_part
 from matroidkl.realroot import (
@@ -100,8 +100,8 @@ def frac():
 
 # ---------------------------------------------------------------------------
 # graph helpers that only the tests use: components and rank, compositions
-# checked and kept as induced subgraphs, proper colorings counted one by one,
-# and an exhaustive isomorphism test
+# checked, kept as induced subgraphs and contracted, proper colorings counted
+# one by one, and an exhaustive isomorphism test
 
 
 def components(g):
@@ -134,6 +134,53 @@ def induced_union(g, blocks):
         if any((m & bu) and (m & bv) for m in masks):
             keep.append((u, v))
     return SimpleGraph(g.n, keep)
+
+
+def _blocks_to_masks(g, blocks):
+    masks = []
+    covered = 0
+    for block in blocks:
+        m = 0
+        for v in block:
+            if not (0 <= v < g.n):
+                raise ValueError(f"vertex {v} out of range")
+            m |= 1 << v
+        if m == 0:
+            raise ValueError("empty block in partition")
+        if m & covered:
+            raise ValueError("blocks overlap")
+        covered |= m
+        masks.append(m)
+    if covered != (1 << g.n) - 1:
+        raise ValueError("blocks do not cover the vertex set")
+    return masks
+
+
+def _check_connected_blocks(g, masks):
+    adj = g.adjacency()
+    for m in masks:
+        if len(_components(g.n, adj, m)) != 1:
+            raise ValueError("partition block induces a disconnected subgraph")
+
+
+def contract(g, blocks):
+    """G/C: one vertex per block (ordered by smallest member), simplified."""
+    masks = _blocks_to_masks(g, blocks)
+    _check_connected_blocks(g, masks)
+    order = sorted(range(len(masks)), key=lambda i: (masks[i] & -masks[i]).bit_length())
+    vmap = {}
+    for new, i in enumerate(order):
+        m = masks[i]
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            vmap[v] = new
+    edges = set()
+    for u, v in g.edges:
+        a, b = vmap[u], vmap[v]
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return SimpleGraph(len(masks), sorted(edges))
 
 
 def count_proper_colorings(g, q):
@@ -187,6 +234,37 @@ def are_isomorphic(g1, g2):
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
     return canonical_form(g1) == canonical_form(g2)
+
+
+# ---------------------------------------------------------------------------
+# the graphic rank table subset by subset, each from a fresh union-find with
+# path halving: the library fills it in one recursion over the edges
+
+
+def rank_table_by_union_find(n_vertices, edge_list):
+    m = len(edge_list)
+    table = bytearray(1 << m)
+    parent = list(range(n_vertices))
+    for x in range(1, 1 << m):
+        for i in range(n_vertices):
+            parent[i] = i
+        r = 0
+        bits = x
+        while bits:
+            e = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            a, b = edge_list[e]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                r += 1
+        table[x] = r
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@ import random
 
 import pytest
 
-from conftest import are_isomorphic, count_proper_colorings, induced_union, is_composition, rank
+from conftest import (
+    are_isomorphic,
+    contract,
+    count_proper_colorings,
+    induced_union,
+    is_composition,
+    rank,
+)
 from matroidkl import kl, matroids
 from matroidkl.graphs import (
     SimpleGraph,
     biconnected_components,
     chromatic_polynomial,
     compositions,
-    contract,
     make_family,
 )
 from matroidkl.poly import Poly

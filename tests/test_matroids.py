@@ -6,12 +6,14 @@ import pytest
 from conftest import (
     characteristic_by_masks,
     components,
+    contract,
     contraction,
     flat_members,
     induced_union,
     lattice_isomorphic,
     localization,
     random_simple_graph,
+    rank_table_by_union_find,
     simplification,
 )
 from matroidkl import kl, matroids
@@ -145,7 +147,7 @@ def test_localization():
 
 
 def test_contraction_matches_quotient_graph():
-    from matroidkl.graphs import compositions, contract as graph_contract
+    from matroidkl.graphs import compositions
 
     for family, n in (("fan", 4), ("wheel", 4)):
         g = make_family(family, n)
@@ -155,7 +157,7 @@ def test_contraction_matches_quotient_graph():
             kept = induced_union(g, c)
             fmask = sum(1 << edge_index[e] for e in kept.edges)
             assert m.is_flat(fmask)
-            quotient = graphic_matroid(graph_contract(g, c))
+            quotient = graphic_matroid(contract(g, c))
             contr = contraction(m, fmask)
             assert contr.full_rank == quotient.full_rank
             assert characteristic_polynomial(contr) == characteristic_polynomial(
@@ -215,6 +217,30 @@ def test_characteristic_matches_mask_oracle():
     cases += [graphic_matroid(random_simple_graph(rng, max_n=6)) for _ in range(15)]
     for m in cases:
         assert characteristic_polynomial(m) == characteristic_by_masks(m)
+
+
+def test_rank_table_matches_union_find():
+    graphs = [SimpleGraph(0), SimpleGraph(3, [])]
+    for family, lo in (("fan", 1), ("square_of_path", 1), ("wheel", 3)):
+        graphs += [make_family(family, n) for n in range(lo, 9)]
+    rng = random.Random(808)
+    graphs += [random_simple_graph(rng, max_n=6) for _ in range(30)]
+    for g in graphs:
+        assert graphic_matroid(g).table == rank_table_by_union_find(g.n, list(g.edges))
+    for n in range(3, 9):
+        wheel = make_family("wheel", n)
+        want = rank_table_by_union_find(wheel.n, list(wheel.edges))
+        want[outer_cycle_mask(n)] = n
+        assert whirl_matroid(n).table == want
+
+
+def test_lower_interval_chi_matches_mask_oracle():
+    for family in ("fan", "wheel", "whirl"):
+        m = kl.family_matroid(family, 5)
+        chis = lattice_of(m).chi_from_bottom()
+        assert len(chis) == len(m.flats())
+        for chi, f in zip(chis, m.flats()):
+            assert chi == characteristic_by_masks(localization(m, f))
 
 
 def test_lattice_order_is_flat_inclusion():
