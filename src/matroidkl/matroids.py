@@ -30,7 +30,7 @@ class Flat:
 class RankOracleMatroid:
     """Ground set 0..m-1 plus an exact rank function tabulated over subsets."""
 
-    __slots__ = ("m", "table", "full_rank", "_flats", "_lattice")
+    __slots__ = ("m", "table", "full_rank")
 
     def __init__(self, m, table):
         if m > MAX_GROUND:
@@ -40,8 +40,6 @@ class RankOracleMatroid:
         self.m = m
         self.table = table
         self.full_rank = table[(1 << m) - 1]
-        self._flats = None
-        self._lattice = None
         self._spot_check_axioms()
 
     def _spot_check_axioms(self):
@@ -82,12 +80,10 @@ class RankOracleMatroid:
 
     def flats(self):
         """Every closed set exactly once, sorted by (rank, bitmask)."""
-        if self._flats is None:
-            t = self.table
-            found = [Flat(x, t[x]) for x in range(1 << self.m) if self.is_flat(x)]
-            found.sort(key=lambda f: (f.rank, f.elements))
-            self._flats = tuple(found)
-        return self._flats
+        t = self.table
+        found = [Flat(x, t[x]) for x in range(1 << self.m) if self.is_flat(x)]
+        found.sort(key=lambda f: (f.rank, f.elements))
+        return tuple(found)
 
     def __repr__(self):
         return f"RankOracleMatroid(m={self.m}, rank={self.full_rank})"
@@ -191,14 +187,12 @@ class FlatLattice:
 
 
 def lattice_of(matroid):
-    """The lattice of flats of a rank-oracle matroid, cached on the oracle."""
-    if matroid._lattice is None:
-        flats = matroid.flats()
-        masks = [f.elements for f in flats]
-        above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
-                 for j, mj in enumerate(masks)]
-        matroid._lattice = FlatLattice([f.rank for f in flats], above)
-    return matroid._lattice
+    """The lattice of flats of a rank-oracle matroid."""
+    flats = matroid.flats()
+    masks = [f.elements for f in flats]
+    above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
+             for j, mj in enumerate(masks)]
+    return FlatLattice([f.rank for f in flats], above)
 
 
 def characteristic_polynomial(m):

@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
-from matroidkl.graphs import SimpleGraph, _components
+from matroidkl.graphs import SimpleGraph
 from matroidkl.matroids import Flat, RankOracleMatroid
 from matroidkl.poly import Poly, divexact, poly_divmod, poly_gcd, primitive_part
 from matroidkl.realroot import (
@@ -102,6 +102,27 @@ def frac():
 # graph helpers that only the tests use: components and rank, compositions
 # checked, kept as induced subgraphs and contracted, proper colorings counted
 # one by one, and an exhaustive isomorphism test
+
+
+def _components(n, adj, within=None):
+    """Connected components (as bitmasks) of the subgraph induced on `within`."""
+    if within is None:
+        within = (1 << n) - 1
+    comps = []
+    todo = within
+    while todo:
+        start = todo & -todo
+        comp = start
+        frontier = start
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grow = adj[v] & within & ~comp
+            comp |= grow
+            frontier |= grow
+        comps.append(comp)
+        todo &= ~comp
+    return comps
 
 
 def components(g):
@@ -203,6 +224,54 @@ def count_proper_colorings(g, q):
 
     rec(0)
     return count
+
+
+# ---------------------------------------------------------------------------
+# the chromatic polynomial by memoized deletion-contraction, split over
+# components, with tree and cycle shortcuts: the library sums Birkhoff's
+# expansion over partitions into independent sets instead
+
+_chromatic_memo = {}
+
+
+def _chromatic_connected(n, edges):
+    """Chromatic polynomial of a connected simple graph by deletion-contraction."""
+    m = len(edges)
+    if m == n - 1:  # tree
+        return Poly([0, 1]) * Poly([-1, 1]) ** (n - 1)
+    degs = [0] * n
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    if m == n and all(d == 2 for d in degs):  # cycle
+        return Poly([-1, 1]) ** n + (-1) ** n * Poly([-1, 1])
+    key = (n, edges)
+    hit = _chromatic_memo.get(key)
+    if hit is not None:
+        return hit
+    # deletion-contraction on an edge at a maximum-degree vertex
+    u, v = max(edges, key=lambda e: degs[e[0]] + degs[e[1]])
+    deleted = SimpleGraph(n, [e for e in edges if e != (u, v)])
+    # G/uv: v merges into u (u < v), the vertices above v shift down by one,
+    # and the edge uv is dropped
+    image = [w if w < v else u if w == v else w - 1 for w in range(n)]
+    merged = SimpleGraph(n - 1, [(image[a], image[b]) for a, b in edges if (a, b) != (u, v)])
+    result = chromatic_by_deletion_contraction(deleted) - chromatic_by_deletion_contraction(merged)
+    _chromatic_memo[key] = result
+    return result
+
+
+def chromatic_by_deletion_contraction(g):
+    """Exact chromatic polynomial of g, the product over its components."""
+    result = Poly([1])
+    for comp in components(g):
+        verts = [v for v in range(g.n) if comp >> v & 1]
+        relabel = {v: i for i, v in enumerate(verts)}
+        sub = tuple(
+            sorted((relabel[u], relabel[v]) for u, v in g.edges if comp >> u & 1 and comp >> v & 1)
+        )
+        result = result * _chromatic_connected(len(verts), sub)
+    return result
 
 
 def canonical_form(g):

@@ -222,6 +222,35 @@ def test_jobs_out_of_range_exits_2(capsys):
         assert "--jobs" in err
 
 
+def test_verify_flags_out_of_range_exit_2(capsys):
+    # rejected before any check runs; 0 is not read as "the default"
+    order_bound = f"order <= {cli.series.MAX_ORDER}"
+    for flag, value, bound in (("--order", "65", order_bound), ("--order", "-1", order_bound),
+                               ("--order", "0", order_bound), ("--max-n", "0", f"n <= {N_MAX}"),
+                               ("--max-n", "-3", f"n <= {N_MAX}")):
+        code, out, err = run(capsys, "verify", "--suite", "all", flag, value)
+        assert code == 2 and out == "", (flag, value)
+        assert err.startswith(f"error: {flag} needs 1 <= ") and bound in err, err
+
+
+def test_ranged_checks_name_the_range_they_run(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--max-n", "2")
+    assert code == 0
+    assert pass_names(out) == ["PASS identities/narayana/n-2", "PASS identities/spot-values"]
+    for max_n in (None, 1, 2, 6, 30, N_MAX):
+        for name, check in build_suite("all", max_n=max_n):
+            ranged = re.search(r"/(?:n|\d+)-(\d+)$", name)
+            if ranged:  # check(*args, lo, hi), named for its hi
+                lo, hi = check.args[-2:]
+                assert lo <= hi == int(ranged.group(1)), name
+                assert max_n is None or hi <= max_n, name
+    names = [name for name, _ in build_suite("all")]
+    for name in ("recurrence/whirl/n-40", "roots/fan-interlacing/3-25",
+                 "identities/narayana/n-20", "identities/lucas-fibonacci/n-40",
+                 "identities/n-sequence/7-30"):
+        assert name in names
+
+
 def pass_names(out):
     return [re.sub(r" \(\d+\.\d+s\)$", "", line) for line in out.splitlines()
             if line.startswith("PASS")]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
 )
 from matroidkl import kl, matroids
 from matroidkl.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     biconnected_components,
     chromatic_polynomial,
@@ -198,6 +200,30 @@ def test_chromatic_multiplicativity_over_blocks():
         for b in blocks:
             prod = prod * chromatic_polynomial(b)
         assert chromatic_polynomial(g) * T**m == prod * T**k
+
+
+def test_chromatic_sweep_matches_deletion_contraction():
+    from conftest import chromatic_by_deletion_contraction, random_simple_graph
+
+    graphs = [make_family(family, n) for family in ("fan", "square_of_path")
+              for n in range(1, 11)]
+    graphs += [make_family("wheel", n) for n in range(3, 11)]
+    graphs += [make_family("path", n) for n in range(1, MAX_VERTICES + 1)]
+    graphs += [make_family("cycle", n) for n in range(3, MAX_VERTICES + 1)]
+    graphs += [SimpleGraph(n) for n in (0, 1, 5, MAX_VERTICES)]
+    rng = random.Random(2024)
+    graphs += [random_simple_graph(rng, max_n=9) for _ in range(50)]
+    for g in graphs:
+        assert chromatic_polynomial(g) == chromatic_by_deletion_contraction(g), g
+
+
+def test_chromatic_refuses_graphs_above_max_vertices():
+    assert MAX_VERTICES == 13
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="13 vertices"):
+        chromatic_polynomial(SimpleGraph(MAX_VERTICES + 1))
+    # refused before the sweep starts: on the edgeless graph it would take seconds
+    assert time.perf_counter() - start < 0.5
 
 
 def test_biconnected_components():

@@ -140,6 +140,27 @@ def test_gcd_matches_euclid_over_q_oracle(s, u, v):
         assert divexact(a * b, b) == a
 
 
+# small sizes keep every property cheap enough for tier-1
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+FRAC_POLYS = st.lists(st.one_of(st.integers(-9, 9), FRACTIONS), max_size=4).map(Poly)
+
+
+@pytest.mark.parametrize("polys", [INT_POLYS, FRAC_POLYS], ids=["int", "fraction"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_ring_laws_property(polys, data):
+    a, b, c = (data.draw(polys) for _ in range(3))
+    k = data.draw(st.one_of(st.integers(-9, 9), FRACTIONS))
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * Poly([1]) == a and a * ZERO == ZERO
+    assert a - b == a + -b and a - a == ZERO
+    assert a * k == a * Poly([k]) == k * a
+    assert (a * b).degree == a.degree + b.degree
+
+
 def test_integerized_signal():
     with pytest.raises(ArithmeticError):
         Poly([Fraction(1, 2)]).integerized()

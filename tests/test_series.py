@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidkl import kl
 from matroidkl.poly import Poly
@@ -127,3 +128,31 @@ def test_gf_guards():
         gf_expand("kl_fan", 65)
     with pytest.raises(ValueError):
         gf_expand("nope", 5)
+
+
+# series with small rational polynomial coefficients; small orders keep the
+# properties cheap enough for tier-1
+COEFF_POLYS = st.lists(st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)),
+                       max_size=3).map(Poly)
+SERIES_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def unit_series(draw, constant):
+    order = draw(st.integers(0, 6))
+    tail = draw(st.lists(COEFF_POLYS, max_size=order))
+    return TruncSeries(order, [draw(constant), *tail])
+
+
+@SERIES_SETTINGS
+@given(unit_series(st.fractions(-5, 5, max_denominator=4).filter(bool)))
+def test_inverse_property_rational(s):
+    assert s * s.inverse() == S(s.order, 1)
+
+
+@SERIES_SETTINGS
+@given(unit_series(st.just(1)))
+def test_sqrt_property_rational(s):
+    r = s.sqrt()
+    assert r.coefficient(0) == ONE
+    assert r * r == s
