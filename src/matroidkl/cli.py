@@ -32,12 +32,8 @@ N_MAX = 64
 # module when it runs, so that rebinding that function reaches every route.
 
 
-def _kl_brute(family, n):
-    return kl.kl_poly(kl.family_matroid(family, n))
-
-
-def _z_brute(family, n):
-    return kl.z_poly(kl.family_matroid(family, n))
+def _lattice_brute(name, family, n):
+    return getattr(kl, name)(kl.family_matroid(family, n))
 
 
 def _chromatic_brute(family, n):
@@ -59,13 +55,13 @@ def _kl_function(name, family, n):
 # independent-partition sweep's bound of graphs.MAX_VERTICES = 13.
 _BRUTE = {"fan": (1, 8), "square": (1, 8), "wheel": (3, 8), "whirl": (3, 8)}
 ROUTES = {
-    ("kl", "brute"): (_kl_brute, _BRUTE),
+    ("kl", "brute"): (partial(_lattice_brute, "kl_poly"), _BRUTE),
     ("kl", "closed"): (partial(_kl_function, "kl_closed"),
                        {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
                         "whirl": (3, N_MAX)}),
     ("kl", "recurrence"): (partial(_kl_function, "kl_recurrence"),
                            {"fan": (1, N_MAX), "wheel": (2, N_MAX), "whirl": (1, N_MAX)}),
-    ("z", "brute"): (_z_brute, _BRUTE),
+    ("z", "brute"): (partial(_lattice_brute, "z_poly"), _BRUTE),
     ("z", "closed"): (partial(_kl_function, "z_closed"),
                       {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
                        "whirl": (1, N_MAX)}),
@@ -116,10 +112,7 @@ class OutputRecord:
 
 
 def _poly_record(family, n, kind, method, poly):
-    # one Sturm chain when all zeros are negative: V(-inf) - V(0) = deg q
-    # already says that every zero is real
-    all_negative = realroot.all_zeros_negative(poly)
-    real_rooted = all_negative or realroot.is_real_rooted(poly)
+    real_rooted, all_negative = realroot._root_flags(poly)
     degree = len(poly.coeffs) - 1 if poly.coeffs else 0
     return OutputRecord(
         family=family,
@@ -209,12 +202,11 @@ def cmd_table(args, out=None):
     fams = ROUTES.get((kind, "closed"), (None, {}))[1]
     if family not in fams:
         raise UsageError(f"no closed form to tabulate for family={family} kind={kind}")
-    if args.max_n > N_MAX:
-        raise UsageError(f"n is limited to n <= {N_MAX}, got {args.max_n}")
     start = fams[family][0]
-    records = []
-    for n in range(start, args.max_n + 1):
-        records.append(compute_record(family, n, kind, "closed"))
+    if not start <= args.max_n <= N_MAX:
+        raise UsageError(f"--max-n needs {start} <= max-n <= {N_MAX} for a {family} {kind} "
+                         f"table, got {args.max_n}")
+    records = [compute_record(family, n, kind, "closed") for n in range(start, args.max_n + 1)]
     if args.format == "json":
         _emit_records(records, "json", out)
     else:
@@ -237,13 +229,15 @@ def _compare(got, want, n):
     return True, ""
 
 
-def _oracle(brute_fn, closed_fn, family, n):
-    """The brute route over the flat lattice against the closed form."""
-    return _compare(brute_fn(family, n), closed_fn(family, n), n)
-
-
-def _square_equals_fan(n):
-    return _compare(_kl_brute("square", n), _kl_brute("fan", n), n)
+def _oracle(family, n):
+    """P, Z and chi from one brute build over the flat lattice against their
+    closed forms; the square's closed forms are the fan's."""
+    brute = kl.kl_z_chi(kl.family_matroid(family, n))
+    for kind, got in zip(("kl", "z", "characteristic"), brute):
+        ok, detail = _compare(got, ROUTES[kind, "closed"][0](family, n), n)
+        if not ok:
+            return False, f"{kind} {detail}"
+    return True, ""
 
 
 def _root_verdict(verdict_fn, poly_fn, family, n):
@@ -354,21 +348,13 @@ def build_suite(suite, max_n=None, order=None):
         return default if max_n is None else max_n
 
     if suite in ("oracle", "all"):
-        def brute_range(kind, fam):
-            lo, hi = ROUTES[kind, "brute"][1][fam]
-            return range(lo, min(up_to(hi), hi) + 1)
-
-        for kind, fams in (("kl", ("fan", "square", "wheel", "whirl")),
-                           ("z", ("fan", "wheel", "whirl"))):
-            brute, closed = ROUTES[kind, "brute"][0], ROUTES[kind, "closed"][0]
-            for fam in fams:
-                for n in brute_range(kind, fam):
-                    add(f"oracle/{kind}/{fam}/{n}", _oracle, brute, closed, fam, n)
-        for n in brute_range("kl", "square"):
-            add(f"oracle/square-equals-fan/{n}", _square_equals_fan, n)
-        for n in brute_range("kl", "whirl"):
-            if n <= 6:
-                add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
+        brute = ROUTES["kl", "brute"][1]
+        for fam, (lo, hi) in brute.items():
+            for n in range(lo, min(up_to(hi), hi) + 1):
+                add(f"oracle/{fam}/{n}", _oracle, fam, n)
+        lo, hi = brute["whirl"]
+        for n in range(lo, min(up_to(hi), hi) + 1):
+            add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
     if suite in ("gf", "all"):
         o = 12 if order is None else order
         for which in series.GF_NAMES:

@@ -1,14 +1,14 @@
 """Kazhdan-Lusztig and Z-polynomials of matroids.
 
-kl_poly and z_poly solve every upper interval [F, top] of the lattice of flats
-in one pass from the top rank down.  By Proudfoot-Xu-Young, P_M is the unique
+kl_z_chi solves every upper interval [F, top] of the lattice of flats in one
+pass from the top rank down.  By Proudfoot-Xu-Young, P_M is the unique
 polynomial with constant term 1 and deg P_M < rk M / 2 that makes
     Z_M(t) = sum over flats F of t^(rk F) * P_{M^F}(t)
 palindromic; the interval [F, top] is the flat lattice of the simplified
 contraction M^F, so the pass never rebuilds rank oracles.  The result is
 certified against the defining recursion of Elias-Proudfoot-Wakefield,
     t^(rk M) * P_M(1/t) = sum over flats F of chi_{M_F}(t) * P_{M^F}(t),
-at the bottom flat.
+at the bottom flat, which yields chi_M as well.
 
 The module also evaluates the closed forms, the P-recursive recurrences and
 the Hadamard coefficient factorization for the fan / square-of-path / wheel /
@@ -34,14 +34,17 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 
 def _check_bottom(lat, ps):
     """Certify per-flat KL polynomials by the defining recursion at the bottom:
-    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t)."""
+    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t).
+    Returns chi_{[bottom, top]}, the characteristic polynomial."""
+    chis = lat.chi_from_bottom()
     total = Poly()
-    for chi, p in zip(lat.chi_from_bottom(), ps):
+    for chi, p in zip(chis, ps):
         total = total + chi * p
     if total != reverse_scaled(ps[0], lat.top_rank):
         raise ArithmeticError(
             "defining recursion fails at the bottom flat; rank oracle or lattice bug"
         )
+    return chis[-1]
 
 
 def _flat_pass(lat):
@@ -73,21 +76,26 @@ def _flat_pass(lat):
         for k, c in enumerate(p):
             z[k] += c
         ps[a], zs[a] = p, z
-    ps = [Poly(p) for p in ps]
-    _check_bottom(lat, ps)
-    return ps, [Poly(z) for z in zs]
+    return [Poly(p) for p in ps], [Poly(z) for z in zs]
+
+
+def kl_z_chi(matroid):
+    """(P, Z, chi) of a loopless matroid from one lattice and one certified pass."""
+    lat = lattice_of(matroid)
+    ps, zs = _flat_pass(lat)
+    z = zs[0]
+    del zs  # keep one Z, not one per flat, alive while the certificate builds every chi
+    return ps[0], z, _check_bottom(lat, ps)
 
 
 def kl_poly(matroid):
     """KL polynomial of a loopless matroid."""
-    ps, _ = _flat_pass(lattice_of(matroid))
-    return ps[0]
+    return kl_z_chi(matroid)[0]
 
 
 def z_poly(matroid):
     """Z-polynomial: sum over flats F of t^(rk F) * P_{M^F}(t)."""
-    _, zs = _flat_pass(lattice_of(matroid))
-    return zs[0]
+    return kl_z_chi(matroid)[1]
 
 
 # ---------------------------------------------------------------------------

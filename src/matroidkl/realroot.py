@@ -87,18 +87,23 @@ def count_real_roots(p, lo=None, hi=None):
     return upper - lower
 
 
+def _root_flags(p):
+    """(real-rooted, all zeros negative) off one Sturm chain of p."""
+    chain = sturm_chain(p)
+    real = _roots_le(chain, POS_INF) == chain.distinct_roots
+    return real, real and p.coeff(0) != 0 and _roots_le(chain, 0) == chain.distinct_roots
+
+
 def is_real_rooted(p):
     """True when every zero of p (counted with multiplicity) is real: every
     distinct root is real."""
-    chain = sturm_chain(p)
-    return _roots_le(chain, POS_INF) == chain.distinct_roots
+    return _root_flags(p)[0]
 
 
 def all_zeros_negative(p):
     """True when all deg(p) zeros, counted with multiplicity, lie in
     (-inf, 0): p(0) != 0 and every distinct root is real and <= 0."""
-    chain = sturm_chain(p)
-    return p.coeff(0) != 0 and _roots_le(chain, 0) == chain.distinct_roots
+    return _root_flags(p)[1]
 
 
 def interleaves(g, f):

@@ -130,7 +130,7 @@ class TruncSeries:
 
 
 def _series(order, *coeffs):
-    return TruncSeries(order, coeffs)
+    return TruncSeries(order, coeffs[:order + 1])
 
 
 def gf_expand(which, order):

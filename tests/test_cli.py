@@ -158,16 +158,55 @@ def test_verify_gf_suite(capsys):
     assert code == 0
     assert "PASS gf/kl_fan/order-8" in out
     assert "PASS gf/kl_wheel/order-8" in out
+    # the lowest order the flag check accepts
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--order", "1")
+    assert code == 0, out
+    assert len(pass_names(out)) == 6 and "FAIL" not in out
 
 
 def test_verify_oracle_suite_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "4")
     assert code == 0
-    assert "PASS oracle/kl/fan/4" in out
-    assert "PASS oracle/z/whirl/4" in out
-    assert "PASS oracle/square-equals-fan/4" in out
+    assert "PASS oracle/fan/4" in out
+    assert "PASS oracle/whirl/4" in out
+    assert "PASS oracle/square/4" in out
     assert "PASS oracle/whirl-flats/4" in out
     assert "FAIL" not in out
+
+
+def test_oracle_suite_spans_the_brute_ranges():
+    # one check per (family, n) of the brute route, then the whirl flats over
+    # the whole whirl brute range
+    brute = cli.ROUTES["kl", "brute"][1]
+    want = [f"oracle/{fam}/{n}" for fam, (lo, hi) in brute.items() for n in range(lo, hi + 1)]
+    want += [f"oracle/whirl-flats/{n}" for n in range(brute["whirl"][0], brute["whirl"][1] + 1)]
+    assert [name for name, _ in build_suite("oracle")] == want
+    assert want[-1] == "oracle/whirl-flats/8"
+    assert len(build_suite("all")) == 252
+
+
+def test_oracle_check_builds_once(monkeypatch):
+    # P, Z and chi of one (family, n) come from one matroid and one lattice;
+    # both lattice_of bindings count, so a separate characteristic route would
+    # show up as a second lattice
+    calls = {"family_matroid": 0, "lattice_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    lattice_of = counted("lattice_of", kl.lattice_of)
+    monkeypatch.setattr(kl, "family_matroid", counted("family_matroid", kl.family_matroid))
+    monkeypatch.setattr(kl, "lattice_of", lattice_of)
+    monkeypatch.setattr(cli.matroids, "lattice_of", lattice_of)
+    for name, check in build_suite("oracle", max_n=5):
+        if "whirl-flats" in name:
+            continue
+        calls.update(family_matroid=0, lattice_of=0)
+        assert check() == (True, ""), name
+        assert calls == {"family_matroid": 1, "lattice_of": 1}, name
 
 
 def test_verify_identities_small(capsys):
@@ -197,11 +236,17 @@ def test_table_whirl_z(capsys):
     assert last[0] == "3" and last[2:6] == ["1", "9", "9", "1"]
 
 
-def test_table_empty_range_header_only(capsys):
-    code, out, _ = run(capsys, "table", "--family", "whirl", "--kind", "kl",
-                       "--max-n", "2")
+def test_table_below_range_exits_2(capsys):
+    # a --max-n below the closed form's first n would tabulate nothing
+    for family, kind, max_n, lo in (("whirl", "kl", "2", 3), ("wheel", "kl", "1", 2),
+                                    ("fan", "z", "0", 1), ("fan", "kl", "-3", 1)):
+        code, out, err = run(capsys, "table", "--family", family, "--kind", kind,
+                             "--max-n", max_n)
+        assert code == 2 and out == "", (family, kind, max_n)
+        assert f"{lo} <= max-n <= {N_MAX}" in err and "supported" in err, err
+    code, out, _ = run(capsys, "table", "--family", "whirl", "--kind", "kl", "--max-n", "3")
     assert code == 0
-    assert len(out.strip().splitlines()) == 1
+    assert len(out.strip().splitlines()) == 2
 
 
 def test_table_json(capsys):
@@ -271,19 +316,26 @@ def test_verify_parallel_jobs(capsys):
 
 
 def test_verify_failure_names_first_difference(capsys, monkeypatch):
-    closed = kl.kl_closed
+    # one perturbed closed form at one (family, n) fails exactly that check,
+    # naming the kind and the first coefficient that differs
+    for name, family, kind, detail in (
+            ("kl_closed", "fan", "kl", "t\\^1: got 1, want 2"),
+            ("z_closed", "wheel", "z", "t\\^1: got 7, want 8"),
+            ("characteristic_closed", "square", "characteristic", "t\\^1: got 8, want 9")):
+        closed = getattr(kl, name)
 
-    def perturbed(family, n):
-        p = closed(family, n)
-        return p + Poly.monomial(1) if (family, n) == ("fan", 3) else p
+        def perturbed(fam, n, closed=closed, family=family):
+            p = closed(fam, n)
+            return p + Poly.monomial(1) if (fam, n) == (family, 3) else p
 
-    monkeypatch.setattr(kl, "kl_closed", perturbed)
-    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
-    assert code == 1
-    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 1
-    assert re.fullmatch(r"FAIL oracle/kl/fan/3 \(\d+\.\d+s\): n=3: t\^1: got 1, want 2",
-                        fails[0])
+        monkeypatch.setattr(kl, name, perturbed)
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
+        monkeypatch.undo()
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1, fails
+        assert re.fullmatch(rf"FAIL oracle/{family}/3 \(\d+\.\d+s\): {kind} n=3: {detail}",
+                            fails[0]), fails[0]
 
 
 def test_ranged_check_names_n_of_exception(capsys, monkeypatch):
@@ -320,9 +372,17 @@ def test_poly_record_builds_one_sturm_chain(monkeypatch):
         ([-2, 1, 1], True, False),  # (t - 1)(t + 2)
         ([3, 7, 5, 1], True, True),  # (t + 1)^2 (t + 3)
     ):
+        calls.clear()
         flags = cli._poly_record("fan", 3, "kl", "closed", Poly(coeffs)).flags
+        assert len(calls) == 1, coeffs
         assert flags["real_rooted"] is real_rooted
         assert flags["all_negative"] is all_negative
+        # and each verdict on its own builds one chain
+        for verdict, want in ((realroot.is_real_rooted, real_rooted),
+                              (realroot.all_zeros_negative, all_negative)):
+            calls.clear()
+            assert verdict(Poly(coeffs)) is want
+            assert len(calls) == 1, (verdict.__name__, coeffs)
 
 
 def test_suite_registry_covers_all():

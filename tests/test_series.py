@@ -121,6 +121,15 @@ def test_z_whirl_binomial_squares():
         assert s.coefficient(n) == Poly([comb(n, k) ** 2 for k in range(n + 1)])
 
 
+def test_gf_low_orders_truncate_the_order_12_expansion():
+    # the radicands and numerators have up to three u-coefficients, which an
+    # order below 2 must drop rather than reject
+    for name in GF_NAMES:
+        full = gf_expand(name, 12).coeffs
+        for order in (1, 2, 3):
+            assert gf_expand(name, order).coeffs == full[:order + 1], (name, order)
+
+
 def test_gf_guards():
     with pytest.raises(ValueError):
         gf_expand("kl_fan", 0)
