@@ -22,8 +22,9 @@ from .poly import Poly
 # largest n any command accepts, so that no request runs for minutes: the
 # Sturm chain behind every record's root flags grows in length and in
 # coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
-# Xeon) it takes 0.06 s at n = 64, 0.39 s at n = 96 and 2.2 s at n = 128,
-# two thirds of it in Fraction poly_divmod and the rest in content stripping
+# Xeon, three runs) it takes 0.04-0.05 s at n = 64, 0.34-0.47 s at n = 96 and
+# 1.6-2.2 s at n = 128, three quarters of it in poly_divmod, whose quotients
+# leave the integers there, and the rest in content stripping
 N_MAX = 64
 
 
@@ -301,7 +302,7 @@ def _gf_matches(which, order):
     there up to the closed route's lo, and the closed form from lo on."""
     s = series.gf_expand(which, order)
     kind, family = which.split("_")
-    start = {"kl_fan": 0, "kl_wheel": 2, "kl_whirl": 1, "z_fan": 0, "z_wheel": 2, "z_whirl": 1}[which]
+    start = series.GF_START[which]
     closed, fams = ROUTES[kind, "closed"]
     lo = fams[family][0]
     for n in range(order + 1):

@@ -121,6 +121,14 @@ def _family_key(family):
     return family
 
 
+def _exact(num, den):
+    """num / den for ints; raises ArithmeticError when den does not divide num."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"closed-form term {num}/{den} is not an integer")
+    return q
+
+
 def kl_closed(family, n):
     """Closed-form KL polynomial: fan/square n>=1, wheel n>=2, whirl n>=3.
 
@@ -133,23 +141,22 @@ def kl_closed(family, n):
         if n < 1:
             raise ValueError("fan/square closed form needs n >= 1")
         for k in range((n - 1) // 2 + 1):
-            terms.append(Fraction(1, k + 1) * _multinomial(n - 1, k, k, n - 2 * k - 1))
+            terms.append(_exact(_multinomial(n - 1, k, k, n - 2 * k - 1), k + 1))
     elif family == "wheel":
         if n < 2:
             raise ValueError("wheel closed form needs n >= 2")
         for k in range((n - 1) // 2 + 1):
-            w = (
-                Fraction(k + 1, n - k)
-                + Fraction(k, n - k + 1)
-                - Fraction(k, n - k - 1)
-            )
-            terms.append(w * _multinomial(n, k, k + 1, n - 2 * k - 1))
+            # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
+            # its common denominator (n-k)(n-k+1)(n-k-1)
+            a, b, c = n - k, n - k + 1, n - k - 1
+            w = (k + 1) * b * c + k * a * c - k * a * b
+            terms.append(_exact(w * _multinomial(n, k, k + 1, n - 2 * k - 1), a * b * c))
     else:  # whirl
         if n < 3:
             raise ValueError("whirl closed form needs n >= 3")
         for k in range((n - 1) // 2 + 1):
-            terms.append(Fraction(n, n - k) * _multinomial(n - 1, k, k, n - 2 * k - 1))
-    return Poly(terms).integerized()
+            terms.append(_exact(n * _multinomial(n - 1, k, k, n - 2 * k - 1), n - k))
+    return Poly(terms)
 
 
 def z_closed(family, n):
@@ -160,20 +167,18 @@ def z_closed(family, n):
         if n < 1:
             raise ValueError("fan/square Z closed form needs n >= 1")
         for k in range(n + 1):
-            terms.append(Fraction(comb(n + 1, k + 1) * comb(n + 1, k), n + 1))
+            terms.append(_exact(comb(n + 1, k + 1) * comb(n + 1, k), n + 1))
     elif family == "wheel":
         if n < 2:
             raise ValueError("wheel Z closed form needs n >= 2")
         for k in range(n + 1):
-            terms.append(
-                comb(n, k) ** 2 - Fraction(2 * _comb(n, k + 1) * _comb(n, k - 1), n)
-            )
+            terms.append(comb(n, k) ** 2 - _exact(2 * _comb(n, k + 1) * _comb(n, k - 1), n))
     else:  # whirl
         if n < 1:
             raise ValueError("whirl Z closed form needs n >= 1")
         for k in range(n + 1):
             terms.append(comb(n, k) ** 2)
-    return Poly(terms).integerized()
+    return Poly(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,15 @@ from math import gcd, lcm
 NEG_INF = float("-inf")
 
 
+def _quotient(a, b):
+    """a / b, exact: an int when both are ints and b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, rem = divmod(a, b)
+        if not rem:
+            return q
+    return Fraction(a, b)
+
+
 def _norm_coeff(c):
     if isinstance(c, bool):
         raise TypeError("bool is not a polynomial coefficient")
@@ -65,9 +74,6 @@ class Poly:
             out.append(c)
         return Poly(out)
 
-    def rationalized(self):
-        return Poly([Fraction(c) for c in self.coeffs])
-
     def derivative(self):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
@@ -82,7 +88,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like its scalar, since it compares equal to it
+        cs = self.coeffs
+        if len(cs) <= 1:
+            return hash(cs[0] if cs else 0)
+        return hash(cs)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,6 +138,12 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, d):
+        """Division by a nonzero scalar; ints that d divides stay ints."""
+        if not isinstance(d, (int, Fraction)):
+            return NotImplemented
+        return Poly([_quotient(c, d) for c in self.coeffs])
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -201,19 +217,20 @@ def compose_rational(p, num, den, clear_power):
 
 
 def poly_divmod(a, b):
-    """Exact rational polynomial division: a = q*b + r with deg r < deg b."""
+    """Exact rational polynomial division: a = q*b + r with deg r < deg b.
+    A quotient coefficient stays an int when b's leading coefficient divides
+    it, so an exact division of int polynomials never leaves the integers."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.rationalized().coeffs)
-    qlen = len(r) - len(b.coeffs) + 1
-    if qlen <= 0:
-        return ZERO, Poly(r)
-    q = [Fraction(0)] * qlen
-    bl = Fraction(b.leading)
+    r = list(a.coeffs)
     bc = b.coeffs
+    qlen = len(r) - len(bc) + 1
+    if qlen <= 0:
+        return ZERO, a
+    q = [0] * qlen
+    bl = bc[-1]
     for i in range(qlen - 1, -1, -1):
-        c = r[i + len(bc) - 1] / bl
-        q[i] = c
+        c = q[i] = _quotient(r[i + len(bc) - 1], bl)
         if c:
             for j, bj in enumerate(bc):
                 r[i + j] -= c * bj

@@ -5,13 +5,14 @@ tests call (graph isomorphism, colorings, matroid minors, root isolation)."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
 from matroidkl.graphs import SimpleGraph
 from matroidkl.matroids import Flat, RankOracleMatroid
-from matroidkl.poly import Poly, divexact, poly_divmod, poly_gcd, primitive_part
+from matroidkl.poly import ONE, ZERO, Poly, divexact, poly_gcd, primitive_part
+from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import (
     NEG_INF,
     POS_INF,
@@ -741,10 +742,10 @@ def interleaves_by_isolation(g, f):
 def euclid_over_q(a, b):
     """Signed remainder sequence a, b, -rem(a, b), ... over Q, no content
     stripped, down to the last nonzero term; a zero b ends it at a."""
-    seq = [a.rationalized()]
+    seq = [a]
     while b:
-        seq.append(b.rationalized())
-        b = -poly_divmod(seq[-2], seq[-1])[1]
+        seq.append(b)
+        b = -poly_divmod_over_q(seq[-2], seq[-1])[1]
     return seq
 
 
@@ -785,3 +786,130 @@ def interleaves_by_squarefree_chain(g, f):
         return True
     seq = euclid_over_q(f1, divexact(g, h))
     return _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF) == f1.degree
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic over Q: the library keeps its expand route in the
+# integers (series in v = u/2, divisions that stay ints, closed forms by
+# exact integer division); these compute the same values over Fraction
+
+
+def poly_divmod_over_q(a, b):
+    """a = q*b + r with deg r < deg b, dividing every step by b's leading
+    coefficient as a Fraction: each quotient coefficient is a Fraction until
+    Poly turns the integral ones back into ints."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    qlen = len(r) - len(b.coeffs) + 1
+    if qlen <= 0:
+        return ZERO, Poly(r)
+    q = [Fraction(0)] * qlen
+    bl = Fraction(b.leading)
+    bc = b.coeffs
+    for i in range(qlen - 1, -1, -1):
+        c = r[i + len(bc) - 1] / bl
+        q[i] = c
+        if c:
+            for j, bj in enumerate(bc):
+                r[i + j] -= c * bj
+    return Poly(q), Poly(r)
+
+
+def _multinomial(n, *parts):
+    if any(p < 0 for p in parts) or sum(parts) != n:
+        return 0
+    out = factorial(n)
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def kl_closed_over_q(family, n):
+    """The closed-form KL polynomials with Fraction weights, as printed."""
+    terms = []
+    for k in range((n - 1) // 2 + 1):
+        if family in ("fan", "square"):
+            terms.append(Fraction(1, k + 1) * _multinomial(n - 1, k, k, n - 2 * k - 1))
+        elif family == "wheel":
+            w = Fraction(k + 1, n - k) + Fraction(k, n - k + 1) - Fraction(k, n - k - 1)
+            terms.append(w * _multinomial(n, k, k + 1, n - 2 * k - 1))
+        else:  # whirl
+            terms.append(Fraction(n, n - k) * _multinomial(n - 1, k, k, n - 2 * k - 1))
+    return Poly(terms).integerized()
+
+
+def z_closed_over_q(family, n):
+    """The closed-form Z-polynomials with Fraction terms, as printed."""
+    def c(a, b):
+        return comb(a, b) if 0 <= b <= a else 0
+
+    terms = []
+    for k in range(n + 1):
+        if family in ("fan", "square"):
+            terms.append(Fraction(comb(n + 1, k + 1) * comb(n + 1, k), n + 1))
+        elif family == "wheel":
+            terms.append(comb(n, k) ** 2 - Fraction(2 * c(n, k + 1) * c(n, k - 1), n))
+        else:  # whirl
+            terms.append(comb(n, k) ** 2)
+    return Poly(terms).integerized()
+
+
+def _inverse_over_q(s):
+    inv0 = Fraction(1) / Fraction(s.coeffs[0].coeff(0))
+    out = [Poly([inv0])]
+    for k in range(1, s.order + 1):
+        acc = ZERO
+        for i in range(1, k + 1):
+            acc = acc + s.coeffs[i] * out[k - i]
+        out.append(acc * -inv0)
+    return TruncSeries(s.order, out)
+
+
+def _sqrt_over_q(s):
+    out = [ONE]
+    for k in range(1, s.order + 1):
+        acc = s.coeffs[k]
+        for i in range(1, k):
+            acc = acc - out[i] * out[k - i]
+        out.append(acc * Fraction(1, 2))
+    return TruncSeries(s.order, out)
+
+
+def gf_expand_over_q(which, order):
+    """The six generating functions expanded in u itself, as printed, with
+    Fraction halving in every square root and Fraction inverses of the
+    constant terms 2."""
+    assert which in GF_NAMES and 1 <= order <= MAX_ORDER
+    n = order
+    t = Poly([0, 1])
+
+    def ser(*coeffs):
+        return TruncSeries(n, coeffs[:n + 1])
+
+    one, u = ser(1), ser(0, 1)
+    if which.startswith("kl"):
+        rad = _sqrt_over_q(ser(1, -2, Poly([1, -4])))
+        if which == "kl_fan":
+            result = one + ser(0, 2) * _inverse_over_q(one - u + rad)
+        elif which == "kl_wheel":
+            u_plus_1 = ser(1, 1)
+            term1 = ser(-2, 2) * _inverse_over_q(rad - u + one)
+            term2 = ser(-2, 2, 2) * _inverse_over_q(u_plus_1 * (rad + u + one))
+            term3 = ser(0, 2) * _inverse_over_q(u_plus_1 * rad)
+            result = term1 - term2 + term3
+        else:  # kl_whirl
+            tu_plus_1 = ser(1, t)
+            result = ser(1, 1) * _inverse_over_q(ser(2) * tu_plus_1 * rad) - _inverse_over_q(
+                ser(2) * tu_plus_1)
+    else:
+        rad = _sqrt_over_q(ser(1, Poly([-2, -2]), Poly([1, -2, 1])))
+        if which == "z_fan":
+            result = ser(2) * _inverse_over_q(rad - ser(0, Poly([1, 1])) + one)
+        elif which == "z_wheel":
+            numer = ser(0, 2) * ser(1, Poly([-1, -1])) * ser(Poly([1, 1]), t)
+            denom = ser(1, Poly([-1, -1]), Poly([0, -2])) + rad
+            result = _inverse_over_q(rad) - one - numer * _inverse_over_q(denom)
+        else:  # z_whirl
+            result = _inverse_over_q(rad) - one
+    return result.integerized()

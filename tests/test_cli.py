@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +164,19 @@ def test_verify_gf_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gf", "--order", "1")
     assert code == 0, out
     assert len(pass_names(out)) == 6 and "FAIL" not in out
+
+
+def test_python_m_matroidkl_runs():
+    # the package runs as a module, from the same source tree as the tests
+    import matroidkl
+
+    src = os.path.dirname(os.path.dirname(matroidkl.__file__))
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "matroidkl", "verify", "--suite", "gf",
+                           "--order", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("6/6 checks passed\n")
 
 
 def test_verify_oracle_suite_small(capsys):

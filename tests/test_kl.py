@@ -4,11 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import below_lists, characteristic_by_masks, contraction, lattice_isomorphic, localization
-from matroidkl import cli, kl
+from conftest import (
+    below_lists,
+    characteristic_by_masks,
+    contraction,
+    kl_closed_over_q,
+    lattice_isomorphic,
+    localization,
+    z_closed_over_q,
+)
+from matroidkl import cli, kl, poly
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
 from matroidkl.poly import Poly, reverse_scaled
+from matroidkl.series import GF_NAMES, gf_expand
 
 
 def fam_matroid(family, n):
@@ -138,6 +147,55 @@ def test_recurrence_matches_closed_forms():
         assert kl.kl_recurrence("wheel", n) == kl.kl_closed("wheel", n)
     for n in range(3, 26):
         assert kl.kl_recurrence("whirl", n) == kl.kl_closed("whirl", n)
+
+
+def closed_range(kind, family, hi):
+    return range(cli.ROUTES[kind, "closed"][1][family][0], hi + 1)
+
+
+@pytest.mark.parametrize("family", ["fan", "wheel", "whirl"])
+def test_recurrence_matches_fraction_closed_oracle(family):
+    for n in closed_range("kl", family, 200):
+        assert kl.kl_recurrence(family, n) == kl_closed_over_q(family, n), n
+
+
+@pytest.mark.parametrize("family", kl.FAMILIES)
+def test_closed_forms_match_fraction_oracle(family):
+    for n in closed_range("kl", family, 200):
+        assert kl.kl_closed(family, n) == kl_closed_over_q(family, n), n
+    for n in closed_range("z", family, 200):
+        assert kl.z_closed(family, n) == z_closed_over_q(family, n), n
+
+
+def test_expand_route_builds_no_fraction(monkeypatch):
+    # every polynomial the series, the recurrences and the closed forms
+    # build, the recurrence cache included, has int coefficients only
+    norm = poly._norm_coeff
+
+    def no_fraction(c):
+        if isinstance(c, Fraction):
+            raise AssertionError(f"Fraction coefficient {c} on the expand route")
+        return norm(c)
+
+    monkeypatch.setattr(poly, "_norm_coeff", no_fraction)
+    monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
+    for name in GF_NAMES:
+        gf_expand(name, 24)
+    for family in ("fan", "wheel", "whirl"):
+        kl.kl_recurrence(family, 60)
+    for family in kl.FAMILIES:
+        for n in closed_range("kl", family, 30):
+            kl.kl_closed(family, n)
+        for n in closed_range("z", family, 30):
+            kl.z_closed(family, n)
+    with pytest.raises(AssertionError):  # the guard itself is live
+        Poly([Fraction(1, 2)])
+
+
+def test_closed_form_exact_division_signal():
+    assert kl._exact(12, -4) == -3
+    with pytest.raises(ArithmeticError):
+        kl._exact(7, 2)
 
 
 def test_recurrence_transcription_digests():

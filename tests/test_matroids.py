@@ -16,7 +16,7 @@ from conftest import (
     rank_table_by_union_find,
     simplification,
 )
-from matroidkl import kl, matroids
+from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     Flat,
@@ -32,20 +32,53 @@ from matroidkl.poly import Poly
 T2 = Poly([-2, 1])
 
 
-def exhaustive_axiom_check(m):
-    t = m.table
-    full = (1 << m.m) - 1
-    for x in range(full + 1):
-        for e in range(m.m):
+def axioms_hold_by_loops(table, m):
+    """Unit increment and local submodularity, one (X, e, f) at a time."""
+    t = table
+    for x in range(1 << m):
+        for e in range(m):
             if x >> e & 1:
                 continue
             xe = x | 1 << e
-            assert t[x] <= t[xe] <= t[x] + 1  # monotone unit increments
-            for f in range(e + 1, m.m):
+            if not t[x] <= t[xe] <= t[x] + 1:  # monotone unit increments
+                return False
+            for f in range(e + 1, m):
                 if x >> f & 1:
                     continue
                 xf = x | 1 << f
-                assert t[xe] + t[xf] >= t[xe | xf] + t[x]  # local submodularity
+                if t[xe] + t[xf] < t[xe | xf] + t[x]:  # local submodularity
+                    return False
+    return True
+
+
+def axioms_hold(table, m):
+    """The same two axioms for every X, e and f at once, with the table read
+    as one integer T whose byte X is t(X) (every rank is below 0x80).
+
+    For each e, M_e has byte X = 0xff exactly when X lacks e, and G_e the
+    0x80 bit of those bytes.  In D = ((T >> 8*2^e) & M_e | G_e) - (T & M_e)
+    byte X is 0x80 + t(X+e) - t(X): the 0x80 stops any borrow, so the
+    increments are all 0 or 1 exactly when D ^ G_e has no bit but the lowest
+    of each byte.  Then byte X of d = D ^ G_e is the increment of e at X,
+    and local submodularity says it never grows: no f has d(X+f) = 1 where
+    d(X) = 0."""
+    size = 1 << m
+    if max(table) >= 0x80:
+        return False
+    tab = int.from_bytes(table, "little")
+    high = int.from_bytes(b"\x80" * size, "little")
+    not_low = int.from_bytes(b"\xfe" * size, "little")
+    lacks = [int.from_bytes((b"\xff" * (1 << e) + bytes(1 << e)) * (size >> (e + 1)), "little")
+             for e in range(m)]
+    for e, m_e in enumerate(lacks):
+        g_e = m_e & high
+        d = ((((tab >> (8 << e)) & m_e) | g_e) - (tab & m_e)) ^ g_e
+        if d & not_low:
+            return False
+        for f, m_f in enumerate(lacks):
+            if f != e and (d >> (8 << f)) & m_f & ~d:
+                return False
+    return True
 
 
 def test_graphic_examples():
@@ -64,15 +97,51 @@ def test_graphic_examples():
 
 
 def test_rank_axioms_exhaustive():
-    # exhaustive up to 12 elements; larger oracles rely on the constructor's
-    # random spot checks
+    # the loop check on small tables; test_rank_axioms_exact checks every
+    # table up to the rank table's 16 elements with the bitwise check
     for m in (
         graphic_matroid(make_family("fan", 5)),
         graphic_matroid(make_family("wheel", 6)),
         whirl_matroid(5),
         graphic_matroid(SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])),
     ):
-        exhaustive_axiom_check(m)
+        assert axioms_hold_by_loops(m.table, m.m)
+
+
+def test_bitwise_axiom_check_matches_loops():
+    # valid tables, and the same tables with one rank moved by one, two or
+    # three: the bitwise check must reject exactly what the loops reject
+    rng = random.Random(31)
+    matroids_ = [graphic_matroid(make_family(name, n))
+                 for name, n in (("fan", 4), ("wheel", 4), ("cycle", 5))] + [whirl_matroid(4)]
+    rejected = 0
+    for matroid in matroids_:
+        m = matroid.m
+        assert axioms_hold(matroid.table, m) and axioms_hold_by_loops(matroid.table, m)
+        for _ in range(40):
+            bad = bytearray(matroid.table)
+            x = rng.randrange(1, 1 << m)
+            bad[x] = max(0, bad[x] + rng.choice((-3, -2, -1, 1, 2, 3)))
+            want = axioms_hold_by_loops(bad, m)
+            assert axioms_hold(bad, m) == want, (m, x, bad[x])
+            rejected += not want
+    assert rejected > 100
+
+
+def test_rank_axioms_exact():
+    # every table the constructors build over the brute routes' range, and
+    # random graphs with at most 16 edges
+    for family, (lo, hi) in cli.ROUTES["kl", "brute"][1].items():
+        for n in range(lo, hi + 1):
+            m = kl.family_matroid(family, n)
+            assert axioms_hold(m.table, m.m), (family, n)
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        pairs = list(combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(1, min(16, len(pairs)))))
+        m = graphic_matroid(SimpleGraph(n, edges))
+        assert axioms_hold(m.table, m.m), edges
 
 
 def test_loop_rejection():

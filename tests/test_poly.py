@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gcd_over_q
+from conftest import gcd_over_q, poly_divmod_over_q
 from matroidkl.poly import (
     NEG_INF,
     ZERO,
@@ -159,6 +159,42 @@ def test_ring_laws_property(polys, data):
     assert a - b == a + -b and a - a == ZERO
     assert a * k == a * Poly([k]) == k * a
     assert (a * b).degree == a.degree + b.degree
+
+
+def coeff_types(p):
+    return [type(c) for c in p.coeffs]
+
+
+# FRAC_POLYS mixes int and Fraction coefficients; leading coefficients of
+# either sign come from both strategies
+@pytest.mark.parametrize("dividends, divisors", [
+    (INT_POLYS, INT_POLYS.filter(bool)),
+    (FRAC_POLYS, FRAC_POLYS.filter(bool)),
+    (INT_POLYS, FRAC_POLYS.filter(bool)),
+    (FRAC_POLYS, INT_POLYS.filter(bool)),
+], ids=["int", "mixed", "int-by-mixed", "mixed-by-int"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_divmod_matches_rational_oracle(dividends, divisors, data):
+    a = data.draw(dividends)
+    b = data.draw(divisors)
+    # a multiple of b as well, so the exact (zero remainder) case is common
+    for dividend in (a, a * b):
+        q, r = poly_divmod(dividend, b)
+        want_q, want_r = poly_divmod_over_q(dividend, b)
+        assert (q, r) == (want_q, want_r)
+        assert coeff_types(q) == coeff_types(want_q) and coeff_types(r) == coeff_types(want_r)
+        assert q * b + r == dividend
+
+
+def test_constant_poly_hashes_like_its_scalar():
+    for c in (0, 1, -3, 7**40, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2)):
+        p = Poly([c])
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+    assert ZERO == 0 and hash(ZERO) == hash(0) and 0 in {ZERO}
+    assert {Poly([3]): "p"}[3] == "p"
+    assert hash(Poly([1, 2])) == hash(Poly([Fraction(2, 2), 2]))
 
 
 def test_integerized_signal():

@@ -5,9 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gf_expand_over_q
 from matroidkl import kl
 from matroidkl.poly import Poly
-from matroidkl.series import GF_NAMES, TruncSeries, gf_expand
+from matroidkl.series import GF_NAMES, GF_START, MAX_ORDER, TruncSeries, gf_expand
 
 ONE = Poly([1])
 
@@ -128,6 +129,43 @@ def test_gf_low_orders_truncate_the_order_12_expansion():
         full = gf_expand(name, 12).coeffs
         for order in (1, 2, 3):
             assert gf_expand(name, order).coeffs == full[:order + 1], (name, order)
+
+
+# every order up to 32, then 48 and MAX_ORDER = 64, each against the order-64
+# oracle truncated: expanding at all 64 orders would take about 33 s, and
+# the oracle alone takes about 9 s at order 64 for the six series
+ORACLE_ORDERS = [*range(1, 33), 48, MAX_ORDER]
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_gf_expand_matches_u_space_oracle(name):
+    want = gf_expand_over_q(name, MAX_ORDER).coeffs
+    for order in ORACLE_ORDERS:
+        got = gf_expand(name, order).coeffs
+        assert got == want[:order + 1], (name, order)
+        assert all(type(c) is int for p in got for c in p.coeffs)
+
+
+def test_gf_start_is_where_each_series_starts():
+    assert set(GF_START) == set(GF_NAMES)
+    for name in GF_NAMES:
+        s = gf_expand(name, 6)
+        start = GF_START[name]
+        assert all(s.coefficient(k).is_zero() for k in range(start))
+        assert not s.coefficient(start).is_zero()
+
+
+def test_exact_halving_keeps_ints():
+    assert S(3, 2, Poly([4, -6])) / 2 == S(3, 1, Poly([2, -3]))
+    assert all(type(c) is int for p in (S(3, 2, Poly([4, -6])) / 2).coeffs for c in p.coeffs)
+    assert S(2, 1, 3) / 2 == S(2, Fraction(1, 2), Fraction(3, 2))
+    # sqrt(1 + 4x) = 1 + 2x - 2x^2 + 4x^3 - 10x^4: even steps halve in ints
+    r = S(4, 1, 4).sqrt()
+    assert r == S(4, 1, 2, -2, 4, -10)
+    assert all(type(c) is int for p in r.coeffs for c in p.coeffs)
+    inv = S(4, -1, Poly([0, 3])).inverse()
+    assert inv * S(4, -1, Poly([0, 3])) == S(4, 1)
+    assert all(type(c) is int for p in inv.coeffs for c in p.coeffs)
 
 
 def test_gf_guards():
