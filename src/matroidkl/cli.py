@@ -22,9 +22,9 @@ from .poly import Poly
 # largest n any command accepts, so that no request runs for minutes: the
 # Sturm chain behind every record's root flags grows in length and in
 # coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
-# Xeon, three runs) it takes 0.04-0.05 s at n = 64, 0.34-0.47 s at n = 96 and
-# 1.6-2.2 s at n = 128, three quarters of it in poly_divmod, whose quotients
-# leave the integers there, and the rest in content stripping
+# Xeon, three runs) it takes 0.015-0.016 s at n = 64, 0.15-0.18 s at n = 96
+# and 0.79-0.85 s at n = 128, about half of it in pseudo-division, which stays
+# in the integers, and half in content stripping
 N_MAX = 64
 
 
@@ -49,6 +49,13 @@ def _kl_function(name, family, n):
     return getattr(kl, name)(family, n)
 
 
+def _kl_route(name):
+    """The route of kl's closed form or recurrence `name`: from its first n in
+    kl.FIRST_N, but at least 1, up to N_MAX."""
+    return (partial(_kl_function, name),
+            {fam: (max(lo, 1), N_MAX) for fam, lo in kl.FIRST_N[name].items()})
+
+
 # ROUTES[(kind, method)] = (fn(family, n), {family: (lo, hi)}): the supported
 # matrix.  The lattice routes stop at the rank table's bound of
 # matroids.MAX_GROUND = 16 elements (fan and square 8 have 15, wheel and whirl
@@ -57,24 +64,18 @@ def _kl_function(name, family, n):
 _BRUTE = {"fan": (1, 8), "square": (1, 8), "wheel": (3, 8), "whirl": (3, 8)}
 ROUTES = {
     ("kl", "brute"): (partial(_lattice_brute, "kl_poly"), _BRUTE),
-    ("kl", "closed"): (partial(_kl_function, "kl_closed"),
-                       {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
-                        "whirl": (3, N_MAX)}),
-    ("kl", "recurrence"): (partial(_kl_function, "kl_recurrence"),
-                           {"fan": (1, N_MAX), "wheel": (2, N_MAX), "whirl": (1, N_MAX)}),
+    ("kl", "closed"): _kl_route("kl_closed"),
+    ("kl", "recurrence"): _kl_route("kl_recurrence"),
     ("z", "brute"): (partial(_lattice_brute, "z_poly"), _BRUTE),
-    ("z", "closed"): (partial(_kl_function, "z_closed"),
-                      {"fan": (1, N_MAX), "square": (1, N_MAX), "wheel": (2, N_MAX),
-                       "whirl": (1, N_MAX)}),
+    ("z", "closed"): _kl_route("z_closed"),
     ("chromatic", "brute"): (_chromatic_brute, {"fan": (1, 10), "square": (1, 10),
                                                 "wheel": (3, 10)}),
-    ("chromatic", "closed"): (partial(_kl_function, "chromatic_closed"),
-                              {"fan": (1, N_MAX), "wheel": (3, N_MAX)}),
+    ("chromatic", "closed"): _kl_route("chromatic_closed"),
     ("characteristic", "brute"): (_characteristic_brute, _BRUTE),
-    ("characteristic", "closed"): (partial(_kl_function, "characteristic_closed"),
-                                   {"fan": (1, N_MAX), "square": (1, N_MAX),
-                                    "wheel": (3, N_MAX), "whirl": (3, N_MAX)}),
+    ("characteristic", "closed"): _kl_route("characteristic_closed"),
 }
+KINDS = tuple(dict.fromkeys(kind for kind, _ in ROUTES))
+METHODS = tuple(dict.fromkeys(method for _, method in ROUTES))
 
 
 def supported_matrix():
@@ -362,7 +363,9 @@ def build_suite(suite, max_n=None, order=None):
             use = min(o, 10) if which == "kl_wheel" else o
             add(f"gf/{which}/order-{use}", _gf_matches, which, use)
     if suite in ("recurrence", "all"):
-        for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3)):
+        # from where both the recurrence and the closed form hold
+        for fam, first in kl.FIRST_N["kl_recurrence"].items():
+            lo = max(first, kl.FIRST_N["kl_closed"][fam])
             add_range(f"recurrence/{fam}/n-", lo, up_to(40), _agrees,
                       partial(kl.kl_recurrence, fam), partial(kl.kl_closed, fam))
     if suite in ("roots", "all"):
@@ -436,10 +439,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="one polynomial as a JSON line or CSV row")
-    pc.add_argument("--family", required=True, choices=["fan", "square", "wheel", "whirl"])
+    pc.add_argument("--family", required=True, choices=kl.FAMILIES)
     pc.add_argument("--n", required=True, type=int)
-    pc.add_argument("--kind", required=True, choices=["kl", "z", "chromatic", "characteristic"])
-    pc.add_argument("--method", default="closed", choices=["brute", "closed", "recurrence"])
+    pc.add_argument("--kind", required=True, choices=KINDS)
+    pc.add_argument("--method", default="closed", choices=METHODS)
     pc.add_argument("--format", default="json", choices=["json", "csv"])
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -454,8 +457,8 @@ def build_parser():
                     help="worker processes, 1 (the default) to the CPU count")
 
     pt = sub.add_parser("table", help="closed-form table over a range of n")
-    pt.add_argument("--family", required=True, choices=["fan", "square", "wheel", "whirl"])
-    pt.add_argument("--kind", required=True, choices=["kl", "z", "chromatic", "characteristic"])
+    pt.add_argument("--family", required=True, choices=kl.FAMILIES)
+    pt.add_argument("--kind", required=True, choices=KINDS)
     pt.add_argument("--max-n", dest="max_n", type=int, required=True)
     pt.add_argument("--format", default="csv", choices=["json", "csv"])
     return parser

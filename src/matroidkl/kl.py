@@ -102,83 +102,75 @@ def z_poly(matroid):
 # closed forms
 
 
-def _multinomial(n, *parts):
-    if any(p < 0 for p in parts) or sum(parts) != n:
-        return 0
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 def _comb(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def _family_key(family):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return family
+# FIRST_N[name][family]: the first n at which the closed form or recurrence
+# `name` holds, for each family it covers; the one copy of these domains.
+FIRST_N = {
+    "kl_closed": {"fan": 1, "square": 1, "wheel": 2, "whirl": 3},
+    "z_closed": {"fan": 1, "square": 1, "wheel": 2, "whirl": 1},
+    "kl_recurrence": {"fan": 0, "wheel": 2, "whirl": 1},
+    "chromatic_closed": {"fan": 1, "wheel": 3},
+    "characteristic_closed": {"fan": 1, "square": 1, "wheel": 3, "whirl": 3},
+}
+
+
+def _first_n(name, family, n):
+    """FIRST_N[name][family]; raises ValueError unless name covers family and
+    n is at least that first n."""
+    first = FIRST_N[name].get(family)
+    if first is None:
+        raise ValueError(f"{name} covers the families {tuple(FIRST_N[name])}, not {family!r}")
+    if n < first:
+        raise ValueError(f"{family} {name} needs n >= {first}")
+    return first
 
 
 def _exact(num, den):
     """num / den for ints; raises ArithmeticError when den does not divide num."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"closed-form term {num}/{den} is not an integer")
+        raise ArithmeticError(f"term {num}/{den} is not an integer")
     return q
 
 
 def kl_closed(family, n):
-    """Closed-form KL polynomial: fan/square n>=1, wheel n>=2, whirl n>=3.
+    """Closed-form KL polynomial from n = FIRST_N["kl_closed"][family] on.
 
     The wheel formula is established for n >= 3; n=2 is an informational
-    extension that evaluates to 1, the 3-cycle value.
+    extension that evaluates to 1, the 3-cycle value.  The multinomials
+    (n-1; k, k, n-2k-1) and (n; k, k+1, n-2k-1) are read as products of two
+    binomials.
     """
-    family = _family_key(family)
-    terms = []
+    _first_n("kl_closed", family, n)
+    ks = range((n - 1) // 2 + 1)
     if family in ("fan", "square"):
-        if n < 1:
-            raise ValueError("fan/square closed form needs n >= 1")
-        for k in range((n - 1) // 2 + 1):
-            terms.append(_exact(_multinomial(n - 1, k, k, n - 2 * k - 1), k + 1))
-    elif family == "wheel":
-        if n < 2:
-            raise ValueError("wheel closed form needs n >= 2")
-        for k in range((n - 1) // 2 + 1):
-            # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
-            # its common denominator (n-k)(n-k+1)(n-k-1)
-            a, b, c = n - k, n - k + 1, n - k - 1
-            w = (k + 1) * b * c + k * a * c - k * a * b
-            terms.append(_exact(w * _multinomial(n, k, k + 1, n - 2 * k - 1), a * b * c))
-    else:  # whirl
-        if n < 3:
-            raise ValueError("whirl closed form needs n >= 3")
-        for k in range((n - 1) // 2 + 1):
-            terms.append(_exact(n * _multinomial(n - 1, k, k, n - 2 * k - 1), n - k))
+        return Poly([_exact(comb(n - 1, 2 * k) * comb(2 * k, k), k + 1) for k in ks])
+    if family == "whirl":
+        return Poly([_exact(n * comb(n - 1, 2 * k) * comb(2 * k, k), n - k) for k in ks])
+    terms = []
+    for k in ks:
+        # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
+        # its common denominator (n-k)(n-k+1)(n-k-1)
+        a, b, c = n - k, n - k + 1, n - k - 1
+        w = (k + 1) * b * c + k * a * c - k * a * b
+        terms.append(_exact(w * comb(n, 2 * k + 1) * comb(2 * k + 1, k), a * b * c))
     return Poly(terms)
 
 
 def z_closed(family, n):
-    """Closed-form Z-polynomial: fan n>=1 (Narayana), wheel n>=2, whirl n>=1."""
-    family = _family_key(family)
-    terms = []
+    """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on; the
+    fan's is the Narayana polynomial of index n + 1."""
+    _first_n("z_closed", family, n)
+    ks = range(n + 1)
     if family in ("fan", "square"):
-        if n < 1:
-            raise ValueError("fan/square Z closed form needs n >= 1")
-        for k in range(n + 1):
-            terms.append(_exact(comb(n + 1, k + 1) * comb(n + 1, k), n + 1))
-    elif family == "wheel":
-        if n < 2:
-            raise ValueError("wheel Z closed form needs n >= 2")
-        for k in range(n + 1):
-            terms.append(comb(n, k) ** 2 - _exact(2 * _comb(n, k + 1) * _comb(n, k - 1), n))
-    else:  # whirl
-        if n < 1:
-            raise ValueError("whirl Z closed form needs n >= 1")
-        for k in range(n + 1):
-            terms.append(comb(n, k) ** 2)
-    return Poly(terms)
+        return Poly([_exact(comb(n + 1, k + 1) * comb(n + 1, k), n + 1) for k in ks])
+    if family == "wheel":
+        return Poly([comb(n, k) ** 2 - _exact(2 * _comb(n, k + 1) * _comb(n, k - 1), n)
+                     for k in ks])
+    return Poly([comb(n, k) ** 2 for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +277,25 @@ def _rec_sequence(family, length):
 def kl_recurrence(family, n):
     """Evaluate the printed P-recursive recurrences with their printed seeds.
 
-    Index conventions: fan n>=0 gives P of the fan on n path vertices; wheel
-    n>=2; whirl n>=1.
+    Each sequence starts at its family's first n, so a[n - first] is P of
+    order n: fan n>=0 gives P of the fan on n path vertices; wheel n>=2;
+    whirl n>=1.
     """
-    if family == "fan":
-        if n < 0:
-            raise ValueError("fan recurrence needs n >= 0")
-        return _rec_sequence("fan", n + 1)[n]
-    if family == "wheel":
-        if n < 2:
-            raise ValueError("wheel recurrence needs n >= 2")
-        return _rec_sequence("wheel", n - 1)[n - 2]
-    if family == "whirl":
-        if n < 1:
-            raise ValueError("whirl recurrence needs n >= 1")
-        return _rec_sequence("whirl", n)[n - 1]
-    raise ValueError("recurrences exist for fan, wheel and whirl only")
+    first = _first_n("kl_recurrence", family, n)
+    return _rec_sequence(family, n - first + 1)[n - first]
 
 
 def hadamard_wheel_coeff(n, k):
     """Three-sequence factorization of the wheel KL coefficients:
-    a_k * b_k * c_k equals the t^k coefficient of the wheel polynomial."""
+    a_k * b_k * c_k equals the t^k coefficient of the wheel polynomial.  a_k
+    and c_k (a Lucas polynomial coefficient) are ints, b_k a Fraction."""
     if n < 3:
         raise ValueError("needs n >= 3")
     if not 0 <= k <= (n - 1) // 2:
         raise ValueError("k out of range")
     a = (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + (k**3 + 3 * k**2 - k - 1)
     b = Fraction(factorial(n), (n - 1) * factorial(k + 1) * factorial(n + 1 - k))
-    c = Fraction((n - 1) * factorial(n - 2 - k), factorial(k) * factorial(n - 1 - 2 * k))
+    c = _exact((n - 1) * factorial(n - 2 - k), factorial(k) * factorial(n - 1 - 2 * k))
     return a, b, c
 
 
@@ -327,24 +310,17 @@ def multiplicative_kl(g):
 def chromatic_closed(family, n):
     """Closed-form chromatic polynomial of the fan or wheel graph: t times the
     characteristic polynomial of its cycle matroid, as both are connected."""
-    if _family_key(family) not in ("fan", "wheel"):
-        raise ValueError(f"no chromatic closed form for {family}")
+    _first_n("chromatic_closed", family, n)
     return T * characteristic_closed(family, n)
 
 
 def characteristic_closed(family, n):
     """Closed-form characteristic polynomial of the family matroid."""
-    family = _family_key(family)
+    _first_n("characteristic_closed", family, n)
     if family in ("fan", "square"):
-        if n < 1:
-            raise ValueError("fan/square needs n >= 1")
         return Poly([-1, 1]) * Poly([-2, 1]) ** (n - 1)
     if family == "wheel":
-        if n < 3:
-            raise ValueError("wheel needs n >= 3")
         return Poly([-2, 1]) ** n - (-1) ** (n - 1) * Poly([-2, 1])
-    if n < 3:
-        raise ValueError("whirl needs n >= 3")
     return Poly([-2, 1]) ** n - Poly([(-1) ** n])
 
 
@@ -353,15 +329,15 @@ def characteristic_closed(family, n):
 
 
 def family_graph(family, n):
-    family = _family_key(family)
     if family == "whirl":
         raise ValueError("the whirl is not a graph")
-    name = {"fan": "fan", "square": "square_of_path", "wheel": "wheel"}[family]
+    name = {"fan": "fan", "square": "square_of_path", "wheel": "wheel"}.get(family)
+    if name is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     return _graphs.make_family(name, n)
 
 
 def family_matroid(family, n):
-    family = _family_key(family)
     if family == "whirl":
         return _matroids.whirl_matroid(n)
     return _matroids.graphic_matroid(family_graph(family, n))

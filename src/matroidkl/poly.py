@@ -47,6 +47,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, k, c=1):
+        if k < 0:
+            raise ValueError(f"monomial needs a nonnegative exponent, got {k}")
         return cls((0,) * k + (c,))
 
     @property
@@ -261,11 +263,18 @@ def remainder_sequence(a, b):
     """Signed remainder sequence a, b, -rem(a, b), ... down to the last
     nonzero term, which is gcd(a, b).  Every term is content-stripped: that
     keeps its signs and stops its coefficients swelling.  A zero b ends the
-    sequence at a."""
+    sequence at a.
+
+    Each step pseudo-divides: it scales the dividend by |lc(b)|^(deg a -
+    deg b + 1), which keeps every quotient coefficient an int, and, being
+    positive, changes the remainder only by a positive factor that content
+    stripping removes."""
     seq = [primitive_part(a)]
     while b:
-        seq.append(primitive_part(b))
-        b = -poly_divmod(seq[-2], seq[-1])[1]
+        a, b = seq[-1], primitive_part(b)
+        seq.append(b)
+        scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
+        b = -poly_divmod(a * scale, b)[1]
     return seq
 
 

@@ -80,10 +80,13 @@ def _roots_le(chain, x):
 
 def count_real_roots(p, lo=None, hi=None):
     """Distinct real roots of p in the half-open interval (lo, hi]; None
-    endpoints mean -inf / +inf."""
+    endpoints mean -inf / +inf; lo > hi is refused."""
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"count_real_roots needs lo <= hi, got lo={lo}, hi={hi}")
     chain = sturm_chain(squarefree_part(p))
-    upper = _roots_le(chain, POS_INF if hi is None else Fraction(hi))
-    lower = 0 if lo is None else _roots_le(chain, Fraction(lo))
+    upper = _roots_le(chain, POS_INF if hi is None else hi)
+    lower = 0 if lo is None else _roots_le(chain, lo)
     return upper - lower
 
 
@@ -136,7 +139,7 @@ def n_sequence_check(gamma, n):
     sum(gamma_k * C(n,k) * t^k) has only real zeros, all of one sign."""
     if len(gamma) != n + 1:
         raise ValueError("gamma must have length n+1")
-    p = Poly([Fraction(gamma[k]) * comb(n, k) for k in range(n + 1)])
+    p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
     if p.is_zero():
         return True
     chain = sturm_chain(p)
@@ -151,9 +154,7 @@ def narayana_polynomial(n):
     """Classical Narayana polynomial."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return Poly(
-        [Fraction(comb(n, k) * comb(n, k + 1), n) for k in range(n)]
-    ).integerized()
+    return Poly([_kl._exact(comb(n, k) * comb(n, k + 1), n) for k in range(n)])
 
 
 def lucas_polynomial(n):
@@ -207,7 +208,7 @@ def verify_lucas_fibonacci(n):
     if n < 3:
         raise ValueError("needs n >= 3")
     m = (n - 1) // 2
-    f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)]).integerized()
+    f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)])
     recon = [0] * n
     for k in range(m + 1):
         recon[n - 1 - 2 * k] = f_n.coeff(k)
@@ -237,11 +238,6 @@ def verify_wheel_z_quadratic(n):
     disc = (n**2 - n + 4) ** 2 - 4 * (n + 1) ** 2
     if disc != (n - 1) * (n - 2) * (n**2 + n + 6) or disc <= 0:
         return False
-    z = Poly(
-        [
-            Fraction(gammas[k] * factorial(n - 1) * comb(n, k))
-            / (factorial(k + 1) * factorial(n + 1 - k))
-            for k in range(n + 1)
-        ]
-    ).integerized()
+    z = Poly([_kl._exact(gammas[k] * factorial(n - 1) * comb(n, k),
+                         factorial(k + 1) * factorial(n + 1 - k)) for k in range(n + 1)])
     return z == _kl.z_closed("wheel", n)

@@ -99,6 +99,21 @@ def frac():
     return Fraction
 
 
+@pytest.fixture
+def no_fraction_coeffs(monkeypatch):
+    """Make every Poly built during the test fail on a Fraction coefficient."""
+    from matroidkl import poly
+
+    norm = poly._norm_coeff
+
+    def no_fraction(c):
+        if isinstance(c, Fraction):
+            raise AssertionError(f"Fraction coefficient {c} on an integer route")
+        return norm(c)
+
+    monkeypatch.setattr(poly, "_norm_coeff", no_fraction)
+
+
 # ---------------------------------------------------------------------------
 # graph helpers that only the tests use: components and rank, compositions
 # checked, kept as induced subgraphs and contracted, proper colorings counted

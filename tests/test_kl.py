@@ -13,7 +13,7 @@ from conftest import (
     localization,
     z_closed_over_q,
 )
-from matroidkl import cli, kl, poly
+from matroidkl import cli, kl
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
 from matroidkl.poly import Poly, reverse_scaled
@@ -150,7 +150,19 @@ def test_recurrence_matches_closed_forms():
 
 
 def closed_range(kind, family, hi):
-    return range(cli.ROUTES[kind, "closed"][1][family][0], hi + 1)
+    return range(kl.FIRST_N[f"{kind}_closed"][family], hi + 1)
+
+
+@pytest.mark.parametrize("name", sorted(kl.FIRST_N))
+def test_first_n_is_each_functions_domain(name):
+    fn, entry = getattr(kl, name), kl.FIRST_N[name]
+    for family, first in entry.items():
+        assert isinstance(fn(family, first), Poly)
+        with pytest.raises(ValueError):
+            fn(family, first - 1)
+    for family in [f for f in kl.FAMILIES if f not in entry] + ["cycle"]:
+        with pytest.raises(ValueError):
+            fn(family, 10)
 
 
 @pytest.mark.parametrize("family", ["fan", "wheel", "whirl"])
@@ -167,17 +179,9 @@ def test_closed_forms_match_fraction_oracle(family):
         assert kl.z_closed(family, n) == z_closed_over_q(family, n), n
 
 
-def test_expand_route_builds_no_fraction(monkeypatch):
+def test_expand_route_builds_no_fraction(monkeypatch, no_fraction_coeffs):
     # every polynomial the series, the recurrences and the closed forms
     # build, the recurrence cache included, has int coefficients only
-    norm = poly._norm_coeff
-
-    def no_fraction(c):
-        if isinstance(c, Fraction):
-            raise AssertionError(f"Fraction coefficient {c} on the expand route")
-        return norm(c)
-
-    monkeypatch.setattr(poly, "_norm_coeff", no_fraction)
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     for name in GF_NAMES:
         gf_expand(name, 24)
@@ -228,7 +232,7 @@ def test_hadamard_sweep():
             a, b, c = kl.hadamard_wheel_coeff(n, k)
             assert a * b * c == p.coeff(k)
             assert isinstance(a, int)
-            assert isinstance(b, Fraction) and isinstance(c, Fraction)
+            assert isinstance(b, Fraction) and type(c) is int
 
 
 def test_whirl_closed_rewrite():

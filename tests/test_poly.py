@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gcd_over_q, poly_divmod_over_q
+from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q
 from matroidkl.poly import (
     NEG_INF,
     ZERO,
@@ -14,6 +14,7 @@ from matroidkl.poly import (
     poly_divmod,
     poly_gcd,
     primitive_part,
+    remainder_sequence,
     reverse_scaled,
 )
 
@@ -127,6 +128,14 @@ def test_gcd_and_primitive_part():
     assert poly_gcd(Poly([Fraction(1, 2)]), Poly([-3])) == Poly([1])
 
 
+def assert_sequence_matches_euclid_over_q(a, b):
+    """Pseudo-division gives the primitive parts of Euclid's terms over Q,
+    term for term and in ints."""
+    seq = remainder_sequence(a, b)
+    assert seq == [primitive_part(term) for term in euclid_over_q(a, b)]
+    assert all(type(c) is int for term in seq for c in term.coeffs)
+
+
 # products s*u and s*v of a shared factor s and unshared factors u, v
 INT_POLYS = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
 
@@ -136,8 +145,33 @@ INT_POLYS = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
 def test_gcd_matches_euclid_over_q_oracle(s, u, v):
     a, b = s * u, s * v
     assert poly_gcd(a, b) == gcd_over_q(a, b)
+    # s makes shared (and repeated) roots common
+    assert_sequence_matches_euclid_over_q(a, b)
+    assert_sequence_matches_euclid_over_q(a, a.derivative())
     if b:
         assert divexact(a * b, b) == a
+
+
+def test_remainder_sequence_edge_cases():
+    t_plus_1, t_minus_2 = Poly([1, 1]), Poly([-2, 1])
+    for p in (
+        t_plus_1 ** 3 * t_minus_2 ** 2,  # repeated roots
+        Poly([0, 0, 3, 1]) * t_minus_2,  # a double root at 0
+        -(t_plus_1 * t_minus_2 * Poly([5, 0, 3])),  # negative leading coefficient
+        Poly([Fraction(1, 2), Fraction(-7, 3), 0, Fraction(-5, 4), -2]),  # rational input
+    ):
+        assert_sequence_matches_euclid_over_q(p, p.derivative())
+        assert_sequence_matches_euclid_over_q(p, -t_plus_1 * p.derivative())
+        assert_sequence_matches_euclid_over_q(p.derivative(), p)
+    assert remainder_sequence(ZERO, Poly([-4, 2])) == [ZERO, Poly([-2, 1])]
+    assert remainder_sequence(Poly([6, 3]), ZERO) == [Poly([2, 1])]
+
+
+def test_monomial_needs_nonnegative_exponent():
+    assert Poly.monomial(0, 5) == Poly([5])
+    assert Poly.monomial(2) == Poly([0, 0, 1])
+    with pytest.raises(ValueError):
+        Poly.monomial(-1, 5)
 
 
 # small sizes keep every property cheap enough for tier-1

@@ -56,6 +56,16 @@ def test_count_with_endpoint_roots():
     assert count_real_roots(p, Fraction(-3, 2), Fraction(7, 2)) == 2
 
 
+def test_count_refuses_reversed_interval():
+    p = Poly([-1, 0, 1])
+    with pytest.raises(ValueError):
+        count_real_roots(p, 2, -2)
+    with pytest.raises(ValueError):
+        count_real_roots(p, Fraction(1, 2), Fraction(1, 3))
+    assert count_real_roots(p, 1, 1) == 0  # an empty half-open interval
+    assert count_real_roots(p, -2, 2) == 2
+
+
 def test_count_additivity_property():
     rng = random.Random(31)
     for _ in range(40):
@@ -275,6 +285,28 @@ def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
         assert verdict(*args) is True, verdict.__name__
         assert (len(chains), len(sequences)) == (n_chains, n_sequences), verdict.__name__
     assert gcds == [] and divisions == []
+
+
+def test_certificate_path_builds_no_fraction(no_fraction_coeffs):
+    # on int input every remainder sequence step pseudo-divides in ints, and
+    # the identity checks build their integer terms without a Fraction
+    wheel_z = kl.z_closed("wheel", 30)
+    squares = Poly([1, 1]) ** 3 * Poly([-2, 1]) ** 2 * Poly([0, 0, -3])
+    for p in (wheel_z, kl.kl_closed("whirl", 30), squares):
+        sturm_chain(p)
+        is_real_rooted(p)
+        all_zeros_negative(p)
+    assert interleaves(kl.kl_closed("fan", 20), kl.kl_closed("fan", 21))
+    assert interleaves(Poly([1, 1]) * Poly([2, 1]), Poly([1, 1]) ** 2 * Poly([3, 1]))
+    gamma = [(k + 1) * 15**2 - (2 * k**2 + 4 * k) * 15 + k**3 + 3 * k**2 - k - 1
+             for k in range(8)]
+    assert n_sequence_check(gamma, 7)
+    assert narayana_polynomial(20)(1) == 6564120420  # the Catalan number C_20
+    assert verify_wheel_z_quadratic(20)
+    assert verify_lucas_fibonacci(20)
+    assert verify_narayana_identity(20)
+    with pytest.raises(AssertionError):  # the guard itself is live
+        Poly([Fraction(1, 2)])
 
 
 def test_sturm_chain_terms_are_primitive():
