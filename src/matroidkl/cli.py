@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from . import graphs, kl, matroids, realroot, series
@@ -96,21 +96,11 @@ class OutputRecord:
     flags: dict
 
     def to_json(self):
-        return json.dumps(
-            {
-                "family": self.family,
-                "n": self.n,
-                "kind": self.kind,
-                "method": self.method,
-                "coeffs": self.coeffs,
-                "flags": self.flags,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line):
-        d = json.loads(line)
-        return cls(d["family"], d["n"], d["kind"], d["method"], d["coeffs"], d["flags"])
+        return cls(**json.loads(line))
 
 
 def _poly_record(family, n, kind, method, poly):
@@ -242,8 +232,11 @@ def _oracle(family, n):
     return True, ""
 
 
-def _root_verdict(verdict_fn, poly_fn, family, n):
-    return verdict_fn(poly_fn(family, n)), f"n={n}"
+def _closed_all_negative(kind, family, n):
+    """compute's closed record of (family, n), invariants checked, has all
+    zeros negative; every KL and Z polynomial has positive coefficients, so
+    this is its real-rootedness."""
+    return compute_record(family, n, kind, "closed").flags["all_negative"], f"n={n}"
 
 
 def _each_n(step, lo, hi):
@@ -360,8 +353,7 @@ def build_suite(suite, max_n=None, order=None):
     if suite in ("gf", "all"):
         o = 12 if order is None else order
         for which in series.GF_NAMES:
-            use = min(o, 10) if which == "kl_wheel" else o
-            add(f"gf/{which}/order-{use}", _gf_matches, which, use)
+            add(f"gf/{which}/order-{o}", _gf_matches, which, o)
     if suite in ("recurrence", "all"):
         # from where both the recurrence and the closed form hold
         for fam, first in kl.FIRST_N["kl_recurrence"].items():
@@ -369,18 +361,12 @@ def build_suite(suite, max_n=None, order=None):
             add_range(f"recurrence/{fam}/n-", lo, up_to(40), _agrees,
                       partial(kl.kl_recurrence, fam), partial(kl.kl_closed, fam))
     if suite in ("roots", "all"):
-        hi = up_to(30)
-        negative = realroot.all_zeros_negative
-        for fam in ("fan", "square", "wheel", "whirl"):
-            lo = 1 if fam in ("fan", "square") else 3
-            for n in range(lo, hi + 1):
-                add(f"roots/kl-negative/{fam}/{n}", _root_verdict, negative, kl.kl_closed, fam, n)
-        for n in range(1, hi + 1):
-            add(f"roots/z-negative/fan/{n}", _root_verdict, negative, kl.z_closed, "fan", n)
-        for n in range(3, hi + 1):
-            add(f"roots/z-negative/whirl/{n}", _root_verdict, negative, kl.z_closed, "whirl", n)
-            add(f"roots/z-real/wheel/{n}", _root_verdict, realroot.is_real_rooted,
-                kl.z_closed, "wheel", n)
+        # one check per record that compute and table print, from each
+        # closed route's first n
+        for kind in ("kl", "z"):
+            for fam, (lo, _) in ROUTES[kind, "closed"][1].items():
+                for n in range(lo, up_to(30) + 1):
+                    add(f"roots/{kind}-negative/{fam}/{n}", _closed_all_negative, kind, fam, n)
         add_range("roots/fan-interlacing/3-", 3, min(up_to(25), 25), _holds, _fan_interlaces)
     if suite in ("identities", "all"):
         for name, lo, top, *check in (

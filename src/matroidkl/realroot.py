@@ -157,28 +157,25 @@ def narayana_polynomial(n):
     return Poly([_kl._exact(comb(n, k) * comb(n, k + 1), n) for k in range(n)])
 
 
+def _lucas_sequence(x0, x1, k):
+    """x_k of x_{j+1} = t*x_j + x_{j-1}, seeded with x_0 and x_1."""
+    for _ in range(k):
+        x0, x1 = x1, Poly([0, 1]) * x1 + x0
+    return x0
+
+
 def lucas_polynomial(n):
-    """Lucas polynomial by its defining recurrence."""
+    """Lucas polynomial by its defining recurrence, seeded with (2, t)."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    a, b = Poly([2]), Poly([0, 1])
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, Poly([0, 1]) * b + a
-    return b
+    return _lucas_sequence(Poly([2]), Poly([0, 1]), n)
 
 
 def fibonacci_polynomial(n):
-    """Fibonacci polynomial by its defining recurrence."""
+    """Fibonacci polynomial by its defining recurrence, seeded with (0, 1)."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    a, b = Poly([1]), Poly([0, 1])
-    if n == 1:
-        return a
-    for _ in range(n - 2):
-        a, b = b, Poly([0, 1]) * b + a
-    return b
+    return _lucas_sequence(Poly(), Poly([1]), n)
 
 
 def verify_narayana_identity(n):
@@ -209,17 +206,13 @@ def verify_lucas_fibonacci(n):
         raise ValueError("needs n >= 3")
     m = (n - 1) // 2
     f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)])
-    recon = [0] * n
-    for k in range(m + 1):
-        recon[n - 1 - 2 * k] = f_n.coeff(k)
-    if Poly(recon) != lucas_polynomial(n - 1):
-        return False
     g_n = Poly([comb(n - k - 1, k) for k in range(m + 1)])
-    recon = [0] * n
-    for k in range(m + 1):
-        recon[n - 1 - 2 * k] = g_n.coeff(k)
-    if Poly(recon) != fibonacci_polynomial(n):
-        return False
+    for image, expected in ((f_n, lucas_polynomial(n - 1)), (g_n, fibonacci_polynomial(n))):
+        spread = [0] * n
+        for k in range(m + 1):
+            spread[n - 1 - 2 * k] = image.coeff(k)
+        if Poly(spread) != expected:
+            return False
     return all_zeros_negative(f_n) and all_zeros_negative(g_n)
 
 

@@ -4,7 +4,7 @@ printed pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import time
 
-from matroidkl import kl, matroids, realroot, series
+from matroidkl import cli, kl, matroids, realroot, series
 from matroidkl.graphs import make_family
 from matroidkl.poly import Poly
 
@@ -98,15 +98,11 @@ def test_criterion_4_generating_functions():
 def test_criterion_5_real_rootedness():
     t0 = time.time()
     ok = True
-    for n in range(1, 31):
-        ok &= realroot.all_zeros_negative(kl.kl_closed("fan", n))
-        ok &= realroot.all_zeros_negative(kl.kl_closed("square", n))
-        ok &= realroot.all_zeros_negative(kl.z_closed("fan", n))
-    for n in range(3, 31):
-        ok &= realroot.all_zeros_negative(kl.kl_closed("wheel", n))
-        ok &= realroot.all_zeros_negative(kl.kl_closed("whirl", n))
-        ok &= realroot.all_zeros_negative(kl.z_closed("whirl", n))
-        ok &= realroot.is_real_rooted(kl.z_closed("wheel", n))
+    # every closed KL and Z record from its route's first n
+    for kind, closed in (("kl", kl.kl_closed), ("z", kl.z_closed)):
+        for fam, (lo, _) in cli.ROUTES[kind, "closed"][1].items():
+            for n in range(lo, 31):
+                ok &= realroot.all_zeros_negative(closed(fam, n))
     elapsed = time.time() - t0
     _report("criterion-5 Sturm certificates (P and Z, n<=30)", ok and elapsed < 60, t0)
 

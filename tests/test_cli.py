@@ -145,6 +145,9 @@ def test_json_roundtrip(capsys):
     rec = OutputRecord.from_json(out.strip())
     assert rec.to_json() == out.strip()
     assert rec.family == "wheel" and rec.n == 6
+    # the JSON keys are the dataclass fields, in field order
+    assert list(json.loads(out)) == ["family", "n", "kind", "method", "coeffs", "flags"]
+    assert rec == cli.compute_record("wheel", 6, "kl", "closed")
 
 
 def test_verify_recurrence_suite(capsys):
@@ -197,7 +200,43 @@ def test_oracle_suite_spans_the_brute_ranges():
     want += [f"oracle/whirl-flats/{n}" for n in range(brute["whirl"][0], brute["whirl"][1] + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
     assert want[-1] == "oracle/whirl-flats/8"
-    assert len(build_suite("all")) == 252
+    assert len(build_suite("all")) == 286
+
+
+def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
+    # one check per closed KL and Z record, from each closed route's first n,
+    # then the fan interlacing chain where its range is not empty
+    for max_n in (None, 1, 2, 5, 30):
+        hi = 30 if max_n is None else max_n
+        want = [f"roots/{kind}-negative/{fam}/{n}" for kind in ("kl", "z")
+                for fam, (lo, _) in cli.ROUTES[kind, "closed"][1].items()
+                for n in range(lo, hi + 1)]
+        want += [f"roots/fan-interlacing/3-{min(hi, 25)}"] * (hi >= 3)
+        assert [name for name, _ in build_suite("roots", max_n=max_n)] == want, max_n
+    code, out, _ = run(capsys, "verify", "--suite", "roots")
+    assert code == 0 and len(pass_names(out)) == 237 and "FAIL" not in out
+    assert "gf/kl_wheel/order-12" in [name for name, _ in build_suite("gf")]
+    # each check certifies compute's record: a palindromic whirl Z of rank 2
+    # with complex zeros fails its flag, a KL polynomial with constant term 2
+    # fails its invariants
+    def perturbed(closed, at, poly):
+        return lambda fam, n: poly if (fam, n) == at else closed(fam, n)
+
+    monkeypatch.setattr(kl, "z_closed", perturbed(kl.z_closed, ("whirl", 2), Poly([1, 1, 1])))
+    monkeypatch.setattr(kl, "kl_closed", perturbed(kl.kl_closed, ("wheel", 3), Poly([2, 1])))
+    code, out, _ = run(capsys, "verify", "--suite", "roots", "--max-n", "3")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and len(fails) == 2, fails
+    assert re.fullmatch(r"FAIL roots/kl-negative/wheel/3 \(\d+\.\d+s\): exception: "
+                        r"ArithmeticError\(.*rank 3.*\)", fails[0]), fails[0]
+    assert re.fullmatch(r"FAIL roots/z-negative/whirl/2 \(\d+\.\d+s\): n=2", fails[1]), fails[1]
+
+
+def test_readme_states_the_check_count():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        counts = re.findall(r"matroidkl verify --suite all +# (\d+) checks", f.read())
+    assert counts == [str(len(build_suite("all")))]
 
 
 def test_oracle_check_builds_once(monkeypatch):

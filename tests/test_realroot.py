@@ -130,11 +130,9 @@ def test_kl_polynomials_all_negative():
 
 
 def test_z_polynomials_roots():
-    for n in range(1, 16):
-        assert all_zeros_negative(kl.z_closed("fan", n))
-        assert all_zeros_negative(kl.z_closed("whirl", n))
-    for n in range(3, 16):
-        assert is_real_rooted(kl.z_closed("wheel", n))
+    for fam, (lo, _) in cli.ROUTES["z", "closed"][1].items():
+        for n in range(lo, 16):
+            assert all_zeros_negative(kl.z_closed(fam, n)), (fam, n)
 
 
 def test_log_concavity_consequence():
@@ -413,8 +411,15 @@ def test_narayana():
 
 def test_lucas_fibonacci():
     assert lucas_polynomial(0) == Poly([2])
+    assert lucas_polynomial(1) == Poly([0, 1])
     assert lucas_polynomial(2) == Poly([2, 0, 1])
+    assert fibonacci_polynomial(1) == Poly([1])
+    assert fibonacci_polynomial(2) == Poly([0, 1])
     assert fibonacci_polynomial(3) == Poly([1, 0, 1])
+    with pytest.raises(ValueError):
+        lucas_polynomial(-1)
+    with pytest.raises(ValueError):
+        fibonacci_polynomial(0)
     # smallest whirl image: 1 + t from the binomial sum at n=3
     assert Poly([1, 1]) == Poly(
         [fibonacci_polynomial(3).coeff(2), fibonacci_polynomial(3).coeff(0)]
