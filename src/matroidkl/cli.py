@@ -208,8 +208,11 @@ def cmd_table(args, out=None):
 
 # ---------------------------------------------------------------------------
 # verification suites: each check is a (name, partial of a module-level
-# function) pair that returns (ok, detail); partials of module-level functions
-# pickle, so a process pool can run them when --jobs > 1
+# function) pair that returns (ok, detail).  All but the gf checks and
+# identities/spot-values check one claim at one n, take that n as their last
+# argument and are named <suite>/<claim>/<n>, so every failing n fails its own
+# check.  Partials of module-level functions pickle, so a process pool can run
+# them when --jobs > 1
 
 
 def _compare(got, want, n):
@@ -239,27 +242,14 @@ def _closed_all_negative(kind, family, n):
     return compute_record(family, n, kind, "closed").flags["all_negative"], f"n={n}"
 
 
-def _each_n(step, lo, hi):
-    """step(n) -> (ok, detail) for every n in lo..hi, up to the first failure;
-    a step that raises fails with a detail that names its n."""
-    for n in range(lo, hi + 1):
-        try:
-            ok, detail = step(n)
-        except Exception as exc:
-            return False, f"n={n}: exception: {exc!r}"
-        if not ok:
-            return False, detail
-    return True, ""
+def _agrees(got_fn, want_fn, n):
+    """got_fn(n) == want_fn(n); a failure names the first coefficient that differs."""
+    return _compare(got_fn(n), want_fn(n), n)
 
 
-def _agrees(got_fn, want_fn, lo, hi):
-    """got_fn(n) == want_fn(n) for every n in lo..hi; a failure names the first n."""
-    return _each_n(lambda n: _compare(got_fn(n), want_fn(n), n), lo, hi)
-
-
-def _holds(test, lo, hi):
-    """test(n) for every n in lo..hi; a failure names the first n."""
-    return _each_n(lambda n: (test(n), f"n={n}"), lo, hi)
+def _holds(test, n):
+    """test(n); a failure names n."""
+    return test(n), f"n={n}"
 
 
 def _fan_interlaces(n):
@@ -324,8 +314,7 @@ def _spot_values():
 
 
 def build_suite(suite, max_n=None, order=None):
-    """The (name, check) pairs of a suite.  A ranged check is named for the
-    range it runs, and one whose range is empty is left out."""
+    """The (name, check) pairs of a suite."""
     for flag, value, top in (("--max-n", max_n, N_MAX), ("--order", order, series.MAX_ORDER)):
         if value is not None and not 1 <= value <= top:
             raise UsageError(f"{flag} needs 1 <= {flag[2:]} <= {top}, got {value}")
@@ -333,11 +322,6 @@ def build_suite(suite, max_n=None, order=None):
 
     def add(name, fn, *args):
         checks.append((name, partial(fn, *args)))
-
-    def add_range(prefix, lo, hi, fn, *args):
-        # fn(*args, lo, hi), named prefix + hi
-        if lo <= hi:
-            add(f"{prefix}{hi}", fn, *args, lo, hi)
 
     def up_to(default):
         return default if max_n is None else max_n
@@ -349,7 +333,7 @@ def build_suite(suite, max_n=None, order=None):
                 add(f"oracle/{fam}/{n}", _oracle, fam, n)
         lo, hi = brute["whirl"]
         for n in range(lo, min(up_to(hi), hi) + 1):
-            add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n, n)
+            add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n)
     if suite in ("gf", "all"):
         o = 12 if order is None else order
         for which in series.GF_NAMES:
@@ -357,9 +341,9 @@ def build_suite(suite, max_n=None, order=None):
     if suite in ("recurrence", "all"):
         # from where both the recurrence and the closed form hold
         for fam, first in kl.FIRST_N["kl_recurrence"].items():
-            lo = max(first, kl.FIRST_N["kl_closed"][fam])
-            add_range(f"recurrence/{fam}/n-", lo, up_to(40), _agrees,
-                      partial(kl.kl_recurrence, fam), partial(kl.kl_closed, fam))
+            for n in range(max(first, kl.FIRST_N["kl_closed"][fam]), up_to(40) + 1):
+                add(f"recurrence/{fam}/{n}", _agrees, partial(kl.kl_recurrence, fam),
+                    partial(kl.kl_closed, fam), n)
     if suite in ("roots", "all"):
         # one check per record that compute and table print, from each
         # closed route's first n
@@ -367,15 +351,17 @@ def build_suite(suite, max_n=None, order=None):
             for fam, (lo, _) in ROUTES[kind, "closed"][1].items():
                 for n in range(lo, up_to(30) + 1):
                     add(f"roots/{kind}-negative/{fam}/{n}", _closed_all_negative, kind, fam, n)
-        add_range("roots/fan-interlacing/3-", 3, min(up_to(25), 25), _holds, _fan_interlaces)
+        for n in range(3, min(up_to(25), 25) + 1):
+            add(f"roots/fan-interlacing/{n}", _holds, _fan_interlaces, n)
     if suite in ("identities", "all"):
-        for name, lo, top, *check in (
-                ("narayana/n-", 1, 20, _holds, realroot.verify_narayana_identity),
-                ("hadamard/n-", 3, 30, _agrees, _hadamard_product, partial(kl.kl_closed, "wheel")),
-                ("wheel-z-quadratic/n-", 3, 30, _holds, realroot.verify_wheel_z_quadratic),
-                ("lucas-fibonacci/n-", 3, 40, _holds, realroot.verify_lucas_fibonacci),
-                ("n-sequence/7-", 7, 30, _holds, _n_sequence_holds)):
-            add_range(f"identities/{name}", lo, min(up_to(top), top), *check)
+        for claim, lo, top, *check in (
+                ("narayana", 1, 20, _holds, realroot.verify_narayana_identity),
+                ("hadamard", 3, 30, _agrees, _hadamard_product, partial(kl.kl_closed, "wheel")),
+                ("wheel-z-quadratic", 3, 30, _holds, realroot.verify_wheel_z_quadratic),
+                ("lucas-fibonacci", 3, 40, _holds, realroot.verify_lucas_fibonacci),
+                ("n-sequence", 7, 30, _holds, _n_sequence_holds)):
+            for n in range(lo, min(up_to(top), top) + 1):
+                add(f"identities/{claim}/{n}", *check, n)
         add("identities/spot-values", _spot_values)
     if not checks:
         raise UsageError(f"unknown suite {suite!r}")

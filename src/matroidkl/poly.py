@@ -85,6 +85,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
+        if isinstance(other, bool):  # not a coefficient, so unequal, not an error
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented

@@ -140,8 +140,6 @@ def n_sequence_check(gamma, n):
     if len(gamma) != n + 1:
         raise ValueError("gamma must have length n+1")
     p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
-    if p.is_zero():
-        return True
     chain = sturm_chain(p)
     real = _roots_le(chain, POS_INF)
     if real != chain.distinct_roots or p.coeff(0) == 0:

@@ -200,21 +200,21 @@ def test_oracle_suite_spans_the_brute_ranges():
     want += [f"oracle/whirl-flats/{n}" for n in range(brute["whirl"][0], brute["whirl"][1] + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
     assert want[-1] == "oracle/whirl-flats/8"
-    assert len(build_suite("all")) == 286
+    assert len(build_suite("all")) == 555
 
 
 def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
     # one check per closed KL and Z record, from each closed route's first n,
-    # then the fan interlacing chain where its range is not empty
+    # then one fan interlacing check per n from 3 to 25
     for max_n in (None, 1, 2, 5, 30):
         hi = 30 if max_n is None else max_n
         want = [f"roots/{kind}-negative/{fam}/{n}" for kind in ("kl", "z")
                 for fam, (lo, _) in cli.ROUTES[kind, "closed"][1].items()
                 for n in range(lo, hi + 1)]
-        want += [f"roots/fan-interlacing/3-{min(hi, 25)}"] * (hi >= 3)
+        want += [f"roots/fan-interlacing/{n}" for n in range(3, min(hi, 25) + 1)]
         assert [name for name, _ in build_suite("roots", max_n=max_n)] == want, max_n
     code, out, _ = run(capsys, "verify", "--suite", "roots")
-    assert code == 0 and len(pass_names(out)) == 237 and "FAIL" not in out
+    assert code == 0 and len(pass_names(out)) == 259 and "FAIL" not in out
     assert "gf/kl_wheel/order-12" in [name for name, _ in build_suite("gf")]
     # each check certifies compute's record: a palindromic whirl Z of rank 2
     # with complex zeros fails its flag, a KL polynomial with constant term 2
@@ -233,10 +233,20 @@ def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
 
 
 def test_readme_states_the_check_count():
+    # the count README gives, and every concrete check name it quotes, come
+    # from build_suite; names with a <placeholder> are skipped
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
-        counts = re.findall(r"matroidkl verify --suite all +# (\d+) checks", f.read())
+        text = f.read()
+    counts = re.findall(r"matroidkl verify --suite all +# (\d+) checks", text)
     assert counts == [str(len(build_suite("all")))]
+    quoted = set(re.findall(r"(?<![\w/])(?:oracle|gf|recurrence|roots|identities)/[\w/.<>-]*\w",
+                            text))
+    quoted = {name for name in quoted if "<" not in name}
+    assert {"oracle/fan/3", "identities/narayana/2"} <= quoted, quoted
+    built = {name for max_n in (None, *range(1, N_MAX + 1))
+             for name, _ in build_suite("all", max_n=max_n)}
+    assert quoted <= built, quoted - built
 
 
 def test_oracle_check_builds_once(monkeypatch):
@@ -332,22 +342,33 @@ def test_verify_flags_out_of_range_exit_2(capsys):
         assert err.startswith(f"error: {flag} needs 1 <= ") and bound in err, err
 
 
-def test_ranged_checks_name_the_range_they_run(capsys):
+def test_each_check_runs_the_n_that_ends_its_name(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--max-n", "2")
     assert code == 0
-    assert pass_names(out) == ["PASS identities/narayana/n-2", "PASS identities/spot-values"]
+    assert pass_names(out) == ["PASS identities/narayana/1", "PASS identities/narayana/2",
+                               "PASS identities/spot-values"]
+    tops = {"oracle": 8, "recurrence": 40, "roots": 30, "identities": 40}
     for max_n in (None, 1, 2, 6, 30, N_MAX):
+        names = []
         for name, check in build_suite("all", max_n=max_n):
-            ranged = re.search(r"/(?:n|\d+)-(\d+)$", name)
-            if ranged:  # check(*args, lo, hi), named for its hi
-                lo, hi = check.args[-2:]
-                assert lo <= hi == int(ranged.group(1)), name
-                assert max_n is None or hi <= max_n, name
-    names = [name for name, _ in build_suite("all")]
-    for name in ("recurrence/whirl/n-40", "roots/fan-interlacing/3-25",
-                 "identities/narayana/n-20", "identities/lucas-fibonacci/n-40",
-                 "identities/n-sequence/7-30"):
-        assert name in names
+            names.append(name)
+            if name.startswith("gf/") or name == "identities/spot-values":
+                continue
+            suite, n = name.split("/")[0], int(name.rsplit("/", 1)[1])
+            assert check.args[-1] == n, name
+            assert n <= (tops[suite] if max_n is None else max_n), name
+        # the ranges that ran as one check each before, n by n: recurrence to
+        # 40 or --max-n, the rest each to its own top or --max-n if lower
+        cap = N_MAX if max_n is None else max_n
+        want = [f"recurrence/{fam}/{n}" for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3))
+                for n in range(lo, (40 if max_n is None else max_n) + 1)]
+        want += [f"roots/fan-interlacing/{n}" for n in range(3, min(cap, 25) + 1)]
+        want += [f"identities/{claim}/{n}" for claim, lo, top in (
+            ("narayana", 1, 20), ("hadamard", 3, 30), ("wheel-z-quadratic", 3, 30),
+            ("lucas-fibonacci", 3, 40), ("n-sequence", 7, 30)) for n in range(lo, min(cap, top) + 1)]
+        ranged = [name for name in names if re.match(
+            r"recurrence/|roots/fan-interlacing/|identities/(?!spot-values)", name)]
+        assert ranged == want, max_n
 
 
 def pass_names(out):
@@ -392,21 +413,25 @@ def test_verify_failure_names_first_difference(capsys, monkeypatch):
                             fails[0]), fails[0]
 
 
-def test_ranged_check_names_n_of_exception(capsys, monkeypatch):
+def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):
+    # a crash at fan 5 does not hide the wrong polynomial at fan 6
     recurrence = kl.kl_recurrence
 
-    def crashing(family, n):
+    def faulty(family, n):
         if (family, n) == ("fan", 5):
             raise ZeroDivisionError("injected")
-        return recurrence(family, n)
+        p = recurrence(family, n)
+        return p + Poly.monomial(1) if (family, n) == ("fan", 6) else p
 
-    monkeypatch.setattr(kl, "kl_recurrence", crashing)
-    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "6")
+    monkeypatch.setattr(kl, "kl_recurrence", faulty)
+    code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "8")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 1
-    assert re.fullmatch(r"FAIL recurrence/fan/n-6 \(\d+\.\d+s\): "
-                        r"n=5: exception: ZeroDivisionError\('injected'\)", fails[0])
+    assert len(fails) == 2, fails
+    assert re.fullmatch(r"FAIL recurrence/fan/5 \(\d+\.\d+s\): "
+                        r"exception: ZeroDivisionError\('injected'\)", fails[0]), fails[0]
+    assert re.fullmatch(r"FAIL recurrence/fan/6 \(\d+\.\d+s\): n=6: t\^1: got 11, want 10",
+                        fails[1]), fails[1]
 
 
 def test_poly_record_builds_one_sturm_chain(monkeypatch):

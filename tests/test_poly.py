@@ -231,6 +231,14 @@ def test_constant_poly_hashes_like_its_scalar():
     assert hash(Poly([1, 2])) == hash(Poly([Fraction(2, 2), 2]))
 
 
+def test_bool_is_not_a_constant_poly():
+    # a bool hashes like 0 or 1 but is no coefficient: comparing is unequal,
+    # not a TypeError
+    assert True not in {Poly([1])} and Poly([1]) not in [True]
+    assert False not in {ZERO} and ZERO not in {False: "f"}
+    assert Poly([1]) != True and not Poly([0]) == False  # noqa: E712
+
+
 def test_integerized_signal():
     with pytest.raises(ArithmeticError):
         Poly([Fraction(1, 2)]).integerized()

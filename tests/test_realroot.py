@@ -385,6 +385,13 @@ def test_n_sequence_examples():
         n_sequence_check([1, 2], 2)
 
 
+def test_n_sequence_refuses_the_zero_polynomial():
+    # like every other verdict, through sturm_chain, not a vacuous yes
+    for gamma, n in (([0, 0, 0], 2), ([0], 0)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            n_sequence_check(gamma, n)
+
+
 def test_wheel_sequence_transform_values():
     # the binomial transform of the wheel coefficient sequence at small n
     def seq_a(n, k):
