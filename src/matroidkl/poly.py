@@ -34,22 +34,31 @@ def _norm_coeff(c):
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
+def _nonnegative_int(n, what):
+    """n if it is a nonnegative int; a bool is refused like any other type."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 class Poly:
     """Immutable dense polynomial in one variable t over Z or Q."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = list(coeffs)
+        if not set(map(type, cs)) <= {int}:  # plain ints need no normalizing
+            cs = [_norm_coeff(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def monomial(cls, k, c=1):
-        if k < 0:
-            raise ValueError(f"monomial needs a nonnegative exponent, got {k}")
-        return cls((0,) * k + (c,))
+        return cls((0,) * _nonnegative_int(k, "monomial exponent") + (c,))
 
     @property
     def degree(self):
@@ -121,7 +130,16 @@ class Poly:
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return Poly(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -150,8 +168,7 @@ class Poly:
         return Poly([_quotient(c, d) for c in self.coeffs])
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer power required")
+        _nonnegative_int(n, "power")
         result = ONE
         base = self
         while n:
@@ -190,8 +207,7 @@ T = Poly([0, 1])
 
 def reverse_scaled(p, r):
     """Return t^r * p(1/t); requires r >= deg(p)."""
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("nonnegative integer exponent required")
+    _nonnegative_int(r, "reverse_scaled exponent")
     if p.degree > r:
         raise ValueError(f"reverse_scaled needs r >= deg(p), got r={r}, deg={p.degree}")
     return Poly([p.coeff(r - k) for k in range(r + 1)])
@@ -202,8 +218,7 @@ def compose_rational(p, num, den, clear_power):
 
     clear_power must be at least deg(p) so every denominator clears.
     """
-    if not isinstance(clear_power, int) or clear_power < 0:
-        raise ValueError("nonnegative clear_power required")
+    _nonnegative_int(clear_power, "clear_power")
     if p.degree > clear_power:
         raise ValueError("clear_power below deg(p): cleared expression is not a polynomial")
     if p.is_zero():

@@ -804,9 +804,10 @@ def interleaves_by_squarefree_chain(g, f):
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic over Q: the library keeps its expand route in the
-# integers (series in v = u/2, divisions that stay ints, closed forms by
-# exact integer division); these compute the same values over Fraction
+# exact arithmetic over Q and by convolution: the library keeps its expand
+# route in the integers (the radical by its differential equation, quotients
+# through their conjugates, closed forms by exact integer division); these
+# compute the same values the long way, over Fraction where it is needed
 
 
 def poly_divmod_over_q(a, b):
@@ -870,31 +871,41 @@ def z_closed_over_q(family, n):
     return Poly(terms).integerized()
 
 
-def _inverse_over_q(s):
-    inv0 = Fraction(1) / Fraction(s.coeffs[0].coeff(0))
+def convolution_inverse(s):
+    """The inverse of a series whose constant coefficient is a nonzero
+    rational, one convolution per coefficient: O(order^2) products."""
+    assert s.coeffs[0].degree == 0
+    c = s.coeffs[0].coeff(0)
+    inv0 = c if c in (1, -1) else Fraction(1) / c
     out = [Poly([inv0])]
     for k in range(1, s.order + 1):
         acc = ZERO
         for i in range(1, k + 1):
-            acc = acc + s.coeffs[i] * out[k - i]
+            a = s.coeffs[i]
+            if not a.is_zero():
+                acc = acc + a * out[k - i]
         out.append(acc * -inv0)
     return TruncSeries(s.order, out)
 
 
-def _sqrt_over_q(s):
+def convolution_sqrt(s):
+    """The principal square root of a series with constant coefficient 1,
+    from r_k = (s_k − Σ_{0<i<k} r_i r_{k−i}) / 2: O(order^2) products."""
+    assert s.coeffs[0] == ONE
     out = [ONE]
     for k in range(1, s.order + 1):
         acc = s.coeffs[k]
         for i in range(1, k):
             acc = acc - out[i] * out[k - i]
-        out.append(acc * Fraction(1, 2))
+        out.append(acc / 2)
     return TruncSeries(s.order, out)
 
 
 def gf_expand_over_q(which, order):
-    """The six generating functions expanded in u itself, as printed, with
-    Fraction halving in every square root and Fraction inverses of the
-    constant terms 2."""
+    """The six generating functions expanded in u itself, as printed, by
+    convolution: every radical by convolution_sqrt and every quotient as a
+    product with a convolution_inverse, which takes a Fraction inverse of
+    each constant term 2."""
     assert which in GF_NAMES and 1 <= order <= MAX_ORDER
     n = order
     t = Poly([0, 1])
@@ -904,27 +915,27 @@ def gf_expand_over_q(which, order):
 
     one, u = ser(1), ser(0, 1)
     if which.startswith("kl"):
-        rad = _sqrt_over_q(ser(1, -2, Poly([1, -4])))
+        rad = convolution_sqrt(ser(1, -2, Poly([1, -4])))
         if which == "kl_fan":
-            result = one + ser(0, 2) * _inverse_over_q(one - u + rad)
+            result = one + ser(0, 2) * convolution_inverse(one - u + rad)
         elif which == "kl_wheel":
             u_plus_1 = ser(1, 1)
-            term1 = ser(-2, 2) * _inverse_over_q(rad - u + one)
-            term2 = ser(-2, 2, 2) * _inverse_over_q(u_plus_1 * (rad + u + one))
-            term3 = ser(0, 2) * _inverse_over_q(u_plus_1 * rad)
+            term1 = ser(-2, 2) * convolution_inverse(rad - u + one)
+            term2 = ser(-2, 2, 2) * convolution_inverse(u_plus_1 * (rad + u + one))
+            term3 = ser(0, 2) * convolution_inverse(u_plus_1 * rad)
             result = term1 - term2 + term3
         else:  # kl_whirl
             tu_plus_1 = ser(1, t)
-            result = ser(1, 1) * _inverse_over_q(ser(2) * tu_plus_1 * rad) - _inverse_over_q(
+            result = ser(1, 1) * convolution_inverse(ser(2) * tu_plus_1 * rad) - convolution_inverse(
                 ser(2) * tu_plus_1)
     else:
-        rad = _sqrt_over_q(ser(1, Poly([-2, -2]), Poly([1, -2, 1])))
+        rad = convolution_sqrt(ser(1, Poly([-2, -2]), Poly([1, -2, 1])))
         if which == "z_fan":
-            result = ser(2) * _inverse_over_q(rad - ser(0, Poly([1, 1])) + one)
+            result = ser(2) * convolution_inverse(rad - ser(0, Poly([1, 1])) + one)
         elif which == "z_wheel":
             numer = ser(0, 2) * ser(1, Poly([-1, -1])) * ser(Poly([1, 1]), t)
             denom = ser(1, Poly([-1, -1]), Poly([0, -2])) + rad
-            result = _inverse_over_q(rad) - one - numer * _inverse_over_q(denom)
+            result = convolution_inverse(rad) - one - numer * convolution_inverse(denom)
         else:  # z_whirl
-            result = _inverse_over_q(rad) - one
+            result = convolution_inverse(rad) - one
     return result.integerized()

@@ -17,7 +17,7 @@ from matroidkl import cli, kl
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
 from matroidkl.poly import Poly, reverse_scaled
-from matroidkl.series import GF_NAMES, gf_expand
+from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
 
 
 def fam_matroid(family, n):
@@ -184,7 +184,7 @@ def test_expand_route_builds_no_fraction(monkeypatch, no_fraction_coeffs):
     # build, the recurrence cache included, has int coefficients only
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     for name in GF_NAMES:
-        gf_expand(name, 24)
+        gf_expand(name, MAX_ORDER)
     for family in ("fan", "wheel", "whirl"):
         kl.kl_recurrence(family, 60)
     for family in kl.FAMILIES:

@@ -55,6 +55,8 @@ def test_reverse_scaled_examples():
     assert reverse_scaled(Poly([1, 5]), 4) == Poly([0, 0, 0, 5, 1])
     with pytest.raises(ValueError):
         reverse_scaled(Poly([1, 1, 1]), 1)
+    with pytest.raises(TypeError):
+        reverse_scaled(Poly([1]), True)
 
 
 def test_reverse_scaled_involution():
@@ -88,6 +90,8 @@ def test_compose_rational_identity_property():
 def test_compose_rational_rejects_low_clear_power():
     with pytest.raises(ValueError):
         compose_rational(Poly([1, 2, 3]), Poly([0, 1]), Poly([1, 1]), 1)
+    with pytest.raises(TypeError):
+        compose_rational(Poly([1]), Poly([0, 1]), Poly([1, 1]), True)
 
 
 def test_eval_examples():
@@ -172,6 +176,34 @@ def test_monomial_needs_nonnegative_exponent():
     assert Poly.monomial(2) == Poly([0, 0, 1])
     with pytest.raises(ValueError):
         Poly.monomial(-1, 5)
+    for k in (True, 2.0):
+        with pytest.raises(TypeError, match="monomial exponent must be an int"):
+            Poly.monomial(k)
+
+
+def test_power_needs_int_exponent():
+    for n in (True, False, 2.0):
+        with pytest.raises(TypeError, match="power must be an int"):
+            Poly([1, 1]) ** n
+    with pytest.raises(ValueError):
+        Poly([1, 1]) ** -1
+
+
+def test_construction_normalizes_only_non_int_coefficients():
+    with pytest.raises(TypeError):
+        Poly([True])
+    with pytest.raises(TypeError):
+        Poly([1, False])
+    p = Poly([Fraction(4, 2)])
+    assert p.coeffs == (2,) and type(p.coeffs[0]) is int
+    assert Poly([1, Fraction(1, 2), 0]).coeffs == (1, Fraction(1, 2))
+
+
+def test_subtraction_in_one_pass():
+    assert Poly([1, 2]) - Poly([1, 2, 3]) == Poly([0, 0, -3])
+    assert Poly([1, 2, 3]) - Poly([1]) == Poly([0, 2, 3])
+    assert Poly([1, 2]) - Poly([1, 2]) == Poly()
+    assert Poly([5]) - 5 == Poly()
 
 
 # small sizes keep every property cheap enough for tier-1

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gf_expand_over_q
+from conftest import convolution_sqrt, gf_expand_over_q
 from matroidkl import kl
 from matroidkl.poly import Poly
 from matroidkl.series import GF_NAMES, GF_START, MAX_ORDER, TruncSeries, gf_expand
@@ -131,16 +131,11 @@ def test_gf_low_orders_truncate_the_order_12_expansion():
             assert gf_expand(name, order).coeffs == full[:order + 1], (name, order)
 
 
-# every order up to 32, then 48 and MAX_ORDER = 64, each against the order-64
-# oracle truncated: expanding at all 64 orders would take about 33 s, and
-# the oracle alone takes about 9 s at order 64 for the six series
-ORACLE_ORDERS = [*range(1, 33), 48, MAX_ORDER]
-
-
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_gf_expand_matches_u_space_oracle(name):
+    # every order against the order-64 convolution oracle truncated
     want = gf_expand_over_q(name, MAX_ORDER).coeffs
-    for order in ORACLE_ORDERS:
+    for order in range(1, MAX_ORDER + 1):
         got = gf_expand(name, order).coeffs
         assert got == want[:order + 1], (name, order)
         assert all(type(c) is int for p in got for c in p.coeffs)
@@ -159,7 +154,7 @@ def test_exact_halving_keeps_ints():
     assert S(3, 2, Poly([4, -6])) / 2 == S(3, 1, Poly([2, -3]))
     assert all(type(c) is int for p in (S(3, 2, Poly([4, -6])) / 2).coeffs for c in p.coeffs)
     assert S(2, 1, 3) / 2 == S(2, Fraction(1, 2), Fraction(3, 2))
-    # sqrt(1 + 4x) = 1 + 2x - 2x^2 + 4x^3 - 10x^4: even steps halve in ints
+    # sqrt(1 + 4x) = 1 + 2x - 2x^2 + 4x^3 - 10x^4: each division by 2k stays in ints
     r = S(4, 1, 4).sqrt()
     assert r == S(4, 1, 2, -2, 4, -10)
     assert all(type(c) is int for p in r.coeffs for c in p.coeffs)
@@ -175,6 +170,54 @@ def test_gf_guards():
         gf_expand("kl_fan", 65)
     with pytest.raises(ValueError):
         gf_expand("nope", 5)
+    for order in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="order must be an int"):
+            gf_expand("kl_fan", order)
+
+
+def test_truncation_order_must_be_an_int():
+    for order in (True, 2.0):
+        with pytest.raises(TypeError, match="truncation order must be an int"):
+            TruncSeries(order, [1])
+    with pytest.raises(ValueError):
+        TruncSeries(-1)
+
+
+def test_gf_expansion_costs_linear_in_the_order(monkeypatch):
+    # the radical by its differential equation and each quotient by one pass
+    # over a short divisor: doubling the order about doubles the Poly x Poly
+    # products, where the convolutions quadrupled them (ratio 3.84)
+    count = [0]
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        count[0] += isinstance(b, Poly)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    products = {}
+    for order in (32, 64):
+        count[0] = 0
+        for name in GF_NAMES:
+            gf_expand(name, order)
+        products[order] = count[0]
+    assert products[64] <= 2.2 * products[32], products
+
+
+def test_series_division():
+    n = 6
+    t = Poly([0, 1])
+    b = S(n, Poly([0, 2]), 1, t)
+    a = S(n, 3, Poly([1, -1]), 0, 0, 5)
+    q = (a * b) / b
+    assert q == a
+    assert all(type(c) is int for p in q.coeffs for c in p.coeffs)
+    with pytest.raises(ArithmeticError):
+        S(n, 1) / b  # t does not divide 1
+    with pytest.raises(ValueError):
+        a / S(n, 0, 1)
+    with pytest.raises(ValueError):
+        a / S(n)
 
 
 # series with small rational polynomial coefficients; small orders keep the
@@ -185,10 +228,27 @@ SERIES_SETTINGS = settings(derandomize=True, database=None, max_examples=60, dea
 
 
 @st.composite
-def unit_series(draw, constant):
+def unit_series(draw, constant, full=False):
+    """A series with the drawn constant term; a full one has a nonzero
+    coefficient at its truncation order."""
     order = draw(st.integers(0, 6))
-    tail = draw(st.lists(COEFF_POLYS, max_size=order))
+    if full and order:
+        tail = draw(st.lists(COEFF_POLYS, min_size=order - 1, max_size=order - 1))
+        tail.append(draw(COEFF_POLYS.filter(bool)))
+    else:
+        tail = draw(st.lists(COEFF_POLYS, max_size=order))
     return TruncSeries(order, [draw(constant), *tail])
+
+
+INT_POLYS = st.lists(st.integers(-5, 5), max_size=3).map(Poly)
+# a nonconstant polynomial in t: no unit of Q[t]
+NONCONSTANT_POLYS = st.lists(st.integers(-5, 5), min_size=2, max_size=3).map(Poly).filter(
+    lambda p: p.degree >= 1)
+
+
+@st.composite
+def int_series(draw, order, constant=INT_POLYS):
+    return TruncSeries(order, [draw(constant), *draw(st.lists(INT_POLYS, max_size=order))])
 
 
 @SERIES_SETTINGS
@@ -203,3 +263,29 @@ def test_sqrt_property_rational(s):
     r = s.sqrt()
     assert r.coefficient(0) == ONE
     assert r * r == s
+
+
+@SERIES_SETTINGS
+@given(st.one_of(unit_series(st.just(1)), unit_series(st.just(1), full=True)))
+def test_sqrt_matches_convolution(s):
+    assert s.sqrt() == convolution_sqrt(s)
+
+
+@SERIES_SETTINGS
+@given(st.data())
+def test_division_undoes_product(data):
+    order = data.draw(st.integers(0, 6))
+    a = data.draw(int_series(order))
+    b = data.draw(int_series(order, NONCONSTANT_POLYS))
+    assert (a * b) / b == a
+
+
+@SERIES_SETTINGS
+@given(st.data())
+def test_inexact_division_raises(data):
+    # a constant term of lower degree than the divisor's is no multiple of it
+    order = data.draw(st.integers(0, 6))
+    a, b = data.draw(int_series(order)), data.draw(int_series(order, NONCONSTANT_POLYS))
+    r = data.draw(INT_POLYS.filter(lambda p: p and p.degree < b.coefficient(0).degree))
+    with pytest.raises(ArithmeticError):
+        (a * b + TruncSeries(order, [r])) / b
