@@ -9,12 +9,11 @@ from .kl import (
     kl_closed,
     kl_poly,
     kl_recurrence,
-    multiplicative_kl,
     z_closed,
     z_poly,
 )
 from .series import TruncSeries, gf_expand
-from .realroot import all_zeros_negative, count_real_roots, interleaves
+from .realroot import all_zeros_negative, interleaves
 
 __version__ = "1.0.0"
 
@@ -31,13 +30,11 @@ __all__ = [
     "kl_closed",
     "kl_poly",
     "kl_recurrence",
-    "multiplicative_kl",
     "z_closed",
     "z_poly",
     "TruncSeries",
     "gf_expand",
     "all_zeros_negative",
-    "count_real_roots",
     "interleaves",
     "__version__",
 ]

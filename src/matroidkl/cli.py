@@ -98,10 +98,6 @@ class OutputRecord:
     def to_json(self):
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, line):
-        return cls(**json.loads(line))
-
 
 def _poly_record(family, n, kind, method, poly):
     real_rooted, all_negative = realroot._root_flags(poly)

@@ -1,6 +1,5 @@
-"""Simple labeled graphs: the family constructors, compositions (partitions of
-the vertices into connected blocks), the chromatic polynomial and biconnected
-blocks.
+"""Simple labeled graphs: the family constructors and the chromatic
+polynomial.
 
 Vertices are 0..n-1.  Graphs are immutable.  Vertex sets are handled as
 bitmasks internally.
@@ -90,58 +89,6 @@ def make_family(family, n):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def compositions(g):
-    """Yield every partition of V(g) into connected blocks exactly once.
-
-    Blocks grow from their smallest vertex (the anchor), so disconnected
-    partitions are never generated and no duplicates appear.
-    """
-    if g.n == 0:
-        yield ()
-        return
-    adj = g.adjacency()
-    full = (1 << g.n) - 1
-
-    def connected_supersets(seed, allowed):
-        # all connected S with seed <= S <= allowed, each exactly once
-        out = []
-
-        def grow(s, neighbors, banned):
-            out.append(s)
-            ext = neighbors & allowed & ~s & ~banned
-            local_ban = banned
-            while ext:
-                bit = ext & -ext
-                ext &= ext - 1
-                v = bit.bit_length() - 1
-                grow(s | bit, neighbors | adj[v], local_ban)
-                local_ban |= bit
-
-        nbrs = 0
-        m = seed
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nbrs |= adj[v]
-        grow(seed, nbrs, 0)
-        return out
-
-    def rec(remaining, acc):
-        if not remaining:
-            yield tuple(acc)
-            return
-        anchor = remaining & -remaining
-        for block in connected_supersets(anchor, remaining):
-            acc.append(block)
-            yield from rec(remaining & ~block, acc)
-            acc.pop()
-
-    for masks in rec(full, []):
-        yield tuple(
-            frozenset(i for i in range(g.n) if m >> i & 1) for m in masks
-        )
-
-
 def chromatic_polynomial(g):
     """Exact chromatic polynomial of g by Birkhoff's expansion: the sum over k
     of a_k t(t-1)...(t-k+1), where a_k counts the partitions of V(g) into k
@@ -185,64 +132,3 @@ def chromatic_polynomial(g):
         result = result + falling * a
         falling = falling * Poly([-k, 1])
     return result
-
-
-def biconnected_components(g):
-    """Maximal biconnected subgraphs (blocks); a bridge is a 2-vertex block."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    visited = [False] * g.n
-    depth = [0] * g.n
-    low = [0] * g.n
-    stack = []
-    blocks = []
-
-    def emit(edge_list):
-        verts = sorted({x for e in edge_list for x in e})
-        relabel = {v: i for i, v in enumerate(verts)}
-        blocks.append(
-            SimpleGraph(len(verts), [(relabel[u], relabel[v]) for u, v in edge_list])
-        )
-
-    def dfs(root):
-        # iterative DFS with an explicit edge stack
-        visited[root] = True
-        depth[root] = low[root] = 0
-        work = [(root, -1, iter(adj[root]))]
-        while work:
-            v, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if not visited[w]:
-                    stack.append((v, w))
-                    visited[w] = True
-                    depth[w] = low[w] = depth[v] + 1
-                    work.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                if depth[w] < depth[v]:
-                    stack.append((v, w))
-                    low[v] = min(low[v], depth[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= depth[p]:
-                    comp = []
-                    while stack and stack[-1] != (p, v):
-                        comp.append(stack.pop())
-                    if stack:
-                        comp.append(stack.pop())
-                    if comp:
-                        emit(comp)
-
-    for s in range(g.n):
-        if not visited[s] and adj[s]:
-            dfs(s)
-    return blocks

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import ONE, T, Poly, divexact, reverse_scaled
+from .poly import T, Poly, divexact, reverse_scaled
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -297,14 +297,6 @@ def hadamard_wheel_coeff(n, k):
     b = Fraction(factorial(n), (n - 1) * factorial(k + 1) * factorial(n + 1 - k))
     c = _exact((n - 1) * factorial(n - 2 - k), factorial(k) * factorial(n - 1 - 2 * k))
     return a, b, c
-
-
-def multiplicative_kl(g):
-    """KL polynomial of a graph as the product over its biconnected blocks."""
-    result = ONE
-    for block in _graphs.biconnected_components(g):
-        result = result * kl_poly(_matroids.graphic_matroid(block))
-    return result
 
 
 def chromatic_closed(family, n):

@@ -52,9 +52,6 @@ class RankOracleMatroid:
             if t[1 << e] != 1:
                 raise ValueError(f"element {e} is a loop; loopless matroids only")
 
-    def rank(self, subset):
-        return self.table[subset]
-
     def is_flat(self, subset):
         t = self.table
         r = t[subset]

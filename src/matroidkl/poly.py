@@ -56,10 +56,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * _nonnegative_int(k, "monomial exponent") + (c,))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -108,10 +104,11 @@ class Poly:
         return hash(cs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
+        # Poly first: a Poly operand then skips Fraction's ABC instance check
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -126,10 +123,10 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) >= len(b):
             out = list(a)
@@ -145,10 +142,10 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return Poly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
@@ -293,9 +290,3 @@ def remainder_sequence(a, b):
         scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
         b = -poly_divmod(a * scale, b)[1]
     return seq
-
-
-def poly_gcd(a, b):
-    """Primitive gcd with positive leading coefficient; zero iff a = b = 0."""
-    g = remainder_sequence(a, b)[-1]
-    return -g if g and g.leading < 0 else g

@@ -1,41 +1,27 @@
-"""Exact root-location certificates via Sturm sequences over the rationals.
+"""Exact root-location certificates via Sturm sequences.
 
-Counting uses the right-continuous variation function V (zero entries are
-skipped), so N(x) = V(-inf) - V(x) is exactly the number of distinct real
-roots <= x and no endpoint perturbation is ever needed.  Infinite endpoints
-are handled through leading-coefficient signs, never through large finite
-stand-ins.
-
-The verdicts (real-rootedness, negativity, the n-sequence criterion and
-interlacing) read one remainder sequence at -inf, +inf and 0; they take no
-gcd, divide nothing out and isolate no root.  count_real_roots, which
-counts the distinct real roots in an interval on the chain of the squarefree
-part, is the one utility for callers that want more than a verdict.
+Every verdict (real-rootedness, negativity, the n-sequence criterion and
+interlacing) reads the sign variations of one remainder sequence at -inf, 0
+and +inf, and takes no gcd, divides nothing out and isolates no root.  Zero
+entries are skipped, so V(-inf) - V(x) counts the distinct real roots <= x
+of p, for any x with p(x) != 0.  The signs at -inf and +inf come from the
+leading coefficients and the degree parities, the signs at 0 from the
+constant coefficients: no polynomial is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
-from .poly import Poly, compose_rational, divexact, poly_gcd, primitive_part, remainder_sequence
+from .poly import Poly, compose_rational, remainder_sequence
 from . import kl as _kl
-
-NEG_INF = object()
-POS_INF = object()
 
 
 @dataclass(frozen=True)
 class SturmChain:
     polys: tuple
     distinct_roots: int  # distinct complex roots: deg p - deg gcd(p, p')
-
-
-def squarefree_part(p):
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return primitive_part(divexact(p, poly_gcd(p, p.derivative())))
 
 
 def sturm_chain(p):
@@ -64,37 +50,19 @@ def _variations(signs):
     return count
 
 
-def _variations_at(polys, x):
-    if x is NEG_INF:
-        return _variations([_sign(c.leading) * (-1) ** c.degree for c in polys])
-    if x is POS_INF:
-        return _variations([_sign(c.leading) for c in polys])
-    return _variations([_sign(c(x)) for c in polys])
-
-
-def _roots_le(chain, x):
-    """Distinct real roots in (-inf, x]; x must not be a root of the chain's
-    last term."""
-    return _variations_at(chain.polys, NEG_INF) - _variations_at(chain.polys, x)
-
-
-def count_real_roots(p, lo=None, hi=None):
-    """Distinct real roots of p in the half-open interval (lo, hi]; None
-    endpoints mean -inf / +inf; lo > hi is refused."""
-    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError(f"count_real_roots needs lo <= hi, got lo={lo}, hi={hi}")
-    chain = sturm_chain(squarefree_part(p))
-    upper = _roots_le(chain, POS_INF if hi is None else hi)
-    lower = 0 if lo is None else _roots_le(chain, lo)
-    return upper - lower
+def _sign_variations(polys):
+    """(V(-inf), V(0), V(+inf)) of a sequence of nonzero polynomials."""
+    return (_variations([_sign(c.leading) * (-1) ** c.degree for c in polys]),
+            _variations([_sign(c.coeff(0)) for c in polys]),
+            _variations([_sign(c.leading) for c in polys]))
 
 
 def _root_flags(p):
     """(real-rooted, all zeros negative) off one Sturm chain of p."""
     chain = sturm_chain(p)
-    real = _roots_le(chain, POS_INF) == chain.distinct_roots
-    return real, real and p.coeff(0) != 0 and _roots_le(chain, 0) == chain.distinct_roots
+    v_neg, v_zero, v_pos = _sign_variations(chain.polys)
+    real = v_neg - v_pos == chain.distinct_roots
+    return real, real and p.coeff(0) != 0 and v_neg - v_zero == chain.distinct_roots
 
 
 def is_real_rooted(p):
@@ -130,8 +98,8 @@ def interleaves(g, f):
     if f.degree - g.degree not in (0, 1):
         raise ValueError("degree gap must be 0 or 1")
     seq = remainder_sequence(f, g)
-    index = _variations_at(seq, NEG_INF) - _variations_at(seq, POS_INF)
-    return index == f.degree - seq[-1].degree
+    v_neg, _, v_pos = _sign_variations(seq)
+    return v_neg - v_pos == f.degree - seq[-1].degree
 
 
 def n_sequence_check(gamma, n):
@@ -141,10 +109,11 @@ def n_sequence_check(gamma, n):
         raise ValueError("gamma must have length n+1")
     p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
     chain = sturm_chain(p)
-    real = _roots_le(chain, POS_INF)
+    v_neg, v_zero, v_pos = _sign_variations(chain.polys)
+    real = v_neg - v_pos
     if real != chain.distinct_roots or p.coeff(0) == 0:
         return False
-    nonpos = _roots_le(chain, 0)
+    nonpos = v_neg - v_zero
     return nonpos == 0 or nonpos == real
 
 

@@ -125,14 +125,6 @@ class TruncSeries:
             out.append(divexact(acc, d0))
         return TruncSeries(self.order, out)
 
-    def inverse(self):
-        """Multiplicative inverse; the constant coefficient must be a nonzero
-        rational (a unit of Q[t][[u]]).  A constant of +-1 keeps int
-        coefficients ints."""
-        if self.coeffs[0].degree != 0:
-            raise ValueError("series inverse needs a nonzero constant (degree-0) leading coefficient")
-        return TruncSeries(self.order, [1]) / self
-
     def sqrt(self):
         """Principal square root; requires constant coefficient exactly 1.
 

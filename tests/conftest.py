@@ -10,17 +10,11 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 from matroidkl.graphs import SimpleGraph
-from matroidkl.matroids import Flat, RankOracleMatroid
-from matroidkl.poly import ONE, ZERO, Poly, divexact, poly_gcd, primitive_part
+from matroidkl.kl import kl_poly
+from matroidkl.matroids import Flat, RankOracleMatroid, graphic_matroid
+from matroidkl.poly import ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
-from matroidkl.realroot import (
-    NEG_INF,
-    POS_INF,
-    _roots_le,
-    _variations_at,
-    squarefree_part,
-    sturm_chain,
-)
+from matroidkl.realroot import _sign, _variations, sturm_chain
 
 
 def all_set_partitions(items):
@@ -116,8 +110,9 @@ def no_fraction_coeffs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # graph helpers that only the tests use: components and rank, compositions
-# checked, kept as induced subgraphs and contracted, proper colorings counted
-# one by one, and an exhaustive isomorphism test
+# enumerated, checked, kept as induced subgraphs and contracted, proper
+# colorings counted one by one, biconnected blocks and the KL polynomial as a
+# product over them, and an exhaustive isomorphism test
 
 
 def _components(n, adj, within=None):
@@ -220,6 +215,58 @@ def contract(g, blocks):
     return SimpleGraph(len(masks), sorted(edges))
 
 
+def compositions(g):
+    """Yield every partition of V(g) into connected blocks exactly once.
+
+    Blocks grow from their smallest vertex (the anchor), so disconnected
+    partitions are never generated and no duplicates appear.
+    """
+    if g.n == 0:
+        yield ()
+        return
+    adj = g.adjacency()
+    full = (1 << g.n) - 1
+
+    def connected_supersets(seed, allowed):
+        # all connected S with seed <= S <= allowed, each exactly once
+        out = []
+
+        def grow(s, neighbors, banned):
+            out.append(s)
+            ext = neighbors & allowed & ~s & ~banned
+            local_ban = banned
+            while ext:
+                bit = ext & -ext
+                ext &= ext - 1
+                v = bit.bit_length() - 1
+                grow(s | bit, neighbors | adj[v], local_ban)
+                local_ban |= bit
+
+        nbrs = 0
+        m = seed
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            nbrs |= adj[v]
+        grow(seed, nbrs, 0)
+        return out
+
+    def rec(remaining, acc):
+        if not remaining:
+            yield tuple(acc)
+            return
+        anchor = remaining & -remaining
+        for block in connected_supersets(anchor, remaining):
+            acc.append(block)
+            yield from rec(remaining & ~block, acc)
+            acc.pop()
+
+    for masks in rec(full, []):
+        yield tuple(
+            frozenset(i for i in range(g.n) if m >> i & 1) for m in masks
+        )
+
+
 def count_proper_colorings(g, q):
     """Brute-force count of proper q-colorings (independent oracle, small graphs)."""
     if g.n > 8:
@@ -240,6 +287,75 @@ def count_proper_colorings(g, q):
 
     rec(0)
     return count
+
+
+def biconnected_components(g):
+    """Maximal biconnected subgraphs (blocks); a bridge is a 2-vertex block."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    visited = [False] * g.n
+    depth = [0] * g.n
+    low = [0] * g.n
+    stack = []
+    blocks = []
+
+    def emit(edge_list):
+        verts = sorted({x for e in edge_list for x in e})
+        relabel = {v: i for i, v in enumerate(verts)}
+        blocks.append(
+            SimpleGraph(len(verts), [(relabel[u], relabel[v]) for u, v in edge_list])
+        )
+
+    def dfs(root):
+        # iterative DFS with an explicit edge stack
+        visited[root] = True
+        depth[root] = low[root] = 0
+        work = [(root, -1, iter(adj[root]))]
+        while work:
+            v, parent, it = work[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if not visited[w]:
+                    stack.append((v, w))
+                    visited[w] = True
+                    depth[w] = low[w] = depth[v] + 1
+                    work.append((w, v, iter(adj[w])))
+                    advanced = True
+                    break
+                if depth[w] < depth[v]:
+                    stack.append((v, w))
+                    low[v] = min(low[v], depth[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= depth[p]:
+                    comp = []
+                    while stack and stack[-1] != (p, v):
+                        comp.append(stack.pop())
+                    if stack:
+                        comp.append(stack.pop())
+                    if comp:
+                        emit(comp)
+
+    for s in range(g.n):
+        if not visited[s] and adj[s]:
+            dfs(s)
+    return blocks
+
+
+def multiplicative_kl(g):
+    """KL polynomial of a graph as the product over its biconnected blocks."""
+    result = ONE
+    for block in biconnected_components(g):
+        result = result * kl_poly(graphic_matroid(block))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +657,52 @@ def lattice_isomorphic(a, b, budget=2_000_000):
 
 
 # ---------------------------------------------------------------------------
-# root isolation and refinement: the library counts roots without locating
-# them; these locate every distinct root in a rational interval, with its
-# multiplicity from Yun's squarefree decomposition
+# root counting, isolation and refinement: the library reads sign counts at
+# -inf, 0 and +inf only; these count the sign changes at any rational point on
+# the chain of the squarefree part and locate every distinct root in a
+# rational interval, with its multiplicity from Yun's squarefree decomposition
+
+
+def poly_gcd(a, b):
+    """Primitive gcd with positive leading coefficient; zero iff a = b = 0."""
+    g = remainder_sequence(a, b)[-1]
+    return -g if g and g.leading < 0 else g
+
+
+def squarefree_part(p):
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return primitive_part(divexact(p, poly_gcd(p, p.derivative())))
+
+
+NEG_INF = object()
+POS_INF = object()
+
+
+def _variations_at(polys, x):
+    if x is NEG_INF:
+        return _variations([_sign(c.leading) * (-1) ** c.degree for c in polys])
+    if x is POS_INF:
+        return _variations([_sign(c.leading) for c in polys])
+    return _variations([_sign(c(x)) for c in polys])
+
+
+def _roots_le(chain, x):
+    """Distinct real roots in (-inf, x]; x must not be a root of the chain's
+    last term."""
+    return _variations_at(chain.polys, NEG_INF) - _variations_at(chain.polys, x)
+
+
+def count_real_roots(p, lo=None, hi=None):
+    """Distinct real roots of p in the half-open interval (lo, hi]; None
+    endpoints mean -inf / +inf; lo > hi is refused."""
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"count_real_roots needs lo <= hi, got lo={lo}, hi={hi}")
+    chain = sturm_chain(squarefree_part(p))
+    upper = _roots_le(chain, POS_INF if hi is None else hi)
+    lower = 0 if lo is None else _roots_le(chain, lo)
+    return upper - lower
 
 
 def content(p):

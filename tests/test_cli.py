@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import os
 import re
@@ -8,7 +10,7 @@ import pytest
 
 from matroidkl import cli, kl, realroot
 from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
-from matroidkl.poly import Poly
+from matroidkl.poly import T, Poly
 
 
 def run(capsys, *argv):
@@ -142,7 +144,7 @@ def test_bad_flag_exits_2(capsys):
 def test_json_roundtrip(capsys):
     _, out, _ = run(capsys, "compute", "--family", "wheel", "--n", "6",
                     "--kind", "kl", "--method", "closed")
-    rec = OutputRecord.from_json(out.strip())
+    rec = OutputRecord(**json.loads(out.strip()))
     assert rec.to_json() == out.strip()
     assert rec.family == "wheel" and rec.n == 6
     # the JSON keys are the dataclass fields, in field order
@@ -247,6 +249,95 @@ def test_readme_states_the_check_count():
     built = {name for max_n in (None, *range(1, N_MAX + 1))
              for name, _ in build_suite("all", max_n=max_n)}
     assert quoted <= built, quoted - built
+
+
+def test_readme_layout_names_exist():
+    # every backticked Python name in a row of the Layout table, dotted or
+    # not, is an attribute of that row's module
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        rows = re.findall(r"^\| `matroidkl\.(\w+)` \| (.*) \|$", f.read(), re.M)
+    assert len(rows) == 7, rows
+    missing = []
+    for module, contents in rows:
+        for name in re.findall(r"`([^`]*)`", contents):
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name):
+                continue
+            obj = importlib.import_module(f"matroidkl.{module}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module}: {name}")
+    assert not missing, "not in the row's module: " + ", ".join(missing)
+
+
+# functions that the drive in test_every_library_function_runs need not reach,
+# each with its reason; dunder methods are exempt as a whole: they are the
+# value types' protocol (equality, hashing, arithmetic), and the benchmark's
+# digests print results with __repr__
+NOT_DRIVEN = {
+    "cli._kl_route": "builds ROUTES at import, before the drive starts",
+}
+LIBRARY_MODULES = ("cli", "graphs", "kl", "matroids", "poly", "realroot", "series")
+
+
+def _defined_functions():
+    """(file, first line, name) -> dotted name of every function, method,
+    nested function and lambda the library modules define; comprehensions and
+    class bodies are not functions, and dunder methods are left out."""
+    found = {}
+    for module in LIBRARY_MODULES:
+        spec = importlib.import_module(f"matroidkl.{module}").__spec__
+        todo = [spec.loader.get_code(spec.name)]
+        while todo:
+            code = todo.pop()
+            todo.extend(c for c in code.co_consts if inspect.iscode(c))
+            name = code.co_name
+            if (not code.co_flags & inspect.CO_OPTIMIZED or name.startswith("__")
+                    or name in ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")):
+                continue
+            found[code.co_filename, code.co_firstlineno, name] = (
+                f"{module}.{getattr(code, 'co_qualname', name)}")
+    return found
+
+
+def test_every_library_function_runs(capsys, monkeypatch):
+    # src/ keeps only what a route, a verify check or the CLI runs: drive the
+    # library through all of them under a profiler and list what never ran
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._rec_cache})
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for (kind, method), (_, fams) in cli.ROUTES.items():
+            for family, (lo, _) in fams.items():
+                cli.compute_record(family, lo, kind, method)
+        for name, check in build_suite("all", max_n=7, order=4):
+            ok, detail = check()
+            assert ok, (name, detail)
+        for argv in (["compute", "--family", "wheel", "--n", "5", "--kind", "z"],
+                     ["compute", "--family", "fan", "--n", "4", "--kind", "kl",
+                      "--method", "brute", "--format", "csv"],
+                     ["table", "--family", "whirl", "--kind", "kl", "--max-n", "6"],
+                     ["table", "--family", "fan", "--kind", "z", "--max-n", "4",
+                      "--format", "json"],
+                     ["verify", "--suite", "gf", "--order", "2"]):
+            assert main(argv) == 0, argv
+        assert main(["compute", "--family", "fan", "--n", str(N_MAX + 1), "--kind", "kl"]) == 2
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
+    never = {name for key, name in _defined_functions().items()
+             if key not in reached and name not in NOT_DRIVEN}
+    # a function nested in one that never ran is not listed on its own
+    outermost = sorted(name for name in never
+                       if name.rpartition(".<locals>.")[0] not in never)
+    assert not outermost, "never ran: " + ", ".join(outermost)
 
 
 def test_oracle_check_builds_once(monkeypatch):
@@ -401,7 +492,7 @@ def test_verify_failure_names_first_difference(capsys, monkeypatch):
 
         def perturbed(fam, n, closed=closed, family=family):
             p = closed(fam, n)
-            return p + Poly.monomial(1) if (fam, n) == (family, 3) else p
+            return p + T if (fam, n) == (family, 3) else p
 
         monkeypatch.setattr(kl, name, perturbed)
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
@@ -421,7 +512,7 @@ def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):
         if (family, n) == ("fan", 5):
             raise ZeroDivisionError("injected")
         p = recurrence(family, n)
-        return p + Poly.monomial(1) if (family, n) == ("fan", 6) else p
+        return p + T if (family, n) == ("fan", 6) else p
 
     monkeypatch.setattr(kl, "kl_recurrence", faulty)
     code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--max-n", "8")

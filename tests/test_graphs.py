@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     are_isomorphic,
+    biconnected_components,
+    compositions,
     contract,
     count_proper_colorings,
     induced_union,
@@ -15,9 +17,7 @@ from matroidkl import kl, matroids
 from matroidkl.graphs import (
     MAX_VERTICES,
     SimpleGraph,
-    biconnected_components,
     chromatic_polynomial,
-    compositions,
     make_family,
 )
 from matroidkl.poly import Poly

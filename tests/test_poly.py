@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q
+from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q, poly_gcd
 from matroidkl.poly import (
     NEG_INF,
     ZERO,
@@ -12,7 +12,6 @@ from matroidkl.poly import (
     compose_rational,
     divexact,
     poly_divmod,
-    poly_gcd,
     primitive_part,
     remainder_sequence,
     reverse_scaled,
@@ -169,16 +168,6 @@ def test_remainder_sequence_edge_cases():
         assert_sequence_matches_euclid_over_q(p.derivative(), p)
     assert remainder_sequence(ZERO, Poly([-4, 2])) == [ZERO, Poly([-2, 1])]
     assert remainder_sequence(Poly([6, 3]), ZERO) == [Poly([2, 1])]
-
-
-def test_monomial_needs_nonnegative_exponent():
-    assert Poly.monomial(0, 5) == Poly([5])
-    assert Poly.monomial(2) == Poly([0, 0, 1])
-    with pytest.raises(ValueError):
-        Poly.monomial(-1, 5)
-    for k in (True, 2.0):
-        with pytest.raises(TypeError, match="monomial exponent must be an int"):
-            Poly.monomial(k)
 
 
 def test_power_needs_int_exponent():

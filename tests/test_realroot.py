@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    NEG_INF,
+    POS_INF,
     RootInterval,
+    _variations_at,
     content,
+    count_real_roots,
     interleaves_by_isolation,
     interleaves_by_squarefree_chain,
     isolate_real_roots,
@@ -20,7 +24,6 @@ from matroidkl import cli, kl, poly, realroot
 from matroidkl.poly import Poly
 from matroidkl.realroot import (
     all_zeros_negative,
-    count_real_roots,
     fibonacci_polynomial,
     interleaves,
     is_real_rooted,
@@ -263,7 +266,8 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
-    gcds = _count_calls(monkeypatch, poly, "poly_gcd")
+    # the library has no gcd routine: a gcd would take a remainder sequence of
+    # its own, which the sequence counts below rule out
     divisions = _count_calls(monkeypatch, poly, "divexact")
     chains = _count_calls(monkeypatch, realroot, "sturm_chain")
     sequences = _count_calls(monkeypatch, poly, "remainder_sequence")
@@ -282,7 +286,7 @@ def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
         sequences.clear()
         assert verdict(*args) is True, verdict.__name__
         assert (len(chains), len(sequences)) == (n_chains, n_sequences), verdict.__name__
-    assert gcds == [] and divisions == []
+    assert divisions == []
 
 
 def test_certificate_path_builds_no_fraction(no_fraction_coeffs):
@@ -339,6 +343,10 @@ def test_certifiers_match_root_list_definitions(roots, quad, lead):
     assert is_real_rooted(p) is (quad is None)
     assert all_zeros_negative(p) is (quad is None and all(r < 0 for r in roots))
     assert _verdicts(p) == root_verdicts_by_squarefree_chain(p)
+    # the signs at 0 read off the constant coefficients are those of the values
+    chain = sturm_chain(p).polys
+    assert realroot._sign_variations(chain) == tuple(
+        _variations_at(chain, x) for x in (NEG_INF, 0, POS_INF))
 
 
 @VERDICT_SETTINGS

@@ -36,16 +36,16 @@ def test_order_mismatch_rejected():
 
 def test_inverse_geometric():
     n = 8
-    geo = S(n, 1, -1).inverse()
+    geo = S(n, 1) / S(n, 1, -1)
     assert geo == S(n, *([1] * (n + 1)))
-    assert S(n, 1).inverse() == S(n, 1)
-    shifted = S(n, 1, Poly([1, -1])).inverse()  # 1 - (t-1)u
+    assert S(n, 1) / S(n, 1) == S(n, 1)
+    shifted = S(n, 1) / S(n, 1, Poly([1, -1]))  # 1 - (t-1)u
     for k in range(n + 1):
         assert shifted.coefficient(k) == Poly([-1, 1]) ** k
     with pytest.raises(ValueError):
-        S(n, 0, 1).inverse()
-    with pytest.raises(ValueError):
-        S(n, Poly([1, 1])).inverse()  # non-constant leading coefficient
+        S(n, 1) / S(n, 0, 1)
+    with pytest.raises(ArithmeticError):
+        S(n, 1) / S(n, Poly([1, 1]))  # 1 + t does not divide 1: inexact division
 
 
 def test_inverse_roundtrip():
@@ -55,7 +55,7 @@ def test_inverse_roundtrip():
         a = S(n, rng.randint(1, 5), *[
             Poly([rng.randint(-3, 3) for _ in range(3)]) for _ in range(n)
         ])
-        assert a * a.inverse() == S(n, 1)
+        assert a * (S(n, 1) / a) == S(n, 1)
 
 
 def test_sqrt_examples():
@@ -158,7 +158,7 @@ def test_exact_halving_keeps_ints():
     r = S(4, 1, 4).sqrt()
     assert r == S(4, 1, 2, -2, 4, -10)
     assert all(type(c) is int for p in r.coeffs for c in p.coeffs)
-    inv = S(4, -1, Poly([0, 3])).inverse()
+    inv = S(4, 1) / S(4, -1, Poly([0, 3]))
     assert inv * S(4, -1, Poly([0, 3])) == S(4, 1)
     assert all(type(c) is int for p in inv.coeffs for c in p.coeffs)
 
@@ -254,7 +254,7 @@ def int_series(draw, order, constant=INT_POLYS):
 @SERIES_SETTINGS
 @given(unit_series(st.fractions(-5, 5, max_denominator=4).filter(bool)))
 def test_inverse_property_rational(s):
-    assert s * s.inverse() == S(s.order, 1)
+    assert s * (S(s.order, 1) / s) == S(s.order, 1)
 
 
 @SERIES_SETTINGS
