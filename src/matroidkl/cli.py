@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
+from math import comb
 
 from . import graphs, kl, matroids, realroot, series
 from .poly import Poly
@@ -222,12 +223,17 @@ def _compare(got, want, n):
 
 def _oracle(family, n):
     """P, Z and chi from one brute build over the flat lattice against their
-    closed forms; the square's closed forms are the fan's."""
-    brute = kl.kl_z_chi(kl.family_matroid(family, n))
+    closed forms, and that chi against Whitney's sweep over the same
+    matroid's rank table; the square's closed forms are the fan's."""
+    m = kl.family_matroid(family, n)
+    brute = kl.kl_z_chi(m)
     for kind, got in zip(("kl", "z", "characteristic"), brute):
         ok, detail = _compare(got, ROUTES[kind, "closed"][0](family, n), n)
         if not ok:
             return False, f"{kind} {detail}"
+    ok, detail = _compare(brute[2], matroids.characteristic_polynomial(m), n)
+    if not ok:
+        return False, f"characteristic against Whitney's sweep: {detail}"
     return True, ""
 
 
@@ -262,6 +268,27 @@ def _n_sequence_holds(n):
     m = (n - 1) // 2
     gamma = [kl.hadamard_wheel_coeff(n, k)[0] for k in range(m + 1)]
     return realroot.n_sequence_check(gamma, m)
+
+
+def _cycle_kl(m):
+    """P of the m-cycle, the uniform matroid U_{m-1,m} (Elias-Proudfoot-Wakefield):
+    the sum over i of C(d-i-1, i) C(d+1, i) / (i+1) t^i, where d = m - 1."""
+    d = m - 1
+    return Poly([kl._exact(comb(d - i - 1, i) * comb(d + 1, i), i + 1)
+                 for i in range((d + 1) // 2)])
+
+
+def _relaxation(kind, n):
+    """Relaxing the rim of the rank-n wheel, a circuit-hyperplane, gives the
+    whirl and adds P(C_{n+1}) - P(C_n) to P and Z_fan(n) - (1+t) Z_fan(n-1)
+    to Z, where C_m is the m-cycle (Ferroni-Vecchi: the change depends on n
+    alone)."""
+    closed = ROUTES[kind, "closed"][0]
+    if kind == "kl":
+        want = _cycle_kl(n + 1) - _cycle_kl(n)
+    else:
+        want = closed("fan", n) - Poly([1, 1]) * closed("fan", n - 1)
+    return _compare(closed("whirl", n) - closed("wheel", n), want, n)
 
 
 def _whirl_flat_partition(n):
@@ -355,7 +382,9 @@ def build_suite(suite, max_n=None, order=None):
                 ("hadamard", 3, 30, _agrees, _hadamard_product, partial(kl.kl_closed, "wheel")),
                 ("wheel-z-quadratic", 3, 30, _holds, realroot.verify_wheel_z_quadratic),
                 ("lucas-fibonacci", 3, 40, _holds, realroot.verify_lucas_fibonacci),
-                ("n-sequence", 7, 30, _holds, _n_sequence_holds)):
+                ("n-sequence", 7, 30, _holds, _n_sequence_holds),
+                ("relaxation-kl", 3, 30, _relaxation, "kl"),
+                ("relaxation-z", 3, 30, _relaxation, "z")):
             for n in range(lo, min(up_to(top), top) + 1):
                 add(f"identities/{claim}/{n}", *check, n)
         add("identities/spot-values", _spot_values)

@@ -2,9 +2,11 @@
 
 A matroid is stored as a full rank table over the 2^m subsets of its ground
 set (guarded to m <= 16), which makes flats cheap exact lookups.  Graphic
-matroids and whirls are the two constructors.  lattice_of orders the flats,
-and one walk up that order gives the Moebius function and the
-characteristic polynomial of every lower interval.
+matroids and whirls are the two constructors.  lattice_of orders the flats
+by intersecting per-element bitsets of flat indices, and one walk up that
+order gives the Moebius function and the characteristic polynomial of every
+lower interval.  The characteristic polynomial of the whole matroid needs no
+lattice: Whitney's expansion reads it off one sweep over the rank table.
 """
 
 from __future__ import annotations
@@ -172,15 +174,45 @@ class FlatLattice:
 
 
 def lattice_of(matroid):
-    """The lattice of flats of a rank-oracle matroid."""
+    """The lattice of flats of a rank-oracle matroid.
+
+    holding[e] is the bitset of the indices of the flats that contain element
+    e, so the AND of holding[e] over the elements e of flat j is the bitset
+    of the flats containing flat j: flat j itself and, since a flat strictly
+    containing another has higher rank, only indices above j.  above[j] is
+    read off that bitset one comparable pair per step, from the top bit down
+    so that each step works on a shorter int.
+    """
     flats = matroid.flats()
-    masks = [f.elements for f in flats]
-    above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
-             for j, mj in enumerate(masks)]
+    ground = range(matroid.m)
+    holding = [0] * matroid.m
+    for i, f in enumerate(flats):
+        for e in ground:
+            if f.elements >> e & 1:
+                holding[e] |= 1 << i
+    everything = (1 << len(flats)) - 1
+    above = []
+    for j, f in enumerate(flats):
+        containing = everything
+        for e in ground:
+            if f.elements >> e & 1:
+                containing &= holding[e]
+        containing ^= 1 << j
+        ups = []
+        while containing:
+            i = containing.bit_length() - 1
+            ups.append(i)
+            containing ^= 1 << i
+        ups.reverse()
+        above.append(array("H", ups))
     return FlatLattice([f.rank for f in flats], above)
 
 
 def characteristic_polynomial(m):
-    """Sum over flats F of mu(bottom, F) * t^(rk M - rk F): the
-    characteristic polynomial of the whole lattice [bottom, top]."""
-    return lattice_of(m).chi_from_bottom()[-1]
+    """Whitney's expansion chi_M(t) = sum over subsets S of the ground set of
+    (-1)^|S| * t^(rk M - rk S), in one sweep over the rank table."""
+    r = m.full_rank
+    coeffs = [0] * (r + 1)
+    for s, rank in enumerate(m.table):
+        coeffs[r - rank] += -1 if s.bit_count() & 1 else 1
+    return Poly(coeffs)

@@ -73,13 +73,13 @@ class Poly:
         return self.coeffs[-1]
 
     def integerized(self):
-        """Return self with int coefficients, or raise if any is non-integral."""
-        out = []
+        """Return self, whose coefficients are ints, or raise if any is
+        non-integral.  Every route builds int or Fraction coefficients and
+        __init__ refuses bools, so a type test decides."""
         for c in self.coeffs:
-            if isinstance(c, Fraction):
+            if type(c) is not int:
                 raise ArithmeticError(f"non-integer coefficient {c}")
-            out.append(c)
-        return Poly(out)
+        return self
 
     def derivative(self):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])

@@ -2,6 +2,7 @@
 algorithms so they can serve as cross-checks, and the helpers that only the
 tests call (graph isomorphism, colorings, matroid minors, root isolation)."""
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -11,7 +12,7 @@ import pytest
 
 from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import kl_poly
-from matroidkl.matroids import Flat, RankOracleMatroid, graphic_matroid
+from matroidkl.matroids import Flat, FlatLattice, RankOracleMatroid, graphic_matroid
 from matroidkl.poly import ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import _sign, _variations, sturm_chain
@@ -527,6 +528,17 @@ def contraction(m, flat):
 def simplification(m):
     """Simple matroid with the same lattice of flats."""
     return contraction(m, 0)
+
+
+def lattice_by_pairs(matroid):
+    """The lattice of flats with its order from one subset test per pair of
+    flats, flat j below flat i iff mask j is a subset of mask i; the library
+    intersects per-element bitsets instead."""
+    flats = matroid.flats()
+    masks = [f.elements for f in flats]
+    above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
+             for j, mj in enumerate(masks)]
+    return FlatLattice([f.rank for f in flats], above)
 
 
 def characteristic_by_masks(m):

@@ -10,6 +10,8 @@ import pytest
 
 from matroidkl import cli, kl, realroot
 from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
+from matroidkl.graphs import make_family
+from matroidkl.matroids import graphic_matroid
 from matroidkl.poly import T, Poly
 
 
@@ -202,7 +204,7 @@ def test_oracle_suite_spans_the_brute_ranges():
     want += [f"oracle/whirl-flats/{n}" for n in range(brute["whirl"][0], brute["whirl"][1] + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
     assert want[-1] == "oracle/whirl-flats/8"
-    assert len(build_suite("all")) == 555
+    assert len(build_suite("all")) == 611
 
 
 def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
@@ -342,8 +344,9 @@ def test_every_library_function_runs(capsys, monkeypatch):
 
 def test_oracle_check_builds_once(monkeypatch):
     # P, Z and chi of one (family, n) come from one matroid and one lattice;
-    # both lattice_of bindings count, so a separate characteristic route would
-    # show up as a second lattice
+    # both lattice_of bindings count, so a characteristic route that built
+    # its own lattice, instead of sweeping the rank table, would show up as
+    # a second one
     calls = {"family_matroid": 0, "lattice_of": 0}
 
     def counted(name, fn):
@@ -362,6 +365,25 @@ def test_oracle_check_builds_once(monkeypatch):
         calls.update(family_matroid=0, lattice_of=0)
         assert check() == (True, ""), name
         assert calls == {"family_matroid": 1, "lattice_of": 1}, name
+
+
+def test_characteristic_route_builds_no_lattice(capsys, monkeypatch):
+    # the characteristic/brute route is Whitney's sweep over the rank table:
+    # neither lattice_of binding runs
+    calls = []
+    lattice_of = kl.lattice_of
+
+    def counted(*args):
+        calls.append(args)
+        return lattice_of(*args)
+
+    monkeypatch.setattr(kl, "lattice_of", counted)
+    monkeypatch.setattr(cli.matroids, "lattice_of", counted)
+    code, out, _ = run(capsys, "compute", "--family", "wheel", "--n", "8",
+                       "--kind", "characteristic", "--method", "brute")
+    assert code == 0 and calls == []
+    coeffs = [int(c) for c in json.loads(out)["coeffs"]]
+    assert Poly(coeffs) == kl.characteristic_closed("wheel", 8)
 
 
 def test_verify_identities_small(capsys):
@@ -456,7 +478,8 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
         want += [f"roots/fan-interlacing/{n}" for n in range(3, min(cap, 25) + 1)]
         want += [f"identities/{claim}/{n}" for claim, lo, top in (
             ("narayana", 1, 20), ("hadamard", 3, 30), ("wheel-z-quadratic", 3, 30),
-            ("lucas-fibonacci", 3, 40), ("n-sequence", 7, 30)) for n in range(lo, min(cap, top) + 1)]
+            ("lucas-fibonacci", 3, 40), ("n-sequence", 7, 30), ("relaxation-kl", 3, 30),
+            ("relaxation-z", 3, 30)) for n in range(lo, min(cap, top) + 1)]
         ranged = [name for name in names if re.match(
             r"recurrence/|roots/fan-interlacing/|identities/(?!spot-values)", name)]
         assert ranged == want, max_n
@@ -502,6 +525,45 @@ def test_verify_failure_names_first_difference(capsys, monkeypatch):
         assert len(fails) == 1, fails
         assert re.fullmatch(rf"FAIL oracle/{family}/3 \(\d+\.\d+s\): {kind} n=3: {detail}",
                             fails[0]), fails[0]
+
+
+def test_oracle_compares_chi_with_whitney(capsys, monkeypatch):
+    # the pass's chi is checked against Whitney's sweep over the same matroid
+    # as well as against the closed form
+    whitney = cli.matroids.characteristic_polynomial
+    monkeypatch.setattr(cli.matroids, "characteristic_polynomial", lambda m: whitney(m) + T)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 8 and "PASS oracle/whirl-flats/3" in out, fails
+    assert re.fullmatch(r"FAIL oracle/fan/3 \(\d+\.\d+s\): characteristic against Whitney's "
+                        r"sweep: n=3: t\^1: got 8, want 9", fails[2]), fails[2]
+
+
+def test_cycle_kl_matches_brute():
+    # the relaxation check's P of the m-cycle, U_{m-1,m}, against the brute
+    # route, whose Z of the m-cycle is the Narayana polynomial N_m
+    for m in range(3, 12):
+        p, z, _ = kl.kl_z_chi(graphic_matroid(make_family("cycle", m)))
+        assert cli._cycle_kl(m) == p, m
+        assert z == realroot.narayana_polynomial(m), m
+
+
+def test_relaxation_check_fails_at_its_n(capsys, monkeypatch):
+    for name, kind in (("kl_closed", "kl"), ("z_closed", "z")):
+        closed = getattr(kl, name)
+
+        def perturbed(fam, n, closed=closed):
+            p = closed(fam, n)
+            return p + T if (fam, n) == ("whirl", 5) else p
+
+        monkeypatch.setattr(kl, name, perturbed)
+        code, out, _ = run(capsys, "verify", "--suite", "identities", "--max-n", "6")
+        monkeypatch.undo()
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert code == 1 and len(fails) == 1, fails
+        assert re.fullmatch(rf"FAIL identities/relaxation-{kind}/5 \(\d+\.\d+s\): n=5: t\^1: "
+                            r"got \d+, want \d+", fails[0]), fails[0]
 
 
 def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     characteristic_by_masks,
@@ -11,6 +12,7 @@ from conftest import (
     contraction,
     flat_members,
     induced_union,
+    lattice_by_pairs,
     lattice_isomorphic,
     localization,
     random_simple_graph,
@@ -20,6 +22,7 @@ from conftest import (
 from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
+    MAX_GROUND,
     Flat,
     RankOracleMatroid,
     characteristic_polynomial,
@@ -275,14 +278,54 @@ def test_characteristic_closed_forms():
         assert characteristic_polynomial(m) == kl.characteristic_closed("wheel", n)
 
 
-def test_characteristic_matches_mask_oracle():
+@pytest.fixture(scope="module")
+def brute_range_matroids():
+    """The rank-0 matroid and every family matroid of the brute route: fan and
+    square 1..8, wheel and whirl 3..8."""
     cases = [RankOracleMatroid(0, bytearray(1))]
-    for family, lo in (("fan", 1), ("square", 1), ("wheel", 3), ("whirl", 3)):
-        cases += [kl.family_matroid(family, n) for n in range(lo, 8)]
-    rng = random.Random(505)
-    cases += [graphic_matroid(random_simple_graph(rng, max_n=6)) for _ in range(15)]
-    for m in cases:
-        assert characteristic_polynomial(m) == characteristic_by_masks(m)
+    for family, (lo, hi) in cli.ROUTES["kl", "brute"][1].items():
+        cases += [kl.family_matroid(family, n) for n in range(lo, hi + 1)]
+    return cases
+
+
+@st.composite
+def graphs_up_to_16_edges(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    size = draw(st.integers(0, min(len(pairs), MAX_GROUND)))
+    return SimpleGraph(n, draw(st.permutations(pairs))[:size])
+
+
+RANDOM_GRAPHS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def chi_routes_agree(m):
+    """Whitney's sweep, the walk up the lattice and the Moebius function on
+    the flat masks give one characteristic polynomial."""
+    chi = characteristic_polynomial(m)
+    return chi == lattice_of(m).chi_from_bottom()[-1] == characteristic_by_masks(m)
+
+
+def order_matches_pairwise_oracle(m):
+    lat, want = lattice_of(m), lattice_by_pairs(m)
+    return lat.ranks == want.ranks and lat.above == want.above
+
+
+def test_characteristic_matches_mask_oracle(brute_range_matroids):
+    for m in brute_range_matroids:
+        assert chi_routes_agree(m), m
+
+
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_characteristic_matches_mask_oracle_on_random_graphs(g):
+    assert chi_routes_agree(graphic_matroid(g))
+
+
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_lattice_order_matches_pairwise_oracle_on_random_graphs(g):
+    assert order_matches_pairwise_oracle(graphic_matroid(g))
 
 
 def test_rank_table_matches_union_find():
@@ -309,16 +352,10 @@ def test_lower_interval_chi_matches_mask_oracle():
             assert chi == characteristic_by_masks(localization(m, f))
 
 
-def test_lattice_order_is_flat_inclusion():
+def test_lattice_order_is_flat_inclusion(brute_range_matroids):
     assert kl.lattice_of is matroids.lattice_of
-    for family in ("fan", "wheel", "whirl"):
-        m = kl.family_matroid(family, 4)
-        lat = lattice_of(m)
-        masks = [f.elements for f in m.flats()]
-        assert lat.ranks == tuple(f.rank for f in m.flats())
-        for i, mi in enumerate(masks):
-            assert list(lat.above[i]) == [j for j, mj in enumerate(masks)
-                                          if j != i and mi & mj == mi]
+    for m in brute_range_matroids:
+        assert order_matches_pairwise_oracle(m), m
 
 
 def test_characteristic_structure():
