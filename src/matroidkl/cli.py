@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import partial
 from math import comb
 
@@ -87,17 +87,11 @@ def supported_matrix():
     return "\n".join(lines)
 
 
-@dataclass
-class OutputRecord:
-    family: str
-    n: int
-    kind: str
-    method: str
-    coeffs: list
-    flags: dict
+class OutputRecord(namedtuple("OutputRecord", "family n kind method coeffs flags")):
+    __slots__ = ()
 
     def to_json(self):
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
 
 def _poly_record(family, n, kind, method, poly):
@@ -159,10 +153,9 @@ def _write_csv(records, before, after, out):
     max_deg = max((len(rec.coeffs) - 1 for rec in records), default=0)
     out.write(",".join([*before, *(f"c{k}" for k in range(max_deg + 1)), *after]) + "\n")
     for rec in records:
-        fields = {"family": rec.family, "n": rec.n, "kind": rec.kind,
-                  "method": rec.method, **rec.flags}
+        fields = {**rec._asdict(), **rec.flags}
         cell = {name: str(v).lower() if isinstance(v, bool) else str(v)
-                for name, v in fields.items()}
+                for name, v in fields.items() if name in before or name in after}
         cells = [cell[name] for name in before]
         cells += [rec.coeffs[k] if k < len(rec.coeffs) else "" for k in range(max_deg + 1)]
         cells += [cell[name] for name in after]

@@ -12,7 +12,7 @@ lattice: Whitney's expansion reads it off one sweep over the rank table.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .poly import Poly
 from . import graphs as _graphs
@@ -20,12 +20,8 @@ from . import graphs as _graphs
 MAX_GROUND = 16
 
 
-@dataclass(frozen=True)
-class Flat:
-    """A closed set, as a bitmask over ground-set indices, with its rank."""
-
-    elements: int
-    rank: int
+# a closed set, as a bitmask over ground-set indices, with its rank
+Flat = namedtuple("Flat", "elements rank")
 
 
 class RankOracleMatroid:
@@ -125,8 +121,8 @@ def outer_cycle_mask(n):
 def whirl_matroid(n):
     """Relaxation of the wheel's cycle matroid: the outer cycle is declared
     independent, every other rank value is untouched."""
-    if n < 3:
-        raise ValueError("whirl needs n >= 3")
+    if not 3 <= n <= MAX_GROUND // 2:  # the wheel has 2n edges
+        raise ValueError(f"whirl needs 3 <= n <= {MAX_GROUND // 2}")
     g = _graphs.make_family("wheel", n)
     edge_list = list(g.edges)
     table = bytearray(_graphic_rank_table(g.n, edge_list))

@@ -11,17 +11,15 @@ constant coefficients: no polynomial is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 from .poly import Poly, compose_rational, remainder_sequence
 from . import kl as _kl
 
 
-@dataclass(frozen=True)
-class SturmChain:
-    polys: tuple
-    distinct_roots: int  # distinct complex roots: deg p - deg gcd(p, p')
+# distinct_roots counts distinct complex roots: deg p - deg gcd(p, p')
+SturmChain = namedtuple("SturmChain", "polys distinct_roots")
 
 
 def sturm_chain(p):

@@ -149,9 +149,11 @@ def test_json_roundtrip(capsys):
     rec = OutputRecord(**json.loads(out.strip()))
     assert rec.to_json() == out.strip()
     assert rec.family == "wheel" and rec.n == 6
-    # the JSON keys are the dataclass fields, in field order
+    # the JSON keys are the record's fields, in field order
     assert list(json.loads(out)) == ["family", "n", "kind", "method", "coeffs", "flags"]
     assert rec == cli.compute_record("wheel", 6, "kl", "closed")
+    with pytest.raises(AttributeError):  # records are immutable
+        rec.n = 7
 
 
 def test_verify_recurrence_suite(capsys):
@@ -184,6 +186,32 @@ def test_python_m_matroidkl_runs():
                            "--order", "2"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("6/6 checks passed\n")
+
+
+IMPORT_FOOTPRINT = """
+import sys
+from matroidkl import cli
+
+assert cli.main(["compute", "--family", "fan", "--n", "4", "--kind", "kl",
+                 "--method", "brute"]) == 0
+for name, check in cli.build_suite("all", max_n=3, order=2):
+    ok, detail = check()
+    assert ok, (name, detail)
+loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+
+def test_library_loads_no_dataclasses_or_inspect():
+    # every CLI run, verify suite and benchmark repetition is a fresh process
+    # that imports the library; the record types are named tuples, so none of
+    # them loads dataclasses and, through it, inspect, ast, dis and tokenize
+    import matroidkl
+
+    src = os.path.dirname(os.path.dirname(matroidkl.__file__))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_oracle_suite_small(capsys):

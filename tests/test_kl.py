@@ -14,9 +14,11 @@ from conftest import (
     multiplicative_kl,
     z_closed_over_q,
 )
-from matroidkl import cli, kl
+from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
-from matroidkl.matroids import FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid
+from matroidkl.matroids import (
+    MAX_GROUND, FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid,
+)
 from matroidkl.poly import T, Poly, reverse_scaled
 from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
 
@@ -343,9 +345,16 @@ def test_engine_against_naive_on_random_graphs():
         done += 1
 
 
-def test_ground_set_size_guard():
+def test_ground_set_size_guard(monkeypatch):
+    # both constructors refuse an oversized ground set before they tabulate
+    def refuse(*args):
+        raise AssertionError("rank table built for an oversized ground set")
+
+    monkeypatch.setattr(matroids, "_graphic_rank_table", refuse)
     with pytest.raises(ValueError):
         graphic_matroid(make_family("fan", 9))  # 17 edges exceeds the table bound
+    with pytest.raises(ValueError):
+        whirl_matroid(MAX_GROUND // 2 + 1)  # the wheel's 2n edges exceed it
 
 
 def test_lattice_isomorphism_checker():

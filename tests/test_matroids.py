@@ -398,3 +398,5 @@ def test_characteristic_multiplicative_on_direct_sums():
 def test_flat_members_roundtrip():
     f = Flat(0b1011, 2)
     assert flat_members(f) == (0, 1, 3)
+    with pytest.raises(AttributeError):  # flats are immutable
+        f.rank = 3

@@ -316,6 +316,8 @@ def test_sturm_chain_terms_are_primitive():
     for p in (kl.z_closed("wheel", 40), kl.kl_closed("whirl", 40)):
         chain = sturm_chain(p)
         assert len(chain.polys) > 2
+        with pytest.raises(AttributeError):  # chains are immutable
+            chain.polys = ()
         for term in chain.polys:
             assert all(type(c) is int for c in term.coeffs), term
             assert content(term) == 1, term
