@@ -147,11 +147,11 @@ def compute_record(family, n, kind, method):
     return _poly_record(family, n, kind, method, poly)
 
 
-def _write_csv(records, before, after, out):
+def _csv(records, before, after):
     """One CSV row per record: the columns named in before, c0..cK padded to
     the largest degree, then the columns named in after."""
     max_deg = max((len(rec.coeffs) - 1 for rec in records), default=0)
-    out.write(",".join([*before, *(f"c{k}" for k in range(max_deg + 1)), *after]) + "\n")
+    rows = [",".join([*before, *(f"c{k}" for k in range(max_deg + 1)), *after])]
     for rec in records:
         fields = {**rec._asdict(), **rec.flags}
         cell = {name: str(v).lower() if isinstance(v, bool) else str(v)
@@ -159,27 +159,26 @@ def _write_csv(records, before, after, out):
         cells = [cell[name] for name in before]
         cells += [rec.coeffs[k] if k < len(rec.coeffs) else "" for k in range(max_deg + 1)]
         cells += [cell[name] for name in after]
-        out.write(",".join(cells) + "\n")
+        rows.append(",".join(cells))
+    return "".join(row + "\n" for row in rows)
 
 
-def _emit_records(records, fmt, out):
+def _records_text(records, fmt):
     if fmt == "json":
-        for rec in records:
-            out.write(rec.to_json() + "\n")
-        return
-    _write_csv(records, ["family", "n", "kind", "method", "degree", "rank",
-                         "real_rooted", "all_negative"], [], out)
+        return "".join(rec.to_json() + "\n" for rec in records)
+    return _csv(records, ["family", "n", "kind", "method", "degree", "rank",
+                          "real_rooted", "all_negative"], [])
 
 
-def cmd_compute(args, out=None):
-    out = out if out is not None else sys.stdout
+# each command returns its exit code and its output; main writes the output
+
+
+def cmd_compute(args):
     rec = compute_record(args.family, args.n, args.kind, args.method)
-    _emit_records([rec], args.format, out)
-    return 0
+    return 0, _records_text([rec], args.format)
 
 
-def cmd_table(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_table(args):
     kind, family = args.kind, args.family
     fams = ROUTES.get((kind, "closed"), (None, {}))[1]
     if family not in fams:
@@ -190,10 +189,8 @@ def cmd_table(args, out=None):
                          f"table, got {args.max_n}")
     records = [compute_record(family, n, kind, "closed") for n in range(start, args.max_n + 1)]
     if args.format == "json":
-        _emit_records(records, "json", out)
-    else:
-        _write_csv(records, ["n", "degree"], ["real_rooted"], out)
-    return 0
+        return 0, _records_text(records, "json")
+    return 0, _csv(records, ["n", "degree"], ["real_rooted"])
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +393,7 @@ def _run_check_timed(item):
     return name, ok, detail, time.perf_counter() - start
 
 
-def cmd_verify(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_verify(args):
     jobs, cpus = args.jobs, os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         # checked before any pool starts: the pool forks all its workers at once
@@ -410,15 +406,12 @@ def cmd_verify(args, out=None):
             results = list(pool.map(_run_check_timed, checks))
     else:
         results = [_run_check_timed(item) for item in checks]
-    failures = 0
-    for name, ok, detail, seconds in results:
-        if ok:
-            out.write(f"PASS {name} ({seconds:.2f}s)\n")
-        else:
-            failures += 1
-            out.write(f"FAIL {name} ({seconds:.2f}s): {detail}\n")
-    out.write(f"{len(results) - failures}/{len(results)} checks passed\n")
-    return 1 if failures else 0
+    lines = [f"PASS {name} ({seconds:.2f}s)\n" if ok else
+             f"FAIL {name} ({seconds:.2f}s): {detail}\n"
+             for name, ok, detail, seconds in results]
+    failures = sum(not ok for _, ok, _, _ in results)
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed\n")
+    return (1 if failures else 0), "".join(lines)
 
 
 def build_parser():
@@ -457,12 +450,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "compute":
-            return cmd_compute(args)
-        return cmd_table(args)
+        code, text = command[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.command in ("compute", "table"):
@@ -471,6 +461,15 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`), which leaves the
+        # outcome as it was; what is still buffered goes to the null device,
+        # so that the interpreter's last flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ bitmasks internally.
 
 from __future__ import annotations
 
-from .poly import ONE, Poly
+from .poly import ONE, Poly, _nonnegative_int
 
 FAMILIES = ("path", "cycle", "fan", "wheel", "square_of_path")
 
@@ -23,10 +23,11 @@ class SimpleGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _nonnegative_int(n, "vertex count")
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r},{v!r}) needs int endpoints")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -60,6 +61,8 @@ class SimpleGraph:
 def make_family(family, n):
     """Build a named family member: path/cycle on n vertices, fan/wheel with
     hub 0 and rim 1..n, or the square of the (n+1)-vertex path."""
+    if type(n) is not int:
+        raise TypeError(f"{family} needs an int n, got {type(n).__name__}")
     if family == "path":
         if n < 1:
             raise ValueError("path needs n >= 1")

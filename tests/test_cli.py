@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from matroidkl import cli, kl, realroot
+from matroidkl import cli, kl, matroids, realroot, series
 from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
 from matroidkl.graphs import make_family
 from matroidkl.matroids import graphic_matroid
@@ -175,17 +175,36 @@ def test_verify_gf_suite(capsys):
     assert len(pass_names(out)) == 6 and "FAIL" not in out
 
 
-def test_python_m_matroidkl_runs():
-    # the package runs as a module, from the same source tree as the tests
+def run_module(*argv, **kwargs):
+    """python -m matroidkl argv, from the same source tree as the tests."""
     import matroidkl
 
     src = os.path.dirname(os.path.dirname(matroidkl.__file__))
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-m", "matroidkl", "verify", "--suite", "gf",
-                           "--order", "2"], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "matroidkl", *argv], text=True, env=env,
+                          timeout=120, **kwargs)
+
+
+def test_python_m_matroidkl_runs():
+    proc = run_module("verify", "--suite", "gf", "--order", "2", capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("6/6 checks passed\n")
+
+
+def test_closed_stdout_keeps_the_outcome():
+    # a reader that goes away before the output is written (`| head`) ends the
+    # output, not the command: each still exits 0, with nothing on stderr
+    for argv in (("verify", "--suite", "identities"),
+                 ("table", "--family", "fan", "--kind", "z", "--max-n", "64"),
+                 ("compute", "--family", "fan", "--n", "5", "--kind", "kl")):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_module(*argv, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 IMPORT_FOOTPRINT = """
@@ -613,6 +632,44 @@ def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):
                         r"exception: ZeroDivisionError\('injected'\)", fails[0]), fails[0]
     assert re.fullmatch(r"FAIL recurrence/fan/6 \(\d+\.\d+s\): n=6: t\^1: got 11, want 10",
                         fails[1]), fails[1]
+
+
+# one claim each: (the prefix of the claim's checks, the check that must fail,
+# the module and function it reads, the arguments at which that function's
+# value is changed, and the change)
+PERTURBATIONS = [
+    ("gf/", "gf/kl_fan/order-8", series, "gf_expand", ("kl_fan", 8), lambda s: s * 2),
+    ("roots/fan-interlacing/", "roots/fan-interlacing/6", realroot, "interleaves",
+     (kl.kl_closed("fan", 6), kl.kl_closed("fan", 7)), lambda verdict: not verdict),
+    ("identities/narayana/", "identities/narayana/4", realroot, "narayana_polynomial", (4,),
+     lambda p: p + T),
+    ("identities/hadamard/", "identities/hadamard/5", kl, "hadamard_wheel_coeff", (5, 1),
+     lambda abc: (abc[0], 2 * abc[1], abc[2])),
+    ("identities/wheel-z-quadratic/", "identities/wheel-z-quadratic/6", kl, "z_closed",
+     ("wheel", 6), lambda p: p + T),
+    ("identities/lucas-fibonacci/", "identities/lucas-fibonacci/6", realroot,
+     "fibonacci_polynomial", (6,), lambda p: p + T),
+    # a b c keeps its product, so the hadamard check still passes
+    ("identities/n-sequence/", "identities/n-sequence/9", kl, "hadamard_wheel_coeff", (9, 1),
+     lambda abc: (-abc[0], -abc[1], abc[2])),
+    ("identities/spot-values", "identities/spot-values", kl, "kl_closed", ("fan", 9),
+     lambda p: p + T),
+    ("oracle/whirl-flats/", "oracle/whirl-flats/5", matroids, "whirl_matroid", (5,),
+     lambda m: graphic_matroid(make_family("wheel", 5))),
+]
+
+
+@pytest.mark.parametrize("prefix, check, module, name, at, change", PERTURBATIONS,
+                         ids=[case[1] for case in PERTURBATIONS])
+def test_each_claim_fails_at_its_perturbed_n(monkeypatch, prefix, check, module, name, at,
+                                             change):
+    # a check that cannot fail would vouch for nothing in the acceptance suite
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: change(fn(*args)) if args == at else fn(*args))
+    claim = [item for item in build_suite(prefix.split("/")[0], max_n=10, order=8)
+             if item[0].startswith(prefix)]
+    assert [got for got, ok, _, _ in map(cli._run_check_timed, claim) if not ok] == [check]
 
 
 def test_poly_record_builds_one_sturm_chain(monkeypatch):

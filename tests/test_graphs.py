@@ -61,6 +61,18 @@ def test_constructor_bounds():
         SimpleGraph(3, [(0, 0)])
 
 
+def test_constructors_refuse_non_int_sizes():
+    # refused at construction, not later inside adjacency() or a rank table;
+    # a bool is refused like any other non-int, as poly refuses it for orders
+    for n, edges in ((3, [(0, 1.5)]), (3, [(False, 1)]), (3.0, [(0, 1)]), (True, [])):
+        with pytest.raises(TypeError):
+            SimpleGraph(n, edges)
+    for family in ("path", "cycle", "fan", "wheel", "square_of_path"):
+        for n in (True, 4.0):
+            with pytest.raises(TypeError):
+                make_family(family, n)
+
+
 def test_rank():
     for n in range(1, 9):
         assert rank(make_family("fan", n)) == n
