@@ -1,12 +1,12 @@
 """Acceptance suite: each criterion runs the checks of `matroidkl verify --suite
 all` whose names it owns and prints one line, which names its first failing
-check and that check's detail.  Criterion 2 (Z) is part of criterion 1, whose
-oracle checks compare P, Z and chi from one lattice.  Run with
-`pytest tests/test_acceptance.py -v -s`."""
+check and that check's detail.  Criterion 1's oracle checks compare P, Z and
+chi from one lattice; criterion 2 compares the Z routes on their own, brute
+against closed.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import time
 
-from matroidkl.cli import _run_check_timed, build_suite
+from matroidkl.cli import ROUTES, _compare, _run_check_timed, build_suite
 from matroidkl.kl import FAMILIES
 
 SUITE = build_suite("all")
@@ -30,8 +30,12 @@ def _criterion(title):
     prefixes, gate = CRITERIA[title]
     t0 = time.perf_counter()
     results = [_run_check_timed(item) for item in SUITE if item[0].startswith(prefixes)]
+    _report(title, [(name, ok, detail) for name, ok, detail, _ in results], t0, gate)
+
+
+def _report(title, results, t0, gate=None):
     elapsed = time.perf_counter() - t0
-    failed = [f"{name}: {detail}" for name, ok, detail, _ in results if not ok]
+    failed = [f"{name}: {detail}" for name, ok, detail in results if not ok]
     if gate is not None and elapsed >= gate:
         failed.append(f"took {elapsed:.1f}s, over its {gate}s gate")
     line = f"{title} ({len(results)} checks, {elapsed:.1f}s)"
@@ -49,6 +53,15 @@ def test_criteria_split_the_suite():
 
 def test_criterion_1_oracle_equivalence():
     _criterion("criterion-1 oracle P, Z, chi")
+
+
+def test_criterion_2_z_oracle_equivalence():
+    t0 = time.perf_counter()
+    brute, ranges = ROUTES["z", "brute"]
+    closed = ROUTES["z", "closed"][0]
+    results = [(f"z/{fam}/{n}", *_compare(brute(fam, n), closed(fam, n), n))
+               for fam, (lo, hi) in ranges.items() for n in range(lo, hi + 1)]
+    _report("criterion-2 Z brute against Z closed", results, t0)
 
 
 def test_criterion_3_recurrence_fidelity():
