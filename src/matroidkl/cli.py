@@ -117,6 +117,8 @@ class UsageError(Exception):
 
 
 def _check_combo(family, n, kind, method):
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     fams = ROUTES.get((kind, method), (None, {}))[1]
     if family not in fams:
         raise UsageError(f"unsupported combination family={family} kind={kind} method={method}")

@@ -36,19 +36,19 @@ def _check_bottom(lat, ps):
     """Certify per-flat KL polynomials by the defining recursion at the bottom:
     sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t).
     Returns chi_{[bottom, top]}, the characteristic polynomial."""
-    chis = lat.chi_from_bottom()
     total = Poly()
-    for chi, p in zip(chis, ps):
+    for chi, p in zip(lat.chi_from_bottom(), ps):
         total = total + chi * p
     if total != reverse_scaled(ps[0], lat.top_rank):
         raise ArithmeticError(
             "defining recursion fails at the bottom flat; rank oracle or lattice bug"
         )
-    return chis[-1]
+    return chi  # the last one, of [bottom, top]
 
 
 def _flat_pass(lat):
-    """P and Z of every upper interval [F, top], indexed like the flats.
+    """P of every upper interval [F, top], indexed like the flats, and Z of
+    the whole lattice; the Z of the other intervals is only built and dropped.
 
     For a flat A of corank r, R_A = sum over F > A of t^(rk F - rk A) * P_F
     is Z_A - P_A.  Z_A is palindromic of degree r and deg P_A < r/2, so the
@@ -57,7 +57,6 @@ def _flat_pass(lat):
     """
     ranks = lat.ranks
     ps = [None] * lat.n
-    zs = [None] * lat.n
     for a in reversed(range(lat.n)):
         r = lat.top_rank - ranks[a]
         z = [0] * (r + 1)
@@ -75,16 +74,14 @@ def _flat_pass(lat):
             )
         for k, c in enumerate(p):
             z[k] += c
-        ps[a], zs[a] = p, z
-    return [Poly(p) for p in ps], [Poly(z) for z in zs]
+        ps[a] = p
+    return [Poly(p) for p in ps], Poly(z)
 
 
 def kl_z_chi(matroid):
     """(P, Z, chi) of a loopless matroid from one lattice and one certified pass."""
     lat = lattice_of(matroid)
-    ps, zs = _flat_pass(lat)
-    z = zs[0]
-    del zs  # keep one Z, not one per flat, alive while the certificate builds every chi
+    ps, z = _flat_pass(lat)
     return ps[0], z, _check_bottom(lat, ps)
 
 
@@ -118,8 +115,10 @@ FIRST_N = {
 
 
 def _first_n(name, family, n):
-    """FIRST_N[name][family]; raises ValueError unless name covers family and
-    n is at least that first n."""
+    """FIRST_N[name][family]; raises TypeError unless n is an int, and
+    ValueError unless name covers family and n is at least that first n."""
+    if type(n) is not int:
+        raise TypeError(f"{name} needs an int n, got {type(n).__name__}")
     first = FIRST_N[name].get(family)
     if first is None:
         raise ValueError(f"{name} covers the families {tuple(FIRST_N[name])}, not {family!r}")

@@ -1,12 +1,13 @@
 """Matroids as exact rank oracles over bitset subsets, and their lattices of flats.
 
 A matroid is stored as a full rank table over the 2^m subsets of its ground
-set (guarded to m <= 16), which makes flats cheap exact lookups.  Graphic
-matroids and whirls are the two constructors.  lattice_of orders the flats
-by intersecting per-element bitsets of flat indices, and one walk up that
-order gives the Moebius function and the characteristic polynomial of every
-lower interval.  The characteristic polynomial of the whole matroid needs no
-lattice: Whitney's expansion reads it off one sweep over the rank table.
+set (guarded to m <= 16), which is built and scanned for flats by sweeps over
+one int whose byte lane X stands for subset X.  Graphic matroids and whirls
+are the two constructors.  lattice_of orders the flats by intersecting
+per-element bitsets of flat indices, and one walk up that order gives the
+Moebius function and the characteristic polynomial of every lower interval.
+The characteristic polynomial of the whole matroid needs no lattice:
+Whitney's expansion reads it off one sweep over the rank table.
 """
 
 from __future__ import annotations
@@ -37,85 +38,83 @@ class RankOracleMatroid:
         self.m = m
         self.table = table
         self.full_rank = table[(1 << m) - 1]
-        self._check_empty_set_and_loops()
-
-    def _check_empty_set_and_loops(self):
-        """The O(m) checks: the empty set has rank 0 and no element is a
-        loop.  The tests check the rank axioms exactly on every table the
-        constructors build for the brute routes, and on random graphs."""
-        t = self.table
-        if t[0] != 0:
+        # O(m) checks; the tests check every rank axiom on the brute routes'
+        # tables and random graphs, and flats() that each step is 0 or 1
+        if table[0] != 0:
             raise ValueError("rank of empty set must be 0")
-        for e in range(self.m):
-            if t[1 << e] != 1:
+        for e in range(m):
+            if table[1 << e] != 1:
                 raise ValueError(f"element {e} is a loop; loopless matroids only")
 
-    def is_flat(self, subset):
-        t = self.table
-        r = t[subset]
-        rest = ((1 << self.m) - 1) & ~subset
-        while rest:
-            bit = rest & -rest
-            rest &= rest - 1
-            if t[subset | bit] == r:
-                return False
-        return True
-
     def flats(self):
-        """Every closed set exactly once, sorted by (rank, bitmask)."""
-        t = self.table
-        found = [Flat(x, t[x]) for x in range(1 << self.m) if self.is_flat(x)]
-        found.sort(key=lambda f: (f.rank, f.elements))
+        """Every closed set exactly once, sorted by (rank, bitmask).
+
+        Over the lanes X that lack element e, lane X of d is t(X+e) - t(X):
+        0 or 1 in a matroid, so no borrow crosses a lane.  Any other step but
+        -255 leaves a bit of 0xfe in the lowest lane it reaches, since & reads
+        a negative d in two's complement.  X is closed when d is 1 in lane X
+        for every element e that X lacks."""
+        size = 1 << self.m
+        t = int.from_bytes(self.table, "little")
+        closed = int.from_bytes(b"\x01" * size, "little")
+        not_low = closed * 0xFE
+        for e in range(self.m):
+            keep = int.from_bytes((b"\xff" * (1 << e) + bytes(1 << e)) * (size >> e + 1), "little")
+            d = ((t >> (8 << e)) & keep) - (t & keep)
+            if d & not_low:
+                raise ValueError(f"adding element {e} changes a rank by other than 0 or 1")
+            closed &= d | ~keep
+        lanes, found = closed.to_bytes(size, "little"), []
+        x = lanes.find(1)
+        while x >= 0:
+            found.append(Flat(x, self.table[x]))
+            x = lanes.find(1, x + 1)
+        found.sort(key=lambda f: f.rank)  # stable, so masks stay ascending
         return tuple(found)
 
     def __repr__(self):
         return f"RankOracleMatroid(m={self.m}, rank={self.full_rank})"
 
 
-def _graphic_rank_table(n_vertices, edge_list):
-    """Rank of every edge subset by one include/exclude recursion over the
-    edges, reaching each subset once, from its highest edge.  The recursion
-    carries the component label of every vertex under the current subset:
-    an edge inside a component keeps the rank, an edge between two
-    components relabels one of them and adds 1."""
-    m = len(edge_list)
-    table = bytearray(1 << m)
-
-    def extend(first, x, labels, r):
-        for e in range(first, m):
-            a, b = edge_list[e]
-            la, lb = labels[a], labels[b]
-            y = x | 1 << e
-            if la == lb:
-                table[y] = r
-                extend(e + 1, y, labels, r)
-            else:
-                table[y] = r + 1
-                extend(e + 1, y, [la if c == lb else c for c in labels], r + 1)
-
-    extend(0, 0, list(range(n_vertices)), 0)
-    return table
+def _graphic_rank_table(edge_list):
+    """Rank of every edge subset: lane X of the int rank holds rk X, and the
+    lanes double at each edge.  Lane X of conn[u, v] is 1 when X joins u and
+    v; it is kept while u and v both have an edge still to come.  Edge
+    k = (a, b) adds the sets X+k: rk X + 1 where X does not join a and b,
+    and X+k joins u and v where X joins them, or joins u to one end of k and
+    v to the other."""
+    last = {v: k for k, edge in enumerate(edge_list) for v in edge}  # each vertex's last edge
+    rank, ones, width = 0, 1, 8  # width: bits of the lanes filled so far
+    conn = {(v, v): 1 for v in last}
+    for k, (a, b) in enumerate(edge_list):
+        get, conn = conn.get, {}
+        rank |= (rank + (ones ^ get((a, b), 0))) << width
+        ones |= ones << width
+        live = [v for v in last if last[v] > k]
+        for i, u in enumerate(live):
+            ua, ub = get((u, a), 0), get((u, b), 0)
+            conn[u, u] = ones
+            for v in live[i + 1:]:
+                c = get((u, v), 0)
+                conn[u, v] = conn[v, u] = c | (c | ua & get((b, v), 0)
+                                               | ub & get((a, v), 0)) << width
+        width <<= 1
+    return rank.to_bytes(width >> 3, "little")
 
 
 def graphic_matroid(g):
     """Cycle matroid of a simple graph: elements are edges, rank counts a
     spanning forest."""
-    edge_list = list(g.edges)
-    if len(edge_list) > MAX_GROUND:
+    if len(g.edges) > MAX_GROUND:
         raise ValueError(f"graphs above {MAX_GROUND} edges unsupported")
-    table = _graphic_rank_table(g.n, edge_list)
-    return RankOracleMatroid(len(edge_list), table)
+    return RankOracleMatroid(len(g.edges), _graphic_rank_table(g.edges))
 
 
 def outer_cycle_mask(n):
     """Bitmask of the rim edges of the wheel on hub 0 and rim 1..n, under the
     edge ordering of graphic_matroid(wheel)."""
-    g = _graphs.make_family("wheel", n)
-    mask = 0
-    for i, (u, v) in enumerate(g.edges):
-        if u != 0:
-            mask |= 1 << i
-    return mask
+    edges = _graphs.make_family("wheel", n).edges
+    return sum(1 << i for i, (u, _) in enumerate(edges) if u != 0)
 
 
 def whirl_matroid(n):
@@ -124,10 +123,9 @@ def whirl_matroid(n):
     if not 3 <= n <= MAX_GROUND // 2:  # the wheel has 2n edges
         raise ValueError(f"whirl needs 3 <= n <= {MAX_GROUND // 2}")
     g = _graphs.make_family("wheel", n)
-    edge_list = list(g.edges)
-    table = bytearray(_graphic_rank_table(g.n, edge_list))
+    table = bytearray(_graphic_rank_table(g.edges))
     table[outer_cycle_mask(n)] = n
-    return RankOracleMatroid(len(edge_list), table)
+    return RankOracleMatroid(len(g.edges), table)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +151,21 @@ class FlatLattice:
         self.top_rank = self.ranks[-1] if self.ranks else 0
 
     def chi_from_bottom(self):
-        """Characteristic polynomial of every lower interval [bottom, F]:
-        sum over flats G <= F of mu(bottom, G) * t^(rk F - rk G).
+        """Characteristic polynomial of every lower interval [bottom, F], one
+        at a time in the order of the flats: sum over flats G <= F of
+        mu(bottom, G) * t^(rk F - rk G).
 
         One walk up the order: by the time flat j is reached, every flat G
         below it has pushed mu(bottom, G) into coefficient rk j - rk G of
-        chi_j, so mu(bottom, j) is minus the sum of what chi_j holds."""
+        chi_j, so chi_j is complete and mu(bottom, j) is minus its sum."""
         ranks = self.ranks
         coeffs = [[0] * (r + 1) for r in ranks]
         for j, ups in enumerate(self.above):
-            chi_j = coeffs[j]
+            chi_j, coeffs[j] = coeffs[j], None
             mu_j = chi_j[0] = -sum(chi_j) if j else 1
             for i in ups:
                 coeffs[i][ranks[i] - ranks[j]] += mu_j
-        return [Poly(c) for c in coeffs]
+            yield Poly(chi_j)
 
 
 def lattice_of(matroid):

@@ -439,11 +439,55 @@ def are_isomorphic(g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# the graphic rank table subset by subset, each from a fresh union-find with
-# path halving: the library fills it in one recursion over the edges
+# the graphic rank table and the flats subset by subset: the library sweeps
+# all 2^m subsets at once as the byte lanes of one int
+
+
+def rank_table_by_recursion(n_vertices, edge_list):
+    """One include/exclude recursion over the edges, reaching each subset
+    once, from its highest edge, with the component label of every vertex
+    under the current subset: an edge inside a component keeps the rank, an
+    edge between two components relabels one of them and adds 1."""
+    m = len(edge_list)
+    table = bytearray(1 << m)
+
+    def extend(first, x, labels, r):
+        for e in range(first, m):
+            a, b = edge_list[e]
+            la, lb = labels[a], labels[b]
+            y = x | 1 << e
+            if la == lb:
+                table[y] = r
+                extend(e + 1, y, labels, r)
+            else:
+                table[y] = r + 1
+                extend(e + 1, y, [la if c == lb else c for c in labels], r + 1)
+
+    extend(0, 0, list(range(n_vertices)), 0)
+    return table
+
+
+def is_flat(m, x):
+    """No element outside the subset x keeps its rank."""
+    t = m.table
+    rest = ((1 << m.m) - 1) & ~x
+    while rest:
+        bit = rest & -rest
+        rest &= rest - 1
+        if t[x | bit] == t[x]:
+            return False
+    return True
+
+
+def flats_by_scan(m):
+    """is_flat on each of the 2^m subsets, sorted by (rank, bitmask)."""
+    found = [Flat(x, m.table[x]) for x in range(1 << m.m) if is_flat(m, x)]
+    found.sort(key=lambda f: (f.rank, f.elements))
+    return tuple(found)
 
 
 def rank_table_by_union_find(n_vertices, edge_list):
+    """Each subset from a fresh union-find with path halving."""
     m = len(edge_list)
     table = bytearray(1 << m)
     parent = list(range(n_vertices))
@@ -485,7 +529,7 @@ def flat_members(flat):
 
 def _flat_mask(m, flat, operation):
     fmask = flat.elements if isinstance(flat, Flat) else flat
-    if not m.is_flat(fmask):
+    if not is_flat(m, fmask):
         raise ValueError(f"{operation} requires a flat")
     return fmask
 

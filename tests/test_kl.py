@@ -75,12 +75,15 @@ def test_every_flat_against_naive():
     # the contraction at F, which the naive route rebuilds from rank oracles
     for family, n in (("fan", 4), ("wheel", 4), ("whirl", 4)):
         m = fam_matroid(family, n)
-        ps, zs = kl._flat_pass(kl.lattice_of(m))
-        assert len(ps) == len(m.flats())
-        for f, p, z in zip(m.flats(), ps, zs):
+        lat = kl.lattice_of(m)
+        ps, z = kl._flat_pass(lat)
+        assert len(ps) == len(m.flats()) and z == naive_z(m)
+        for a, (f, p) in enumerate(zip(m.flats(), ps)):
             contr = contraction(m, f.elements)
             assert p == naive_kl(contr)
-            assert z == naive_z(contr)
+            # Z of [F, top] by its definition, from the P of the flats above F
+            z_f = sum((T ** (lat.ranks[g] - lat.ranks[a]) * ps[g] for g in lat.above[a]), p)
+            assert z_f == naive_z(contr)
 
 
 def _rederive_below(lat, ps, i):
@@ -122,6 +125,20 @@ def test_recurrence_seeds():
     assert kl.kl_recurrence("whirl", 1) == Poly([1])
     assert kl.kl_recurrence("whirl", 2) == Poly([1])
     assert kl.kl_recurrence("whirl", 3) == Poly([1, 3])
+
+
+def test_every_route_rejects_an_n_that_is_not_an_int():
+    # a bool or float n would pass the range checks: kl_closed("fan", True)
+    # would return 1, and compute_record would print "n: true"
+    for bad in (True, 2.0, 4.0):
+        for name, entry in kl.FIRST_N.items():
+            for family in entry:
+                with pytest.raises(TypeError, match="int n"):
+                    getattr(kl, name)(family, bad)
+        for kind, method in cli.ROUTES:
+            for family in cli.ROUTES[kind, method][1]:
+                with pytest.raises(TypeError, match="int"):
+                    cli.compute_record(family, bad, kind, method)
 
 
 def closed_range(kind, family, hi):

@@ -11,11 +11,14 @@ from conftest import (
     contract,
     contraction,
     flat_members,
+    flats_by_scan,
     induced_union,
+    is_flat,
     lattice_by_pairs,
     lattice_isomorphic,
     localization,
     random_simple_graph,
+    rank_table_by_recursion,
     rank_table_by_union_find,
     simplification,
 )
@@ -208,7 +211,7 @@ def test_localization():
     same = localization(m, full_mask)
     assert bytes(same.table) == bytes(m.table)
     with pytest.raises(ValueError):
-        localization(m, 0b11 if not m.is_flat(0b11) else 0b101)
+        localization(m, 0b11 if not is_flat(m, 0b11) else 0b101)
 
     w3 = whirl_matroid(3)
     outer = outer_cycle_mask(3)
@@ -225,7 +228,7 @@ def test_contraction_matches_quotient_graph():
         for c in compositions(g):
             kept = induced_union(g, c)
             fmask = sum(1 << edge_index[e] for e in kept.edges)
-            assert m.is_flat(fmask)
+            assert is_flat(m, fmask)
             quotient = graphic_matroid(contract(g, c))
             contr = contraction(m, fmask)
             assert contr.full_rank == quotient.full_rank
@@ -257,7 +260,7 @@ def test_contraction_at_empty_flat_simplifies():
 def test_contraction_rejects_non_flats():
     m = graphic_matroid(make_family("cycle", 3))
     non_flat = 0b011  # two edges of a triangle span the third
-    assert not m.is_flat(non_flat)
+    assert not is_flat(m, non_flat)
     with pytest.raises(ValueError):
         contraction(m, non_flat)
 
@@ -303,7 +306,7 @@ def chi_routes_agree(m):
     """Whitney's sweep, the walk up the lattice and the Moebius function on
     the flat masks give one characteristic polynomial."""
     chi = characteristic_polynomial(m)
-    return chi == lattice_of(m).chi_from_bottom()[-1] == characteristic_by_masks(m)
+    return chi == list(lattice_of(m).chi_from_bottom())[-1] == characteristic_by_masks(m)
 
 
 def order_matches_pairwise_oracle(m):
@@ -335,7 +338,8 @@ def test_rank_table_matches_union_find():
     rng = random.Random(808)
     graphs += [random_simple_graph(rng, max_n=6) for _ in range(30)]
     for g in graphs:
-        assert graphic_matroid(g).table == rank_table_by_union_find(g.n, list(g.edges))
+        want = rank_table_by_union_find(g.n, list(g.edges))
+        assert graphic_matroid(g).table == want == rank_table_by_recursion(g.n, list(g.edges))
     for n in range(3, 9):
         wheel = make_family("wheel", n)
         want = rank_table_by_union_find(wheel.n, list(wheel.edges))
@@ -343,10 +347,54 @@ def test_rank_table_matches_union_find():
         assert whirl_matroid(n).table == want
 
 
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_lane_sweeps_match_subset_oracles_on_random_graphs(g):
+    m, edges = graphic_matroid(g), list(g.edges)
+    assert m.table == rank_table_by_recursion(g.n, edges) == rank_table_by_union_find(g.n, edges)
+    assert m.flats() == flats_by_scan(m)
+
+
+def test_flats_match_subset_scan(brute_range_matroids):
+    for m in brute_range_matroids:
+        assert m.flats() == flats_by_scan(m), m
+
+
+def unit_steps(table, m):
+    """Adding any one element raises the rank by 0 or 1."""
+    return all(0 <= table[x | 1 << e] - table[x] <= 1
+               for x in range(1 << m) for e in range(m) if not x >> e & 1)
+
+
+def test_flats_reject_tables_without_unit_steps():
+    with pytest.raises(ValueError, match="element 0"):
+        RankOracleMatroid(2, bytearray([0, 1, 1, 3])).flats()  # a step of 2
+    with pytest.raises(ValueError, match="element 0"):
+        RankOracleMatroid(2, bytearray([0, 1, 1, 0])).flats()  # a step down
+    # one rank moved by one or two: the scan goes on exactly when every step
+    # is still 0 or 1, and then finds what the subset scan finds
+    rng = random.Random(43)
+    rejected = 0
+    for matroid in (graphic_matroid(make_family("fan", 4)),
+                    graphic_matroid(make_family("wheel", 4)), whirl_matroid(4)):
+        for _ in range(40):
+            bad = bytearray(matroid.table)
+            x = rng.choice([x for x in range(1 << matroid.m) if x.bit_count() >= 2])
+            bad[x] = max(0, bad[x] + rng.choice((-2, -1, 1, 2)))
+            m = RankOracleMatroid(matroid.m, bad)
+            if unit_steps(bad, m.m):
+                assert m.flats() == flats_by_scan(m)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="element"):
+                    m.flats()
+    assert rejected > 60
+
+
 def test_lower_interval_chi_matches_mask_oracle():
     for family in ("fan", "wheel", "whirl"):
         m = kl.family_matroid(family, 5)
-        chis = lattice_of(m).chi_from_bottom()
+        chis = list(lattice_of(m).chi_from_bottom())
         assert len(chis) == len(m.flats())
         for chi, f in zip(chis, m.flats()):
             assert chi == characteristic_by_masks(localization(m, f))
