@@ -331,6 +331,8 @@ def _spot_values():
 def build_suite(suite, max_n=None, order=None):
     """The (name, check) pairs of a suite."""
     for flag, value, top in (("--max-n", max_n, N_MAX), ("--order", order, series.MAX_ORDER)):
+        if value is not None and type(value) is not int:
+            raise TypeError(f"{flag} must be an int, got {type(value).__name__}")
         if value is not None and not 1 <= value <= top:
             raise UsageError(f"{flag} needs 1 <= {flag[2:]} <= {top}, got {value}")
     checks = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import T, Poly, divexact, reverse_scaled
+from .poly import ONE, T, Poly, divexact, reverse_scaled
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -173,103 +173,83 @@ def z_closed(family, n):
 
 
 # ---------------------------------------------------------------------------
-# P-recursive recurrences, stored as data tables of coefficient polynomials:
-# each entry lists, per power of t, the integer coefficients of a polynomial
-# in the recurrence index n (ascending).  See tests for the frozen
-# transcription digests.
+# P-recursive recurrences as data: with k = len(terms), prod(lead) * a[n+k] =
+# sum over j = 1..k of prod(terms[j-1]) * a[n+k-j].  Each factor lists, per
+# power of t, the integer coefficients of a polynomial in the recurrence index
+# n (ascending).  See tests for the frozen transcription digests.
 
-_FAN_REC = {
-    "seeds": ((1,), (1,)),
-    # (n+3) a[n+2] = (2n+3) a[n+1] + n(4t-1) a[n]
-    "lead": ((3, 1),),
-    "rhs": {
-        1: ((3, 2),),
-        0: ((0, -1), (0, 4)),
+_RECURRENCES = {
+    "fan": {
+        "seeds": ((1,), (1,)),
+        # (n+3) a[n+2] = (2n+3) a[n+1] + n(4t-1) a[n]
+        "lead": (((3, 1),),),
+        "terms": ((((3, 2),),), (((0, -1), (0, 4)),)),
+    },
+    "wheel": {
+        # a[m] = P of the wheel on m+2 rim vertices
+        "seeds": ((1,), (1, 1), (1, 5)),
+        # (7+n) * B(n,t) * a[n+3] =
+        #     (3+n) t (4t-1) C(n,t) a[n] + D(n,t) a[n+1] - A(n,t) a[n+2]
+        "lead": (((7, 1),), ((6,), (-150, -85, -21, -2), (12, 22, 12, 2))),  # B
+        "terms": (
+            (((-1,),), (  # A
+                (-60, -12),
+                (1758, 1372, 446, 68, 4),
+                (-738, -881, -426, -85, -6),
+                (84, 166, 106, 26, 2),
+            )),
+            ((  # D
+                (-18, -6),
+                (906, 693, 214, 33, 2),
+                (-4956, -4198, -1408, -224, -14),
+                (264, 952, 618, 146, 12),
+            ),),
+            (((3, 1),), ((0,), (-1,), (4,)),
+             ((6,), (-258, -133, -27, -2), (48, 52, 18, 2))),  # C
+        ),
+    },
+    "whirl": {
+        # a[m] = P of the whirl of order m+1
+        "seeds": ((1,), (1,), (1, 3)),
+        # (4+n) * (-5-2n+(4+2n)t) * a[n+3] =
+        #     (2+n) t (4t-1) (-7-2n+(6+2n)t) a[n] + D(n,t) a[n+1] - E(n,t) a[n+2]
+        "lead": (((4, 1),), ((-5, -2), (4, 2))),
+        "terms": (
+            (((-1,),), ((34, 24, 4), (-46, -35, -6), (16, 12, 2))),  # E
+            (((14, 11, 2), (-102, -78, -14), (74, 62, 12)),),  # D
+            (((2, 1),), ((0,), (-1,), (4,)), ((-7, -2), (6, 2))),
+        ),
     },
 }
 
-_WHEEL_REC = {
-    # a[m] = P of the wheel on m+2 rim vertices
-    "seeds": ((1,), (1, 1), (1, 5)),
-    # (7+n) * B(n,t) * a[n+3] =
-    #     (3+n) t (4t-1) C(n,t) a[n] + D(n,t) a[n+1] - A(n,t) a[n+2]
-    "lead_linear": (7, 1),
-    "lead": ((6,), (-150, -85, -21, -2), (12, 22, 12, 2)),
-    "a0_linear": (3, 1),
-    "a0_inner": ((6,), (-258, -133, -27, -2), (48, 52, 18, 2)),
-    "a1": (
-        (-18, -6),
-        (906, 693, 214, 33, 2),
-        (-4956, -4198, -1408, -224, -14),
-        (264, 952, 618, 146, 12),
-    ),
-    "a2": (
-        (-60, -12),
-        (1758, 1372, 446, 68, 4),
-        (-738, -881, -426, -85, -6),
-        (84, 166, 106, 26, 2),
-    ),
-}
 
-_WHIRL_REC = {
-    # a[m] = P of the whirl of order m+1
-    "seeds": ((1,), (1,), (1, 3)),
-    # (4+n) * (-5-2n+(4+2n)t) * a[n+3] =
-    #     (2+n) t (4t-1) (-7-2n+(6+2n)t) a[n] + D(n,t) a[n+1] - E(n,t) a[n+2]
-    "lead_linear": (4, 1),
-    "lead": ((-5, -2), (4, 2)),
-    "a0_linear": (2, 1),
-    "a0_inner": ((-7, -2), (6, 2)),
-    "a1": ((14, 11, 2), (-102, -78, -14), (74, 62, 12)),
-    "a2": ((34, 24, 4), (-46, -35, -6), (16, 12, 2)),
-}
-
-_T_4T_MINUS_1 = Poly([0, -1, 4])  # t(4t-1)
+def _factor_product(factors, n):
+    """Product of the factors at index n; a factor free of t only scales."""
+    out = ONE
+    for rows in factors:
+        f = [sum(c * n**j for j, c in enumerate(row)) for row in rows]
+        out = out * (f[0] if len(f) == 1 else Poly(f))
+    return out
 
 
-def _nt_poly(table, n):
-    return Poly([sum(c * n**j for j, c in enumerate(row)) for row in table])
-
-
-def _linear(pair, n):
-    return pair[0] + pair[1] * n
-
-
-_rec_cache = {"fan": [], "wheel": [], "whirl": []}
+_rec_cache = {family: [] for family in _RECURRENCES}
 
 
 def _rec_sequence(family, length):
     """First `length` entries of the recurrence-defined sequence a[0], a[1], ..."""
-    data = {"fan": _FAN_REC, "wheel": _WHEEL_REC, "whirl": _WHIRL_REC}[family]
-    cache = _rec_cache[family]
+    rec, cache = _RECURRENCES[family], _rec_cache[family]
     if not cache:
-        cache.extend(Poly(s) for s in data["seeds"])
+        cache.extend(Poly(s) for s in rec["seeds"])
     while len(cache) < length:
         m = len(cache)
-        if family == "fan":
-            n = m - 2
-            num = _nt_poly(data["rhs"][1], n) * cache[m - 1] + _nt_poly(
-                data["rhs"][0], n
-            ) * cache[m - 2]
-            lead = _nt_poly(data["lead"], n)
-        else:
-            n = m - 3
-            num = (
-                _linear(data["a0_linear"], n)
-                * _T_4T_MINUS_1
-                * _nt_poly(data["a0_inner"], n)
-                * cache[m - 3]
-                + _nt_poly(data["a1"], n) * cache[m - 2]
-                - _nt_poly(data["a2"], n) * cache[m - 1]
-            )
-            lead = _linear(data["lead_linear"], n) * _nt_poly(data["lead"], n)
+        n = m - len(rec["terms"])
+        num = sum((_factor_product(factors, n) * cache[m - j]
+                   for j, factors in enumerate(rec["terms"], 1)), Poly())
         try:
-            cache.append(divexact(num, lead).integerized())
+            cache.append(divexact(num, _factor_product(rec["lead"], n)).integerized())
         except ArithmeticError as exc:
-            raise ArithmeticError(
-                f"{family} recurrence step {m}: inexact division "
-                f"(transcription error)"
-            ) from exc
+            raise ArithmeticError(f"{family} recurrence step {m}: inexact division "
+                                  f"(transcription error)") from exc
     return cache[:length]
 
 

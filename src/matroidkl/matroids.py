@@ -19,6 +19,10 @@ from .poly import Poly
 from . import graphs as _graphs
 
 MAX_GROUND = 16
+# lattice_of refuses more flats than this: a forest's lattice is boolean, and
+# building its order grows about 2.5x per edge; the brute route's families
+# stay below it (whirl 10 has 15 126 flats)
+MAX_FLATS = 1 << 14
 
 
 # a closed set, as a bitmask over ground-set indices, with its rank
@@ -139,7 +143,7 @@ class FlatLattice:
     are sorted by rank, so flat j < flat i implies j < i.  above[j] lists,
     ascending, the i with flat j < flat i (strict: never j itself).
     lattice_of stores each above[j] as an array('H'), which holds every index
-    since a matroid on at most MAX_GROUND = 16 elements has at most 2^16 flats.
+    since lattice_of refuses more than MAX_FLATS = 2^14 flats.
     """
 
     __slots__ = ("ranks", "above", "n", "top_rank")
@@ -179,6 +183,8 @@ def lattice_of(matroid):
     so that each step works on a shorter int.
     """
     flats = matroid.flats()
+    if len(flats) > MAX_FLATS:
+        raise ValueError(f"{len(flats)} flats; lattice_of builds at most {MAX_FLATS}")
     ground = range(matroid.m)
     holding = [0] * matroid.m
     for i, f in enumerate(flats):

@@ -254,6 +254,13 @@ def test_oracle_suite_spans_the_brute_ranges():
     assert len(build_suite("all")) == 611
 
 
+def test_build_suite_refuses_non_int_sizes():
+    # a bool would name its checks order-True, a float fail inside range()
+    for kwargs, flag in (({"order": True}, "--order"), ({"max_n": 2.5}, "--max-n")):
+        with pytest.raises(TypeError, match=f"{flag} must be an int"):
+            build_suite("all", **kwargs)
+
+
 def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
     # one check per closed KL and Z record, from each closed route's first n,
     # then one fan interlacing check per n from 3 to 25

@@ -196,14 +196,27 @@ def test_closed_form_exact_division_signal():
 
 def test_recurrence_transcription_digests():
     frozen = {
-        "fan": "928f2041b4d524a25ee4d68b9253e97b4a6c8dfa55bc4f043b34ff3e9b6ef1e4",
-        "wheel": "c5b700538f50273d04788117e2735d8412f39d49bc433d709dac3081030c2743",
-        "whirl": "7f1c7ccfb6e96582a97ce992b9a4489328bc21aef50c122676e46ff76234d79b",
+        "fan": "a631359b35b91ec5a1ab7ef29d7b7dc6fe3ca5da6eb60d42e4a480dde10141bd",
+        "wheel": "ad49d98780b5df87a56ecf5df529ee9f99786360a9fa92829b008412b456bf42",
+        "whirl": "030212bfafcb447dc5d411a06084c41dde50beec833f3d094d87b79cdfa78c6b",
     }
-    tables = {"fan": kl._FAN_REC, "wheel": kl._WHEEL_REC, "whirl": kl._WHIRL_REC}
-    for name, data in tables.items():
+    for name, data in kl._RECURRENCES.items():
         digest = hashlib.sha256(repr(sorted(data.items())).encode()).hexdigest()
         assert digest == frozen[name], f"{name} recurrence table was edited"
+
+
+def test_recurrence_values_digests(monkeypatch):
+    # a[0..200] of each sequence, as the family-specific steppers that the
+    # one table replaced computed them; tier-1 compares only up to n = 40
+    frozen = {
+        "fan": "4717738936cb9a46f8b66b6507a9036f1cd71989898aac3e9aa3b2e00ed8d23d",
+        "wheel": "0feb92341019e58a056f219a03b61eead16a4e4cfa8b882f8be8e4cb54e83422",
+        "whirl": "00bc4a1fdadae77ff9cb4e82dd69d2d9c739efa220c2e7a3a4db8c89663f0d4a",
+    }
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
+    for name, want in frozen.items():
+        values = repr([p.coeffs for p in kl._rec_sequence(name, 201)])
+        assert hashlib.sha256(values.encode()).hexdigest() == want, name
 
 
 def test_hadamard_examples():
@@ -392,9 +405,9 @@ def test_iso_checker_rejects_fingerprint_collision():
 
 
 def test_recurrence_inexact_division_signal(monkeypatch):
-    broken = dict(kl._FAN_REC)
-    broken["lead"] = ((5, 1),)  # wrong integer leading factor
-    monkeypatch.setattr(kl, "_FAN_REC", broken)
+    broken = dict(kl._RECURRENCES["fan"])
+    broken["lead"] = (((5, 1),),)  # wrong integer leading factor
+    monkeypatch.setitem(kl._RECURRENCES, "fan", broken)
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     with pytest.raises(ArithmeticError):
         kl.kl_recurrence("fan", 6)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
 from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
+    MAX_FLATS,
     MAX_GROUND,
     Flat,
     RankOracleMatroid,
@@ -441,6 +443,17 @@ def test_characteristic_multiplicative_on_direct_sums():
         graphic_matroid(g2)
     )
     assert lhs == rhs
+
+
+def test_lattice_refuses_too_many_flats_fast():
+    # a forest's lattice is boolean: the 15-edge path has 2^15 flats, and
+    # building its order would take seconds; the count alone is refused
+    m = graphic_matroid(make_family("path", 16))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(1 << 15)):
+        lattice_of(m)
+    assert time.perf_counter() - start < 1.0
+    assert len(graphic_matroid(make_family("path", 15)).flats()) == MAX_FLATS
 
 
 def test_flat_members_roundtrip():
