@@ -351,6 +351,14 @@ def build_suite(suite, max_n=None, order=None):
         lo, hi = brute["whirl"]
         for n in range(lo, min(up_to(hi), hi) + 1):
             add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n)
+        # the square's chromatic closed form is the fan's: t times the
+        # characteristic polynomial of its cycle matroid, which is the fan's
+        chromatic, fams = ROUTES["chromatic", "brute"]
+        closed = ROUTES["chromatic", "closed"][0]
+        for fam, (lo, hi) in fams.items():
+            want = partial(closed, {"square": "fan"}.get(fam, fam))
+            for n in range(lo, min(up_to(hi), hi) + 1):
+                add(f"oracle/chromatic/{fam}/{n}", _agrees, partial(chromatic, fam), want, n)
     if suite in ("gf", "all"):
         o = 12 if order is None else order
         for which in series.GF_NAMES:

@@ -5,10 +5,14 @@ pass from the top rank down.  By Proudfoot-Xu-Young, P_M is the unique
 polynomial with constant term 1 and deg P_M < rk M / 2 that makes
     Z_M(t) = sum over flats F of t^(rk F) * P_{M^F}(t)
 palindromic; the interval [F, top] is the flat lattice of the simplified
-contraction M^F, so the pass never rebuilds rank oracles.  The result is
-certified against the defining recursion of Elias-Proudfoot-Wakefield,
+contraction M^F, so the pass never rebuilds rank oracles.  Every flat above
+F of one rank and one P adds the same term, so the pass counts the flats
+above F in each such class with one popcount of the lattice's bitsets and
+lists no comparable pair.  The result is certified against the defining
+recursion of Elias-Proudfoot-Wakefield,
     t^(rk M) * P_M(1/t) = sum over flats F of chi_{M_F}(t) * P_{M^F}(t),
-at the bottom flat, which yields chi_M as well.
+at the bottom flat, summed as sum over flats G of mu(bottom, G) * Z_{M^G}(t),
+which yields chi_M as well.
 
 The module also evaluates the closed forms, the P-recursive recurrences and
 the Hadamard coefficient factorization for the fan / square-of-path / wheel /
@@ -32,57 +36,79 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 # the KL/Z pass over the lattice of flats (matroids.lattice_of)
 
 
-def _check_bottom(lat, ps):
-    """Certify per-flat KL polynomials by the defining recursion at the bottom:
-    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t).
-    Returns chi_{[bottom, top]}, the characteristic polynomial."""
-    total = Poly()
-    for chi, p in zip(lat.chi_from_bottom(), ps):
-        total = total + chi * p
-    if total != reverse_scaled(ps[0], lat.top_rank):
-        raise ArithmeticError(
-            "defining recursion fails at the bottom flat; rank oracle or lattice bug"
-        )
-    return chi  # the last one, of [bottom, top]
-
-
 def _flat_pass(lat):
-    """P of every upper interval [F, top], indexed like the flats, and Z of
-    the whole lattice; the Z of the other intervals is only built and dropped.
+    """Solve every upper interval [F, top], from the top flat down: yields P
+    and Z of each as ascending coefficients, a tuple for P and a list for Z.
 
     For a flat A of corank r, R_A = sum over F > A of t^(rk F - rk A) * P_F
     is Z_A - P_A.  Z_A is palindromic of degree r and deg P_A < r/2, so the
     high coefficients of Z_A come from R_A alone and mirror onto the low
-    ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.
+    ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.  The flats solved so far
+    are kept in one bitset per class (rank s, P), so R_A takes one popcount
+    per class above A's rank: |containing(A) & class| copies of P at
+    t^(s - rk A).
     """
-    ranks = lat.ranks
-    ps = [None] * lat.n
-    for a in reversed(range(lat.n)):
-        r = lat.top_rank - ranks[a]
+    flats = lat.flats
+    top = flats[-1].rank
+    classes = {}  # (rank s, P) -> bitset of the flats solved so far in that class
+    rank, above = top, ()
+    for a in reversed(range(len(flats))):
+        if flats[a].rank != rank:
+            # flats of one rank are incomparable: each rank reads the
+            # classes of the ranks above it, all complete
+            rank = flats[a].rank
+            above = [(list(enumerate(p, s - rank)), bits) for (s, p), bits in classes.items()]
+        r = top - rank
         z = [0] * (r + 1)
-        for f in lat.above[a]:
-            shift = ranks[f] - ranks[a]
-            for k, c in enumerate(ps[f]):
-                z[shift + k] += c
-        p = [z[r - k] - z[k] for k in range((r + 1) // 2)] if r else [1]
+        containing = lat.containing(a)
+        for terms, bits in above:
+            count = (containing & bits).bit_count()
+            if count:
+                for k, c in terms:
+                    z[k] += count * c
+        # built from a list: tuple() of a generator allocates a larger tuple
+        # and shrinks it, which leaves one block per flat on the free lists
+        p = tuple([z[r - k] - z[k] for k in range((r + 1) // 2)]) if r else (1,)
         # constant term 1 is forced; nonnegativity is the theorem of
         # Braden-Huh-Matherne-Proudfoot-Wang
         if p[0] != 1 or min(p) < 0:
             raise ArithmeticError(
-                f"KL polynomial {p} of a rank-{r} interval must have constant "
+                f"KL polynomial {list(p)} of a rank-{r} interval must have constant "
                 f"term 1 and nonnegative coefficients"
             )
         for k, c in enumerate(p):
             z[k] += c
-        ps[a] = p
-    return [Poly(p) for p in ps], Poly(z)
+        classes[rank, p] = classes.get((rank, p), 0) | 1 << a
+        yield p, z
+
+
+def _check_bottom(lat, solved):
+    """Certify the (P, Z) of every flat, from the top down as _flat_pass
+    yields them, by the defining recursion at the bottom flat,
+    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t),
+    regrouped by the flat G where each term of chi's Moebius sum starts:
+    sum over flats G of mu(bottom, G) * Z_G(t) == t^r * P_M(1/t), where Z_G
+    is the Z of [G, top].  Each Z is dropped once added.  Returns P_M, Z_M
+    and the characteristic polynomial, chi_M = sum over G of
+    mu(bottom, G) * t^(r - rk G)."""
+    r = lat.flats[-1].rank
+    total, chi = [0] * (r + 1), [0] * (r + 1)
+    for f, mu, (p, z) in zip(reversed(lat.flats), reversed(lat.mobius()), solved):
+        chi[r - f.rank] += mu
+        for k, c in enumerate(z):
+            total[k] += mu * c
+    # the last flat solved is the bottom, whose interval is the whole matroid
+    if Poly(total) != reverse_scaled(Poly(p), r):
+        raise ArithmeticError(
+            "defining recursion fails at the bottom flat; rank oracle or lattice bug"
+        )
+    return Poly(p), Poly(z), Poly(chi)
 
 
 def kl_z_chi(matroid):
     """(P, Z, chi) of a loopless matroid from one lattice and one certified pass."""
     lat = lattice_of(matroid)
-    ps, z = _flat_pass(lat)
-    return ps[0], z, _check_bottom(lat, ps)
+    return _check_bottom(lat, _flat_pass(lat))
 
 
 def kl_poly(matroid):
@@ -236,7 +262,9 @@ _rec_cache = {family: [] for family in _RECURRENCES}
 
 
 def _rec_sequence(family, length):
-    """First `length` entries of the recurrence-defined sequence a[0], a[1], ..."""
+    """The recurrence-defined sequence a[0], a[1], ..., stepped until it has at
+    least `length` entries: the cache itself, not a copy, so callers only read
+    it."""
     rec, cache = _RECURRENCES[family], _rec_cache[family]
     if not cache:
         cache.extend(Poly(s) for s in rec["seeds"])
@@ -250,7 +278,7 @@ def _rec_sequence(family, length):
         except ArithmeticError as exc:
             raise ArithmeticError(f"{family} recurrence step {m}: inexact division "
                                   f"(transcription error)") from exc
-    return cache[:length]
+    return cache
 
 
 def kl_recurrence(family, n):

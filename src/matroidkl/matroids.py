@@ -3,25 +3,28 @@
 A matroid is stored as a full rank table over the 2^m subsets of its ground
 set (guarded to m <= 16), which is built and scanned for flats by sweeps over
 one int whose byte lane X stands for subset X.  Graphic matroids and whirls
-are the two constructors.  lattice_of orders the flats by intersecting
-per-element bitsets of flat indices, and one walk up that order gives the
-Moebius function and the characteristic polynomial of every lower interval.
-The characteristic polynomial of the whole matroid needs no lattice:
-Whitney's expansion reads it off one sweep over the rank table.
+are the two constructors.  lattice_of keeps the order of the flats as one
+bitset of flat indices per element: the flats containing a flat, and the
+flats it contains, are ANDs of those bitsets or of their complements, built
+when asked for, so no comparable pair is ever listed.  One walk up the flats
+gives the Moebius function from one popcount per flat and value of mu.  The
+characteristic polynomial of the whole matroid needs no lattice: Whitney's
+expansion reads it off one sweep over the rank table.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 
 from .poly import Poly
 from . import graphs as _graphs
 
 MAX_GROUND = 16
-# lattice_of refuses more flats than this: a forest's lattice is boolean, and
-# building its order grows about 2.5x per edge; the brute route's families
-# stay below it (whirl 10 has 15 126 flats)
+# lattice_of refuses more flats than this.  The KL/Z pass and the Moebius walk
+# take, for each flat, one popcount over a bitset of all the flats per class,
+# so their time grows about 3x when the flats double; a forest's lattice is
+# boolean, and the 14-edge path, with 2^14 flats, takes about 0.6 s.  The
+# brute route's families stay below it (whirl 10 has 15 126 flats)
 MAX_FLATS = 1 << 14
 
 
@@ -136,77 +139,66 @@ def whirl_matroid(n):
 # the lattice of flats
 
 
-class FlatLattice:
-    """A graded lattice given by its ranks and its strict order as index arrays.
+class FlatLattice(namedtuple("FlatLattice", "flats holding")):
+    """The lattice of flats, its order given by per-element bitsets.
 
-    Index 0 is the bottom (rank 0), the last index the unique top, and indices
-    are sorted by rank, so flat j < flat i implies j < i.  above[j] lists,
-    ascending, the i with flat j < flat i (strict: never j itself).
-    lattice_of stores each above[j] as an array('H'), which holds every index
-    since lattice_of refuses more than MAX_FLATS = 2^14 flats.
+    flats is the matroid's flats(): index 0 is the bottom, the last index
+    the top, and indices are sorted by rank.  holding[e] is the bitset of the
+    indices of the flats that contain element e.  No comparable pair is
+    stored: containing and below build the flats above and below a flat
+    from holding when asked for.
     """
 
-    __slots__ = ("ranks", "above", "n", "top_rank")
+    __slots__ = ()
 
-    def __init__(self, ranks, above):
-        self.ranks = tuple(ranks)
-        self.above = tuple(above)
-        self.n = len(self.ranks)
-        self.top_rank = self.ranks[-1] if self.ranks else 0
+    def containing(self, j):
+        """Bitset of the flats that contain flat j, j included: the AND of
+        holding[e] over the elements e of flat j."""
+        bits, x = (1 << len(self.flats)) - 1, self.flats[j].elements
+        while x:
+            low = x & -x
+            bits &= self.holding[low.bit_length() - 1]
+            x ^= low
+        return bits
 
-    def chi_from_bottom(self):
-        """Characteristic polynomial of every lower interval [bottom, F], one
-        at a time in the order of the flats: sum over flats G <= F of
-        mu(bottom, G) * t^(rk F - rk G).
+    def below(self, j):
+        """Bitset of the flats that flat j contains, j included: the flats
+        that hold none of the elements flat j lacks."""
+        union, x = 0, self.flats[j].elements ^ ((1 << len(self.holding)) - 1)
+        while x:
+            low = x & -x
+            union |= self.holding[low.bit_length() - 1]
+            x ^= low
+        return ((1 << len(self.flats)) - 1) ^ union
 
-        One walk up the order: by the time flat j is reached, every flat G
-        below it has pushed mu(bottom, G) into coefficient rk j - rk G of
-        chi_j, so chi_j is complete and mu(bottom, j) is minus its sum."""
-        ranks = self.ranks
-        coeffs = [[0] * (r + 1) for r in ranks]
-        for j, ups in enumerate(self.above):
-            chi_j, coeffs[j] = coeffs[j], None
-            mu_j = chi_j[0] = -sum(chi_j) if j else 1
-            for i in ups:
-                coeffs[i][ranks[i] - ranks[j]] += mu_j
-            yield Poly(chi_j)
+    def mobius(self):
+        """mu(bottom, F) of every flat F, from the bottom up: minus the sum of
+        mu(bottom, G) over the flats G below F.  The flats done so far are
+        kept in one bitset per value of mu, so that sum takes one popcount
+        per value."""
+        mus, with_mu = [], {}
+        for j in range(len(self.flats)):
+            below = self.below(j)
+            mu = -sum(v * (below & bits).bit_count() for v, bits in with_mu.items()) if j else 1
+            mus.append(mu)
+            with_mu[mu] = with_mu.get(mu, 0) | 1 << j
+        return mus
 
 
 def lattice_of(matroid):
-    """The lattice of flats of a rank-oracle matroid.
-
-    holding[e] is the bitset of the indices of the flats that contain element
-    e, so the AND of holding[e] over the elements e of flat j is the bitset
-    of the flats containing flat j: flat j itself and, since a flat strictly
-    containing another has higher rank, only indices above j.  above[j] is
-    read off that bitset one comparable pair per step, from the top bit down
-    so that each step works on a shorter int.
-    """
+    """The lattice of flats of a rank-oracle matroid, refused above
+    MAX_FLATS flats before any bitset is built."""
     flats = matroid.flats()
     if len(flats) > MAX_FLATS:
         raise ValueError(f"{len(flats)} flats; lattice_of builds at most {MAX_FLATS}")
-    ground = range(matroid.m)
     holding = [0] * matroid.m
     for i, f in enumerate(flats):
-        for e in ground:
-            if f.elements >> e & 1:
-                holding[e] |= 1 << i
-    everything = (1 << len(flats)) - 1
-    above = []
-    for j, f in enumerate(flats):
-        containing = everything
-        for e in ground:
-            if f.elements >> e & 1:
-                containing &= holding[e]
-        containing ^= 1 << j
-        ups = []
-        while containing:
-            i = containing.bit_length() - 1
-            ups.append(i)
-            containing ^= 1 << i
-        ups.reverse()
-        above.append(array("H", ups))
-    return FlatLattice([f.rank for f in flats], above)
+        x = f.elements
+        while x:
+            low = x & -x
+            holding[low.bit_length() - 1] |= 1 << i
+            x ^= low
+    return FlatLattice(flats, holding)
 
 
 def characteristic_polynomial(m):

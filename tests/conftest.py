@@ -2,18 +2,20 @@
 algorithms so they can serve as cross-checks, and the helpers that only the
 tests call (graph isomorphism, colorings, matroid minors, root isolation)."""
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, gcd, lcm
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import kl_poly
-from matroidkl.matroids import Flat, FlatLattice, RankOracleMatroid, graphic_matroid
-from matroidkl.poly import ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence
+from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
+from matroidkl.poly import (
+    ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence, reverse_scaled,
+)
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import _sign, _variations, sturm_chain
 
@@ -87,6 +89,17 @@ def random_simple_graph(rng, max_n=7):
             if rng.random() < 0.45:
                 edges.append((u, v))
     return SimpleGraph(n, edges)
+
+
+@st.composite
+def graphs_up_to_16_edges(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    size = draw(st.integers(0, min(len(pairs), MAX_GROUND)))
+    return SimpleGraph(n, draw(st.permutations(pairs))[:size])
+
+
+RANDOM_GRAPHS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 @pytest.fixture
@@ -574,15 +587,83 @@ def simplification(m):
     return contraction(m, 0)
 
 
+class PairLattice:
+    """A graded lattice given by its ranks and its strict order as index lists,
+    every comparable pair listed: the oracle for the library's bitset order.
+
+    Index 0 is the bottom (rank 0), the last index the unique top, and indices
+    are sorted by rank, so j below i implies j < i.  above[j] lists,
+    ascending, the i strictly above j.
+    """
+
+    __slots__ = ("ranks", "above", "n", "top_rank")
+
+    def __init__(self, ranks, above):
+        self.ranks = tuple(ranks)
+        self.above = tuple(above)
+        self.n = len(self.ranks)
+        self.top_rank = self.ranks[-1] if self.ranks else 0
+
+    def chi_from_bottom(self):
+        """Characteristic polynomial of every lower interval [bottom, F], one
+        at a time in the order of the flats: sum over flats G <= F of
+        mu(bottom, G) * t^(rk F - rk G).
+
+        One walk up the order: by the time flat j is reached, every flat G
+        below it has pushed mu(bottom, G) into coefficient rk j - rk G of
+        chi_j, so chi_j is complete and mu(bottom, j) is minus its sum."""
+        ranks = self.ranks
+        coeffs = [[0] * (r + 1) for r in ranks]
+        for j, ups in enumerate(self.above):
+            chi_j, coeffs[j] = coeffs[j], None
+            chi_j[0] = -sum(chi_j) if j else 1
+            for i in ups:
+                coeffs[i][ranks[i] - ranks[j]] += chi_j[0]
+            yield Poly(chi_j)
+
+
 def lattice_by_pairs(matroid):
     """The lattice of flats with its order from one subset test per pair of
     flats, flat j below flat i iff mask j is a subset of mask i; the library
-    intersects per-element bitsets instead."""
+    ANDs per-element bitsets instead."""
     flats = matroid.flats()
     masks = [f.elements for f in flats]
-    above = [array("H", (i for i in range(j + 1, len(masks)) if mj & masks[i] == mj))
+    above = [tuple(i for i in range(j + 1, len(masks)) if mj & masks[i] == mj)
              for j, mj in enumerate(masks)]
-    return FlatLattice([f.rank for f in flats], above)
+    return PairLattice([f.rank for f in flats], above)
+
+
+def flat_pass_by_pairs(lat):
+    """P of every upper interval [F, top] and Z of the whole lattice, one
+    comparable pair at a time, where the library counts the flats above by
+    (rank, P) class.  R_A = sum over F > A of t^(rk F - rk A) * P_F, and
+    p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2."""
+    ranks = lat.ranks
+    ps = [None] * lat.n
+    for a in reversed(range(lat.n)):
+        r = lat.top_rank - ranks[a]
+        z = [0] * (r + 1)
+        for f in lat.above[a]:
+            for k, c in enumerate(ps[f].coeffs, ranks[f] - ranks[a]):
+                z[k] += c
+        p = [z[r - k] - z[k] for k in range((r + 1) // 2)] if r else [1]
+        for k, c in enumerate(p):
+            z[k] += c
+        ps[a] = Poly(p)
+    return ps, Poly(z)
+
+
+def check_bottom_by_pairs(lat, ps):
+    """The defining recursion at the bottom flat, one lower interval at a
+    time, where the library sums mu(bottom, G) * Z_G:
+    sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t).
+    Returns chi_{[bottom, top]}."""
+    total = Poly()
+    for chi, p in zip(lat.chi_from_bottom(), ps):
+        total = total + chi * p
+    if total != reverse_scaled(ps[0], lat.top_rank):
+        raise ArithmeticError("defining recursion fails at the bottom flat")
+    return chi
 
 
 def characteristic_by_masks(m):
@@ -619,8 +700,7 @@ def below_lists(lat):
 
 
 def lattice_isomorphic(a, b, budget=2_000_000):
-    """Exact isomorphism test between two graded lattices with ranks and
-    strict above-relation index arrays.
+    """Exact isomorphism test between two PairLattices.
 
     Returns True/False, or None when the backtracking budget is exhausted.
     """

@@ -23,6 +23,7 @@ CRITERIA = {
     "criterion-7 identity suite": (tuple(f"identities/{c}/" for c in IDENTITIES), 60),
     "criterion-8 spot values": (("identities/spot-values",), None),
     "criterion-9 whirl flats": (("oracle/whirl-flats/",), 30),
+    "criterion-10 chromatic polynomials": (("oracle/chromatic/",), 30),
 }
 
 
@@ -47,7 +48,7 @@ def _report(title, results, t0, gate=None):
 def test_criteria_split_the_suite():
     owners = {name: [title for title, (prefixes, _) in CRITERIA.items()
                      if name.startswith(prefixes)] for name, _ in SUITE}
-    assert len(owners) == len(SUITE) == 611
+    assert len(owners) == len(SUITE) == 639
     assert {name: titles for name, titles in owners.items() if len(titles) != 1} == {}
 
 
@@ -90,3 +91,7 @@ def test_criterion_8_spot_values():
 
 def test_criterion_9_whirl_flat_structure():
     _criterion("criterion-9 whirl flats")
+
+
+def test_criterion_10_chromatic_polynomials():
+    _criterion("criterion-10 chromatic polynomials")

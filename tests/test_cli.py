@@ -249,9 +249,13 @@ def test_oracle_suite_spans_the_brute_ranges():
     brute = cli.ROUTES["kl", "brute"][1]
     want = [f"oracle/{fam}/{n}" for fam, (lo, hi) in brute.items() for n in range(lo, hi + 1)]
     want += [f"oracle/whirl-flats/{n}" for n in range(brute["whirl"][0], brute["whirl"][1] + 1)]
+    # then the chromatic polynomials over the chromatic brute range
+    chromatic = cli.ROUTES["chromatic", "brute"][1]
+    want += [f"oracle/chromatic/{fam}/{n}" for fam, (lo, hi) in chromatic.items()
+             for n in range(lo, hi + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
-    assert want[-1] == "oracle/whirl-flats/8"
-    assert len(build_suite("all")) == 611
+    assert want[-1] == "oracle/chromatic/wheel/10"
+    assert len(build_suite("all")) == 639
 
 
 def test_build_suite_refuses_non_int_sizes():
@@ -298,8 +302,8 @@ def test_readme_states_the_check_count():
         text = f.read()
     counts = re.findall(r"matroidkl verify --suite all +# (\d+) checks", text)
     assert counts == [str(len(build_suite("all")))]
-    quoted = set(re.findall(r"(?<![\w/])(?:oracle|gf|recurrence|roots|identities)/[\w/.<>-]*\w",
-                            text))
+    quoted = set(re.findall(
+        r"(?<![\w/])(?:oracle|gf|recurrence|roots|identities)/[\w/.<>-]*\w", text))
     quoted = {name for name in quoted if "<" not in name}
     assert {"oracle/fan/3", "identities/narayana/2"} <= quoted, quoted
     built = {name for max_n in (None, *range(1, N_MAX + 1))
@@ -414,7 +418,7 @@ def test_oracle_check_builds_once(monkeypatch):
     monkeypatch.setattr(kl, "lattice_of", lattice_of)
     monkeypatch.setattr(cli.matroids, "lattice_of", lattice_of)
     for name, check in build_suite("oracle", max_n=5):
-        if "whirl-flats" in name:
+        if "whirl-flats" in name or name.startswith("oracle/chromatic/"):
             continue
         calls.update(family_matroid=0, lattice_of=0)
         assert check() == (True, ""), name
@@ -514,14 +518,17 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
     assert code == 0
     assert pass_names(out) == ["PASS identities/narayana/1", "PASS identities/narayana/2",
                                "PASS identities/spot-values"]
-    tops = {"oracle": 8, "recurrence": 40, "roots": 30, "identities": 40}
+    tops = {"oracle": 8, "oracle/chromatic": 10, "recurrence": 40, "roots": 30,
+            "identities": 40}
     for max_n in (None, 1, 2, 6, 30, N_MAX):
         names = []
         for name, check in build_suite("all", max_n=max_n):
             names.append(name)
             if name.startswith("gf/") or name == "identities/spot-values":
                 continue
-            suite, n = name.split("/")[0], int(name.rsplit("/", 1)[1])
+            suite = "oracle/chromatic" if name.startswith("oracle/chromatic/") \
+                else name.split("/")[0]
+            n = int(name.rsplit("/", 1)[1])
             assert check.args[-1] == n, name
             assert n <= (tops[suite] if max_n is None else max_n), name
         # the ranges that ran as one check each before, n by n: recurrence to
@@ -663,6 +670,11 @@ PERTURBATIONS = [
      lambda p: p + T),
     ("oracle/whirl-flats/", "oracle/whirl-flats/5", matroids, "whirl_matroid", (5,),
      lambda m: graphic_matroid(make_family("wheel", 5))),
+    ("oracle/chromatic/", "oracle/chromatic/wheel/5", kl, "chromatic_closed", ("wheel", 5),
+     lambda p: p + T),
+    # the square's closed form is the fan's, so its graph is what can differ
+    ("oracle/chromatic/", "oracle/chromatic/square/4", kl, "family_graph", ("square", 4),
+     lambda g: make_family("wheel", 4)),
 ]
 
 
@@ -712,6 +724,7 @@ def test_poly_record_builds_one_sturm_chain(monkeypatch):
 def test_suite_registry_covers_all():
     names = [name for name, _ in build_suite("all", max_n=4, order=4)]
     assert any(n.startswith("oracle/") for n in names)
+    assert any(n.startswith("oracle/chromatic/") for n in names)
     assert any(n.startswith("gf/") for n in names)
     assert any(n.startswith("recurrence/") for n in names)
     assert any(n.startswith("roots/") for n in names)

@@ -3,12 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from conftest import (
+    RANDOM_GRAPHS,
+    PairLattice,
     below_lists,
     characteristic_by_masks,
+    check_bottom_by_pairs,
     contraction,
+    flat_pass_by_pairs,
+    graphs_up_to_16_edges,
     kl_closed_over_q,
+    lattice_by_pairs,
     lattice_isomorphic,
     localization,
     multiplicative_kl,
@@ -17,7 +24,7 @@ from conftest import (
 from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
-    MAX_GROUND, FlatLattice, RankOracleMatroid, graphic_matroid, whirl_matroid,
+    MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
 )
 from matroidkl.poly import T, Poly, reverse_scaled
 from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
@@ -70,20 +77,29 @@ def test_degree_bound_and_constant_term():
             assert z.degree == n
 
 
+def solved_by_index(lat):
+    """P and Z of every flat from the pass, indexed like the flats."""
+    solved = list(kl._flat_pass(lat))[::-1]
+    return [p for p, _ in solved], [z for _, z in solved]
+
+
 def test_every_flat_against_naive():
     # the pass solves every upper interval [F, top]: each is the lattice of
     # the contraction at F, which the naive route rebuilds from rank oracles
     for family, n in (("fan", 4), ("wheel", 4), ("whirl", 4)):
         m = fam_matroid(family, n)
         lat = kl.lattice_of(m)
-        ps, z = kl._flat_pass(lat)
-        assert len(ps) == len(m.flats()) and z == naive_z(m)
-        for a, (f, p) in enumerate(zip(m.flats(), ps)):
+        ps, zs = solved_by_index(lat)
+        assert len(ps) == len(zs) == len(m.flats())
+        for a, (f, p, z) in enumerate(zip(m.flats(), ps, zs)):
             contr = contraction(m, f.elements)
-            assert p == naive_kl(contr)
-            # Z of [F, top] by its definition, from the P of the flats above F
-            z_f = sum((T ** (lat.ranks[g] - lat.ranks[a]) * ps[g] for g in lat.above[a]), p)
-            assert z_f == naive_z(contr)
+            assert Poly(p) == naive_kl(contr)
+            # Z of [F, top] by its definition, from the P of the flats that
+            # contain F in the bitset order
+            containing = lat.containing(a)
+            z_f = sum((T ** (g.rank - f.rank) * Poly(ps[i])
+                       for i, g in enumerate(m.flats()) if containing >> i & 1), Poly())
+            assert Poly(z) == z_f == naive_z(contr)
 
 
 def _rederive_below(lat, ps, i):
@@ -97,23 +113,70 @@ def _rederive_below(lat, ps, i):
         ps[a] = Poly([rest.coeff(r - k) - rest.coeff(k) for k in range((r + 1) // 2)])
 
 
+def _top_down(lat, ps):
+    """(P, Z) of every flat from the top down, as the pass yields them, with
+    Z of [F, top] from P by its definition."""
+    solved = []
+    for a in reversed(range(lat.n)):
+        z = sum((T ** (lat.ranks[f] - lat.ranks[a]) * ps[f] for f in lat.above[a]), ps[a])
+        solved.append((ps[a].coeffs, z.coeffs))
+    return solved
+
+
 def test_bottom_certificate_catches_interior_fault():
+    # a fault in P at an interior flat, carried down by palindromicity as
+    # the pass would carry it, breaks sum over G of mu(bottom, G) * Z_G
     faults = 0
     for family, n in (("fan", 4), ("wheel", 4), ("whirl", 4)):
-        lat = kl.lattice_of(fam_matroid(family, n))
-        clean, _ = kl._flat_pass(lat)
-        for i in range(lat.n):
-            r = lat.top_rank - lat.ranks[i]
-            if lat.ranks[i] == 0 or r == 0:
+        m = fam_matroid(family, n)
+        lat, pairs = kl.lattice_of(m), lattice_by_pairs(m)
+        clean, _ = flat_pass_by_pairs(pairs)
+        assert kl._check_bottom(lat, _top_down(pairs, clean)) == kl.kl_z_chi(m)
+        for i in range(pairs.n):
+            r = pairs.top_rank - pairs.ranks[i]
+            if pairs.ranks[i] == 0 or r == 0:
                 continue
             for k in range((r + 1) // 2):
                 ps = list(clean)
                 ps[i] = ps[i] + T ** k
-                _rederive_below(lat, ps, i)
+                _rederive_below(pairs, ps, i)
                 with pytest.raises(ArithmeticError):
-                    kl._check_bottom(lat, ps)
+                    kl._check_bottom(lat, _top_down(pairs, ps))
                 faults += 1
     assert faults == 140
+
+
+def matches_pair_route(m):
+    """The popcount pass and certificate against the pairwise oracle: P of
+    every flat, Z, chi, and mu(bottom, F) of every flat, the constant term
+    of chi of [bottom, F]."""
+    lat, pairs = kl.lattice_of(m), lattice_by_pairs(m)
+    want_ps, want_z = flat_pass_by_pairs(pairs)
+    want_chi = check_bottom_by_pairs(pairs, want_ps)
+    return ([Poly(p) for p in solved_by_index(lat)[0]] == want_ps
+            and kl.kl_z_chi(m) == (want_ps[0], want_z, want_chi)
+            and lat.mobius() == [chi.coeff(0) for chi in pairs.chi_from_bottom()])
+
+
+def test_popcount_route_matches_pair_oracle():
+    for family, (lo, _) in cli.ROUTES["kl", "brute"][1].items():
+        for n in range(lo, 7):
+            assert matches_pair_route(fam_matroid(family, n)), (family, n)
+
+
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_popcount_route_matches_pair_oracle_on_random_graphs(g):
+    assert matches_pair_route(graphic_matroid(g))
+
+
+def test_kl_z_chi_at_the_flat_bound():
+    # the 14-edge path: a boolean lattice of MAX_FLATS flats, the largest
+    # that lattice_of builds; its P is 1, so Z counts the flats by rank
+    m = graphic_matroid(make_family("path", 15))
+    assert len(m.flats()) == MAX_FLATS
+    p, z, chi = kl.kl_z_chi(m)
+    assert (p, z, chi) == (Poly([1]), Poly([1, 1]) ** 14, Poly([-1, 1]) ** 14)
 
 
 def test_recurrence_seeds():
@@ -215,7 +278,7 @@ def test_recurrence_values_digests(monkeypatch):
     }
     monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
     for name, want in frozen.items():
-        values = repr([p.coeffs for p in kl._rec_sequence(name, 201)])
+        values = repr([p.coeffs for p in kl._rec_sequence(name, 201)[:201]])
         assert hashlib.sha256(values.encode()).hexdigest() == want, name
 
 
@@ -355,9 +418,9 @@ def test_ground_set_size_guard(monkeypatch):
 
 
 def test_lattice_isomorphism_checker():
-    a = kl.lattice_of(graphic_matroid(make_family("fan", 4)))
-    b = kl.lattice_of(graphic_matroid(make_family("square_of_path", 4)))
-    c = kl.lattice_of(graphic_matroid(make_family("wheel", 4)))
+    a = lattice_by_pairs(graphic_matroid(make_family("fan", 4)))
+    b = lattice_by_pairs(graphic_matroid(make_family("square_of_path", 4)))
+    c = lattice_by_pairs(graphic_matroid(make_family("wheel", 4)))
     assert lattice_isomorphic(a, b) is True
     assert lattice_isomorphic(a, c) is False
 
@@ -372,7 +435,7 @@ def _bipartite_rank3_lattice(coatom_atoms):
     for _ in coatom_atoms:
         above.append([9])
     above.append([])  # top
-    return FlatLattice(ranks, above)
+    return PairLattice(ranks, above)
 
 
 def _cheap_invariants(lat):

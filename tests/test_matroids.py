@@ -3,9 +3,11 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 from conftest import (
+    RANDOM_GRAPHS,
+    below_lists,
     characteristic_by_masks,
     components,
     compositions,
@@ -13,6 +15,7 @@ from conftest import (
     contraction,
     flat_members,
     flats_by_scan,
+    graphs_up_to_16_edges,
     induced_union,
     is_flat,
     lattice_by_pairs,
@@ -27,7 +30,6 @@ from matroidkl import cli, kl, matroids
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     MAX_FLATS,
-    MAX_GROUND,
     Flat,
     RankOracleMatroid,
     characteristic_polynomial,
@@ -237,7 +239,7 @@ def test_contraction_matches_quotient_graph():
             assert characteristic_polynomial(contr) == characteristic_polynomial(
                 simplification(quotient)
             )
-            assert lattice_isomorphic(kl.lattice_of(contr), kl.lattice_of(quotient))
+            assert lattice_isomorphic(lattice_by_pairs(contr), lattice_by_pairs(quotient))
 
 
 def test_contraction_whirl_near_cycle():
@@ -293,27 +295,38 @@ def brute_range_matroids():
     return cases
 
 
-@st.composite
-def graphs_up_to_16_edges(draw):
-    n = draw(st.integers(1, 7))
-    pairs = list(combinations(range(n), 2))
-    size = draw(st.integers(0, min(len(pairs), MAX_GROUND)))
-    return SimpleGraph(n, draw(st.permutations(pairs))[:size])
-
-
-RANDOM_GRAPHS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def lower_chi(lat, mus, j):
+    """chi of the lower interval [bottom, F] of flat j from the bitset order
+    and the lattice's Moebius function mus: sum over G below F of
+    mu(bottom, G) * t^(rk F - rk G)."""
+    below, rank = lat.below(j), lat.flats[j].rank
+    coeffs = [0] * (rank + 1)
+    for g, mu in enumerate(mus):
+        if below >> g & 1:
+            coeffs[rank - lat.flats[g].rank] += mu
+    return Poly(coeffs)
 
 
 def chi_routes_agree(m):
-    """Whitney's sweep, the walk up the lattice and the Moebius function on
-    the flat masks give one characteristic polynomial."""
-    chi = characteristic_polynomial(m)
-    return chi == list(lattice_of(m).chi_from_bottom())[-1] == characteristic_by_masks(m)
+    """Whitney's sweep, the Moebius function of the bitset order, the walk up
+    the pairwise order and the Moebius function on the flat masks give one
+    characteristic polynomial."""
+    chi, lat = characteristic_polynomial(m), lattice_of(m)
+    return (chi == lower_chi(lat, lat.mobius(), len(lat.flats) - 1)
+            == list(lattice_by_pairs(m).chi_from_bottom())[-1] == characteristic_by_masks(m))
 
 
 def order_matches_pairwise_oracle(m):
+    """containing(j) is flat j and the flats above it in the pairwise order,
+    below(j) is flat j and the flats below it."""
     lat, want = lattice_of(m), lattice_by_pairs(m)
-    return lat.ranks == want.ranks and lat.above == want.above
+    if [f.rank for f in lat.flats] != list(want.ranks):
+        return False
+    for j, (ups, downs) in enumerate(zip(want.above, below_lists(want))):
+        if (lat.containing(j) != sum(1 << i for i in (j, *ups))
+                or lat.below(j) != sum(1 << i for i in (*downs, j))):
+            return False
+    return True
 
 
 def test_characteristic_matches_mask_oracle(brute_range_matroids):
@@ -396,10 +409,10 @@ def test_flats_reject_tables_without_unit_steps():
 def test_lower_interval_chi_matches_mask_oracle():
     for family in ("fan", "wheel", "whirl"):
         m = kl.family_matroid(family, 5)
-        chis = list(lattice_of(m).chi_from_bottom())
-        assert len(chis) == len(m.flats())
-        for chi, f in zip(chis, m.flats()):
-            assert chi == characteristic_by_masks(localization(m, f))
+        lat = lattice_of(m)
+        mus = lat.mobius()
+        for j, f in enumerate(m.flats()):
+            assert lower_chi(lat, mus, j) == characteristic_by_masks(localization(m, f))
 
 
 def test_lattice_order_is_flat_inclusion(brute_range_matroids):
