@@ -313,11 +313,16 @@ def _gf_matches(which, order):
 
 
 def _spot_values():
-    for family, n, want in (("wheel", 3, Poly([1, 1])), ("wheel", 4, Poly([1, 5])),
-                            ("whirl", 3, Poly([1, 3]))):
-        ok, detail = _compare(kl.kl_closed(family, n), want, n)
+    # the whirl's recurrence also below its closed form's first n: a rank of
+    # at most 2 forces deg P < 1, and P has constant term 1
+    for name, family, n, want in (("kl_closed", "wheel", 3, [1, 1]),
+                                  ("kl_closed", "wheel", 4, [1, 5]),
+                                  ("kl_closed", "whirl", 3, [1, 3]),
+                                  ("kl_recurrence", "whirl", 1, [1]),
+                                  ("kl_recurrence", "whirl", 2, [1])):
+        ok, detail = _compare(getattr(kl, name)(family, n), Poly(want), n)
         if not ok:
-            return False, f"{family} {detail}"
+            return False, f"{family} {name} {detail}"
     motzkin = [1, 1]
     while len(motzkin) < 16:
         k = len(motzkin) - 1
@@ -364,9 +369,10 @@ def build_suite(suite, max_n=None, order=None):
         for which in series.GF_NAMES:
             add(f"gf/{which}/order-{o}", _gf_matches, which, o)
     if suite in ("recurrence", "all"):
-        # from where both the recurrence and the closed form hold
+        # from where both the recurrence and the closed form hold up to
+        # N_MAX, the top of every ROUTES["kl", "recurrence"] range
         for fam, first in kl.FIRST_N["kl_recurrence"].items():
-            for n in range(max(first, kl.FIRST_N["kl_closed"][fam]), up_to(40) + 1):
+            for n in range(max(first, kl.FIRST_N["kl_closed"][fam]), up_to(N_MAX) + 1):
                 add(f"recurrence/{fam}/{n}", _agrees, partial(kl.kl_recurrence, fam),
                     partial(kl.kl_closed, fam), n)
     if suite in ("roots", "all"):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import ONE, T, Poly, divexact, reverse_scaled
+from .poly import T, Poly, reverse_scaled
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -167,21 +167,27 @@ def kl_closed(family, n):
     The wheel formula is established for n >= 3; n=2 is an informational
     extension that evaluates to 1, the 3-cycle value.  The multinomials
     (n-1; k, k, n-2k-1) and (n; k, k+1, n-2k-1) are read as products of two
-    binomials.
+    binomials, h_k = C(n-1, 2k) C(2k, k) and, for the wheel,
+    h_k = C(n, 2k+1) C(2k+1, k), each stepped from the last by its term
+    ratio (n-2k+1)(n-2k) / k^2, or / k(k+1) for the wheel.  Every step and
+    every weight is an exact division.
     """
     _first_n("kl_closed", family, n)
-    ks = range((n - 1) // 2 + 1)
+    wheel = family == "wheel"
+    hs = [n if wheel else 1]
+    for k in range(1, (n - 1) // 2 + 1):
+        hs.append(_exact(hs[-1] * (n - 2 * k + 1) * (n - 2 * k), k * (k + 1 if wheel else k)))
     if family in ("fan", "square"):
-        return Poly([_exact(comb(n - 1, 2 * k) * comb(2 * k, k), k + 1) for k in ks])
+        return Poly([_exact(h, k + 1) for k, h in enumerate(hs)])
     if family == "whirl":
-        return Poly([_exact(n * comb(n - 1, 2 * k) * comb(2 * k, k), n - k) for k in ks])
+        return Poly([_exact(n * h, n - k) for k, h in enumerate(hs)])
     terms = []
-    for k in ks:
+    for k, h in enumerate(hs):
         # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
         # its common denominator (n-k)(n-k+1)(n-k-1)
         a, b, c = n - k, n - k + 1, n - k - 1
         w = (k + 1) * b * c + k * a * c - k * a * b
-        terms.append(_exact(w * comb(n, 2 * k + 1) * comb(2 * k + 1, k), a * b * c))
+        terms.append(_exact(w * h, a * b * c))
     return Poly(terms)
 
 
@@ -249,12 +255,16 @@ _RECURRENCES = {
 }
 
 
-def _factor_product(factors, n):
-    """Product of the factors at index n; a factor free of t only scales."""
-    out = ONE
+def _factors_at(factors, n):
+    """Product of the factors at index n, as ascending int coefficients in t."""
+    out = [1]
     for rows in factors:
         f = [sum(c * n**j for j, c in enumerate(row)) for row in rows]
-        out = out * (f[0] if len(f) == 1 else Poly(f))
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f, i):
+                prod[j] += x * y
+        out = prod
     return out
 
 
@@ -264,20 +274,42 @@ _rec_cache = {family: [] for family in _RECURRENCES}
 def _rec_sequence(family, length):
     """The recurrence-defined sequence a[0], a[1], ..., stepped until it has at
     least `length` entries: the cache itself, not a copy, so callers only read
-    it."""
+    it.
+
+    Each step sums prod(terms[j-1]) * a[m-j] into one int list and divides it
+    by prod(lead) from the top down, one divmod per quotient coefficient; a
+    nonzero remainder there or below the lead's degree is inexact."""
     rec, cache = _RECURRENCES[family], _rec_cache[family]
     if not cache:
         cache.extend(Poly(s) for s in rec["seeds"])
     while len(cache) < length:
         m = len(cache)
         n = m - len(rec["terms"])
-        num = sum((_factor_product(factors, n) * cache[m - j]
-                   for j, factors in enumerate(rec["terms"], 1)), Poly())
-        try:
-            cache.append(divexact(num, _factor_product(rec["lead"], n)).integerized())
-        except ArithmeticError as exc:
+        scaled = [(_factors_at(factors, n), cache[m - j].coeffs)
+                  for j, factors in enumerate(rec["terms"], 1)]
+        num = [0] * max(len(f) + len(a) - 1 for f, a in scaled)
+        for f, a in scaled:
+            for i, x in enumerate(f):
+                if x:
+                    for k, y in enumerate(a, i):
+                        num[k] += x * y
+        lead = _factors_at(rec["lead"], n)
+        d, top = len(lead) - 1, lead[-1]
+        quotient = [0] * (len(num) - d)
+        for i in range(len(num) - 1, d - 1, -1):
+            q, r = divmod(num[i], top)
+            if r:
+                break
+            quotient[i - d] = q
+            if q:
+                for k, y in enumerate(lead[:-1], i - d):
+                    num[k] -= q * y
+        else:  # every quotient coefficient was exact: what is left is the remainder
+            r = any(num[:d])
+        if r:
             raise ArithmeticError(f"{family} recurrence step {m}: inexact division "
-                                  f"(transcription error)") from exc
+                                  f"(transcription error)")
+        cache.append(Poly(quotient))
     return cache
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from matroidkl.graphs import SimpleGraph
-from matroidkl.kl import kl_poly
+from matroidkl.kl import _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
 from matroidkl.poly import (
     ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence, reverse_scaled,
@@ -1148,6 +1148,31 @@ def kl_closed_over_q(family, n):
         else:  # whirl
             terms.append(Fraction(n, n - k) * _multinomial(n - 1, k, k, n - 2 * k - 1))
     return Poly(terms).integerized()
+
+
+def factor_product(factors, n):
+    """Product of a recurrence row's factors at index n, as a Poly; a factor
+    free of t only scales."""
+    out = ONE
+    for rows in factors:
+        f = [sum(c * n**j for j, c in enumerate(row)) for row in rows]
+        out = out * (f[0] if len(f) == 1 else Poly(f))
+    return out
+
+
+def rec_sequence_by_poly(family, length):
+    """a[0..length-1] of kl._RECURRENCES[family] by Poly arithmetic: each step
+    sums factor_product(terms[j-1]) * a[m-j] and divides it exactly by
+    factor_product(lead), the stepper that the int-list step replaced."""
+    rec = _RECURRENCES[family]
+    seq = [Poly(s) for s in rec["seeds"]]
+    while len(seq) < length:
+        m = len(seq)
+        n = m - len(rec["terms"])
+        num = sum((factor_product(factors, n) * seq[m - j]
+                   for j, factors in enumerate(rec["terms"], 1)), Poly())
+        seq.append(divexact(num, factor_product(rec["lead"], n)).integerized())
+    return seq[:length]
 
 
 def z_closed_over_q(family, n):

@@ -255,7 +255,7 @@ def test_oracle_suite_spans_the_brute_ranges():
              for n in range(lo, hi + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
     assert want[-1] == "oracle/chromatic/wheel/10"
-    assert len(build_suite("all")) == 639
+    assert len(build_suite("all")) == 711
 
 
 def test_build_suite_refuses_non_int_sizes():
@@ -518,7 +518,7 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
     assert code == 0
     assert pass_names(out) == ["PASS identities/narayana/1", "PASS identities/narayana/2",
                                "PASS identities/spot-values"]
-    tops = {"oracle": 8, "oracle/chromatic": 10, "recurrence": 40, "roots": 30,
+    tops = {"oracle": 8, "oracle/chromatic": 10, "recurrence": N_MAX, "roots": 30,
             "identities": 40}
     for max_n in (None, 1, 2, 6, 30, N_MAX):
         names = []
@@ -532,10 +532,10 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
             assert check.args[-1] == n, name
             assert n <= (tops[suite] if max_n is None else max_n), name
         # the ranges that ran as one check each before, n by n: recurrence to
-        # 40 or --max-n, the rest each to its own top or --max-n if lower
+        # N_MAX or --max-n, the rest each to its own top or --max-n if lower
         cap = N_MAX if max_n is None else max_n
         want = [f"recurrence/{fam}/{n}" for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3))
-                for n in range(lo, (40 if max_n is None else max_n) + 1)]
+                for n in range(lo, cap + 1)]
         want += [f"roots/fan-interlacing/{n}" for n in range(3, min(cap, 25) + 1)]
         want += [f"identities/{claim}/{n}" for claim, lo, top in (
             ("narayana", 1, 20), ("hadamard", 3, 30), ("wheel-z-quadratic", 3, 30),
@@ -668,6 +668,8 @@ PERTURBATIONS = [
      lambda abc: (-abc[0], -abc[1], abc[2])),
     ("identities/spot-values", "identities/spot-values", kl, "kl_closed", ("fan", 9),
      lambda p: p + T),
+    ("identities/spot-values", "identities/spot-values", kl, "kl_recurrence", ("whirl", 2),
+     lambda p: p + T),
     ("oracle/whirl-flats/", "oracle/whirl-flats/5", matroids, "whirl_matroid", (5,),
      lambda m: graphic_matroid(make_family("wheel", 5))),
     ("oracle/chromatic/", "oracle/chromatic/wheel/5", kl, "chromatic_closed", ("wheel", 5),
@@ -678,8 +680,17 @@ PERTURBATIONS = [
 ]
 
 
+def _perturbation_ids(cases):
+    """Each case is named by the check it must fail; a second case of one
+    check adds the name of the function it changes."""
+    ids = []
+    for _, check, _, name, _, _ in cases:
+        ids.append(f"{check}/{name}" if check in ids else check)
+    return ids
+
+
 @pytest.mark.parametrize("prefix, check, module, name, at, change", PERTURBATIONS,
-                         ids=[case[1] for case in PERTURBATIONS])
+                         ids=_perturbation_ids(PERTURBATIONS))
 def test_each_claim_fails_at_its_perturbed_n(monkeypatch, prefix, check, module, name, at,
                                              change):
     # a check that cannot fail would vouch for nothing in the acceptance suite

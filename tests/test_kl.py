@@ -19,6 +19,7 @@ from conftest import (
     lattice_isomorphic,
     localization,
     multiplicative_kl,
+    rec_sequence_by_poly,
     z_closed_over_q,
 )
 from matroidkl import cli, kl, matroids
@@ -474,3 +475,21 @@ def test_recurrence_inexact_division_signal(monkeypatch):
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     with pytest.raises(ArithmeticError):
         kl.kl_recurrence("fan", 6)
+
+
+def test_recurrence_remainder_below_lead_degree_signal(monkeypatch):
+    # the wheel's lead times t: each quotient coefficient is a coefficient of
+    # the true a[3] and divides exactly, but a[3]'s constant term times the
+    # true lead is left below the lead's degree
+    broken = dict(kl._RECURRENCES["wheel"])
+    broken["lead"] += (((0,), (1,)),)
+    monkeypatch.setitem(kl._RECURRENCES, "wheel", broken)
+    monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
+    with pytest.raises(ArithmeticError, match=r"^wheel recurrence step 3: inexact division"):
+        kl.kl_recurrence("wheel", 5)
+
+
+def test_int_list_step_matches_poly_stepper(monkeypatch):
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
+    for family in ("fan", "wheel", "whirl"):
+        assert kl._rec_sequence(family, 201)[:201] == rec_sequence_by_poly(family, 201), family
