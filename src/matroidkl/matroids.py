@@ -3,13 +3,15 @@
 A matroid is stored as a full rank table over the 2^m subsets of its ground
 set (guarded to m <= 16), which is built and scanned for flats by sweeps over
 one int whose byte lane X stands for subset X.  Graphic matroids and whirls
-are the two constructors.  lattice_of keeps the order of the flats as one
-bitset of flat indices per element: the flats containing a flat, and the
-flats it contains, are ANDs of those bitsets or of their complements, built
-when asked for, so no comparable pair is ever listed.  One walk up the flats
-gives the Moebius function from one popcount per flat and value of mu.  The
-characteristic polynomial of the whole matroid needs no lattice: Whitney's
-expansion reads it off one sweep over the rank table.
+are the two constructors.  lattice_of keeps the order of the flats as
+subset tables: for each chunk of up to five elements, the bitset of flat
+indices that hold all, and that hold any, of each subset of the chunk.  The
+flats containing a flat, and the flats it contains, take one lookup per
+chunk, built when asked for, so no comparable pair is ever listed.  One walk
+up the flats gives the Moebius function from one popcount per flat and value
+of mu in the ranks below.  The characteristic polynomial of the whole matroid
+needs no lattice: Whitney's expansion is read off byte counts of one string
+over the rank table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ MAX_GROUND = 16
 # lattice_of refuses more flats than this.  The KL/Z pass and the Moebius walk
 # take, for each flat, one popcount over a bitset of all the flats per class,
 # so their time grows about 3x when the flats double; a forest's lattice is
-# boolean, and the 14-edge path, with 2^14 flats, takes about 0.6 s.  The
+# boolean, and the 14-edge path, with 2^14 flats, takes 0.3-0.5 s.  The
 # brute route's families stay below it (whirl 10 has 15 126 flats)
 MAX_FLATS = 1 << 14
 
@@ -42,16 +44,24 @@ class RankOracleMatroid:
             raise ValueError(f"ground sets above {MAX_GROUND} elements unsupported")
         if len(table) != 1 << m:
             raise ValueError("rank table size mismatch")
-        self.m = m
-        self.table = table
-        self.full_rank = table[(1 << m) - 1]
-        # O(m) checks; the tests check every rank axiom on the brute routes'
-        # tables and random graphs, and flats() that each step is 0 or 1
+        # a private copy, every value in 0..m: one C-level delete of the
+        # allowed bytes; flats() checks that each step is 0 or 1
+        try:
+            table = bytes(table)
+            bad = table.translate(None, bytes(range(m + 1)))
+        except ValueError:  # a value outside 0..255
+            bad = True
+        if bad:
+            x = next(x for x, v in enumerate(table) if not 0 <= v <= m)
+            raise ValueError(f"subset {x:#b} has rank {table[x]}, outside 0..{m}")
         if table[0] != 0:
             raise ValueError("rank of empty set must be 0")
         for e in range(m):
             if table[1 << e] != 1:
                 raise ValueError(f"element {e} is a loop; loopless matroids only")
+        self.m = m
+        self.table = table
+        self.full_rank = table[-1]
 
     def flats(self):
         """Every closed set exactly once, sorted by (rank, bitmask).
@@ -139,73 +149,107 @@ def whirl_matroid(n):
 # the lattice of flats
 
 
-class FlatLattice(namedtuple("FlatLattice", "flats holding")):
-    """The lattice of flats, its order given by per-element bitsets.
+# elements per chunk of the subset tables: a chunk of k elements has 2^k
+# entries per table, and containing and below take one lookup per chunk,
+# the chunk's subset picked by x & 31
+CHUNK = 5
+
+
+class FlatLattice(namedtuple("FlatLattice", "flats all_of any_of")):
+    """The lattice of flats, its order given by subset tables.
 
     flats is the matroid's flats(): index 0 is the bottom, the last index
-    the top, and indices are sorted by rank.  holding[e] is the bitset of the
-    indices of the flats that contain element e.  No comparable pair is
-    stored: containing and below build the flats above and below a flat
-    from holding when asked for.
+    the top, and indices are sorted by rank.  The elements are cut into
+    chunks of CHUNK, from element 0 up, and all_of[c][s] (any_of[c][s]) is
+    the bitset of the indices of the flats that contain every (any) element
+    of the subset s of chunk c, s read as a bitmask from the chunk's first
+    element.  No comparable pair is stored: containing and below build the
+    flats above and below a flat from one entry per chunk when asked for.
     """
 
     __slots__ = ()
 
     def containing(self, j):
-        """Bitset of the flats that contain flat j, j included: the AND of
-        holding[e] over the elements e of flat j."""
-        bits, x = (1 << len(self.flats)) - 1, self.flats[j].elements
-        while x:
-            low = x & -x
-            bits &= self.holding[low.bit_length() - 1]
-            x ^= low
+        """Bitset of the flats that contain flat j, j included: the flats
+        that hold every element of flat j."""
+        x, bits = self.flats[j].elements, -1
+        for table in self.all_of:
+            bits &= table[x & 31]
+            x >>= CHUNK
         return bits
 
     def below(self, j):
         """Bitset of the flats that flat j contains, j included: the flats
-        that hold none of the elements flat j lacks."""
-        union, x = 0, self.flats[j].elements ^ ((1 << len(self.holding)) - 1)
-        while x:
-            low = x & -x
-            union |= self.holding[low.bit_length() - 1]
-            x ^= low
-        return ((1 << len(self.flats)) - 1) ^ union
+        that hold none of the elements flat j lacks (the top holds all)."""
+        x, union = self.flats[-1].elements ^ self.flats[j].elements, 0
+        for table in self.any_of:
+            union |= table[x & 31]
+            x >>= CHUNK
+        return self.all_of[0][0] ^ union
 
     def mobius(self):
         """mu(bottom, F) of every flat F, from the bottom up: minus the sum of
         mu(bottom, G) over the flats G below F.  The flats done so far are
         kept in one bitset per value of mu, so that sum takes one popcount
-        per value."""
-        mus, with_mu = [], {}
-        for j in range(len(self.flats)):
+        per value; flats of one rank are incomparable, so each rank reads
+        the values of the ranks below it, all complete."""
+        mus, with_mu, rank, lower = [1], {1: 1}, 0, ()
+        for j in range(1, len(self.flats)):
+            if self.flats[j].rank != rank:
+                rank, lower = self.flats[j].rank, list(with_mu.items())
             below = self.below(j)
-            mu = -sum(v * (below & bits).bit_count() for v, bits in with_mu.items()) if j else 1
+            mu = -sum([v * (below & bits).bit_count() for v, bits in lower])
             mus.append(mu)
             with_mu[mu] = with_mu.get(mu, 0) | 1 << j
         return mus
 
 
+# byte 0 or 1 to the digit that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def lattice_of(matroid):
     """The lattice of flats of a rank-oracle matroid, refused above
-    MAX_FLATS flats before any bitset is built."""
+    MAX_FLATS flats before any bitset is built.
+
+    The bitset of the flats that hold element e comes from one transpose:
+    flat i's mask is 4-byte lane i of one int, bit e of each lane is moved
+    to the lane's lowest bit, and the lanes' lowest bytes, read from the
+    last flat down, are the binary digits of the bitset.  Each chunk's
+    tables double once per element, from the empty subset."""
     flats = matroid.flats()
-    if len(flats) > MAX_FLATS:
-        raise ValueError(f"{len(flats)} flats; lattice_of builds at most {MAX_FLATS}")
-    holding = [0] * matroid.m
-    for i, f in enumerate(flats):
-        x = f.elements
-        while x:
-            low = x & -x
-            holding[low.bit_length() - 1] |= 1 << i
-            x ^= low
-    return FlatLattice(flats, holding)
+    n = len(flats)
+    if n > MAX_FLATS:
+        raise ValueError(f"{n} flats; lattice_of builds at most {MAX_FLATS}")
+    lanes = int.from_bytes(b"".join([f.elements.to_bytes(4, "little") for f in flats]), "little")
+    ones = int.from_bytes(b"\x01\x00\x00\x00" * n, "little")
+    everything, all_of, any_of = (1 << n) - 1, [], []
+    for lo in range(0, matroid.m or 1, CHUNK):
+        every, some = [everything], [0]
+        for e in range(lo, min(lo + CHUNK, matroid.m)):
+            digits = ((lanes >> e) & ones).to_bytes(4 * n, "big")[3::4].translate(_DIGITS)
+            holding = int(digits, 2)
+            every += [bits & holding for bits in every]
+            some += [bits | holding for bits in some]
+        all_of.append(every)
+        any_of.append(some)
+    return FlatLattice(flats, all_of, any_of)
+
+
+# swaps the bytes 0 and 1: one Thue-Morse doubling step
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def characteristic_polynomial(m):
     """Whitney's expansion chi_M(t) = sum over subsets S of the ground set of
-    (-1)^|S| * t^(rk M - rk S), in one sweep over the rank table."""
+    (-1)^|S| * t^(rk M - rk S).  Byte S of one key string is
+    2 rk S + (|S| mod 2), so the coefficient at rank k is the count of the
+    byte 2k less the count of 2k + 1.  The parities are the Thue-Morse
+    string, doubled once per element."""
+    parity = b"\x00"
+    for _ in range(m.m):
+        parity += parity.translate(_FLIP)
+    key = int.from_bytes(m.table, "little") << 1 | int.from_bytes(parity, "little")
+    key = key.to_bytes(len(parity), "little")
     r = m.full_rank
-    coeffs = [0] * (r + 1)
-    for s, rank in enumerate(m.table):
-        coeffs[r - rank] += -1 if s.bit_count() & 1 else 1
-    return Poly(coeffs)
+    return Poly([key.count(2 * k) - key.count(2 * k + 1) for k in range(r, -1, -1)])

@@ -2,6 +2,7 @@
 algorithms so they can serve as cross-checks, and the helpers that only the
 tests call (graph isomorphism, colorings, matroid minors, root isolation)."""
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -625,7 +626,7 @@ class PairLattice:
 def lattice_by_pairs(matroid):
     """The lattice of flats with its order from one subset test per pair of
     flats, flat j below flat i iff mask j is a subset of mask i; the library
-    ANDs per-element bitsets instead."""
+    looks up subset tables instead."""
     flats = matroid.flats()
     masks = [f.elements for f in flats]
     above = [tuple(i for i in range(j + 1, len(masks)) if mj & masks[i] == mj)
@@ -680,6 +681,69 @@ def characteristic_by_masks(m):
     coeffs = [0] * (r + 1)
     for f, mu_f in zip(flats, mu):
         coeffs[r - f.rank] += mu_f
+    return Poly(coeffs)
+
+
+class HoldingLattice(namedtuple("HoldingLattice", "flats holding")):
+    """The lattice of flats with its order as one bitset per element,
+    holding[e] the flats that contain element e, each order query a loop
+    over elements: the oracle for the library's subset tables, which answer
+    one chunk of elements per lookup."""
+
+    __slots__ = ()
+
+    def containing(self, j):
+        """The AND of holding[e] over the elements e of flat j."""
+        bits, x = (1 << len(self.flats)) - 1, self.flats[j].elements
+        while x:
+            low = x & -x
+            bits &= self.holding[low.bit_length() - 1]
+            x ^= low
+        return bits
+
+    def below(self, j):
+        """The flats that hold none of the elements flat j lacks."""
+        union, x = 0, self.flats[j].elements ^ ((1 << len(self.holding)) - 1)
+        while x:
+            low = x & -x
+            union |= self.holding[low.bit_length() - 1]
+            x ^= low
+        return ((1 << len(self.flats)) - 1) ^ union
+
+    def mobius(self):
+        """mu(bottom, F) from the bottom up, with every value of mu found so
+        far, of every rank, read at each flat; the library reads the values
+        of the lower ranks only."""
+        mus, with_mu = [], {}
+        for j in range(len(self.flats)):
+            below = self.below(j)
+            mu = -sum(v * (below & bits).bit_count() for v, bits in with_mu.items()) if j else 1
+            mus.append(mu)
+            with_mu[mu] = with_mu.get(mu, 0) | 1 << j
+        return mus
+
+
+def lattice_by_elements(matroid):
+    """HoldingLattice of a matroid, one flat's elements at a time, where the
+    library transposes the flat masks as byte lanes."""
+    flats = matroid.flats()
+    holding = [0] * matroid.m
+    for i, f in enumerate(flats):
+        x = f.elements
+        while x:
+            low = x & -x
+            holding[low.bit_length() - 1] |= 1 << i
+            x ^= low
+    return HoldingLattice(flats, holding)
+
+
+def characteristic_by_subsets(m):
+    """Whitney's expansion, one subset at a time: the sum over subsets S of
+    (-1)^|S| * t^(rk M - rk S); the library counts bytes of a key string."""
+    r = m.full_rank
+    coeffs = [0] * (r + 1)
+    for s, rank in enumerate(m.table):
+        coeffs[r - rank] += -1 if s.bit_count() & 1 else 1
     return Poly(coeffs)
 
 

@@ -9,6 +9,7 @@ from conftest import (
     RANDOM_GRAPHS,
     below_lists,
     characteristic_by_masks,
+    characteristic_by_subsets,
     components,
     compositions,
     contract,
@@ -18,6 +19,7 @@ from conftest import (
     graphs_up_to_16_edges,
     induced_union,
     is_flat,
+    lattice_by_elements,
     lattice_by_pairs,
     lattice_isomorphic,
     localization,
@@ -329,6 +331,39 @@ def order_matches_pairwise_oracle(m):
     return True
 
 
+def matches_element_loops(m):
+    """The subset tables, the rank-local mu walk and Whitney's byte counts
+    against the element loops, the all-values mu walk and the per-subset
+    Whitney loop."""
+    lat, want = lattice_of(m), lattice_by_elements(m)
+    return (lat.flats == want.flats
+            and all(lat.containing(j) == want.containing(j) and lat.below(j) == want.below(j)
+                    for j in range(len(lat.flats)))
+            and lat.mobius() == want.mobius()
+            and characteristic_polynomial(m) == characteristic_by_subsets(m))
+
+
+def test_subset_tables_match_element_loops_at_chunk_boundaries():
+    # chunks of 5 elements: no element, a 1-element and a 4-element chunk,
+    # then 1, 2 and 3 full chunks each alone and with a 1-element chunk after
+    # them (m = 6, 11 and 16: wheel 8 and whirl 8)
+    graphs = [make_family("path", 2), make_family("cycle", 4), make_family("fan", 3),
+              make_family("wheel", 3), make_family("wheel", 5),
+              SimpleGraph(5, list(combinations(range(5), 2))), make_family("fan", 6),
+              make_family("fan", 8), make_family("square_of_path", 8), make_family("wheel", 8)]
+    cases = [RankOracleMatroid(0, bytes(1)), whirl_matroid(8)]
+    cases += [graphic_matroid(g) for g in graphs]
+    assert sorted({m.m for m in cases}) == [0, 1, 4, 5, 6, 10, 11, 15, 16]
+    for m in cases:
+        assert matches_element_loops(m), m
+
+
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_subset_tables_match_element_loops_on_random_graphs(g):
+    assert matches_element_loops(graphic_matroid(g))
+
+
 def test_characteristic_matches_mask_oracle(brute_range_matroids):
     for m in brute_range_matroids:
         assert chi_routes_agree(m), m
@@ -381,9 +416,32 @@ def unit_steps(table, m):
                for x in range(1 << m) for e in range(m) if not x >> e & 1)
 
 
+def test_rank_table_values_above_m_are_refused():
+    # a rank above the ground set's size, in range(256) or not, fails at
+    # construction and names the subset
+    for table in ([0, 1, 1, 300], bytearray([0, 1, 1, 3]), [0, 1, 1, -1]):
+        with pytest.raises(ValueError, match="subset 0b11"):
+            RankOracleMatroid(2, table)
+    with pytest.raises(ValueError, match="subset 0b101 has rank 4"):
+        RankOracleMatroid(3, bytearray([0, 1, 1, 2, 1, 4, 2, 3]))
+
+
+def test_rank_table_is_copied_at_construction():
+    # changing the caller's table afterwards changes neither the stored
+    # table nor any answer: full_rank and kl_z_chi stay those of rank 2
+    table = bytearray([0, 1, 1, 2])
+    m = RankOracleMatroid(2, table)
+    table[3] = 1
+    assert m.table == bytes([0, 1, 1, 2]) and m.full_rank == 2
+    p, z, chi = kl.kl_z_chi(m)
+    assert (p, z, chi) == (Poly([1]), Poly([1, 2, 1]), Poly([1, -2, 1]))
+    assert characteristic_polynomial(m) == chi
+
+
 def test_flats_reject_tables_without_unit_steps():
     with pytest.raises(ValueError, match="element 0"):
-        RankOracleMatroid(2, bytearray([0, 1, 1, 3])).flats()  # a step of 2
+        # a step of 2, from {1, 2} to the ground set, with every rank in 0..m
+        RankOracleMatroid(3, bytearray([0, 1, 1, 2, 1, 2, 1, 3])).flats()
     with pytest.raises(ValueError, match="element 0"):
         RankOracleMatroid(2, bytearray([0, 1, 1, 0])).flats()  # a step down
     # one rank moved by one or two: the scan goes on exactly when every step

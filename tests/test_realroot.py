@@ -430,6 +430,15 @@ def test_wheel_z_quadratic():
     assert (n**2 - n + 4) ** 2 - 4 * (n + 1) ** 2 == 36
 
 
+def test_wheel_z_discriminant_factors_for_every_n():
+    # both sides are polynomials of degree 4 in n, so agreeing at five values
+    # of n makes them one polynomial: the discriminant of the wheel Z core's
+    # quadratic factors for every n, and is positive from n = 3 on since
+    # n^2 + n + 6 > 0; verify_wheel_z_quadratic still checks each n it runs
+    for n in range(5):
+        assert (n**2 - n + 4) ** 2 - 4 * (n + 1) ** 2 == (n - 1) * (n - 2) * (n**2 + n + 6)
+
+
 def test_root_interval_api():
     iv = RootInterval(Fraction(-2), Fraction(-2), 3)
     assert iv.is_exact() and iv.multiplicity == 3
