@@ -29,9 +29,8 @@ from .poly import Poly
 N_MAX = 64
 
 
-# Every route is a module-level function of (family, n), so that verify --jobs
-# can pickle partials of it, and it looks its library function up on the
-# module when it runs, so that rebinding that function reaches every route.
+# Every route looks its library function up on the module when it runs, so
+# that rebinding that function reaches every route.
 
 
 def _lattice_brute(name, family, n):
@@ -200,8 +199,7 @@ def cmd_table(args):
 # function) pair that returns (ok, detail).  All but the gf checks and
 # identities/spot-values check one claim at one n, take that n as their last
 # argument and are named <suite>/<claim>/<n>, so every failing n fails its own
-# check.  Partials of module-level functions pickle, so a process pool can run
-# them when --jobs > 1
+# check
 
 
 def _compare(got, want, n):
@@ -345,16 +343,16 @@ def build_suite(suite, max_n=None, order=None):
     def add(name, fn, *args):
         checks.append((name, partial(fn, *args)))
 
-    def up_to(default):
-        return default if max_n is None else max_n
+    def ns(lo, top):
+        """lo up to top, or up to --max-n if that is lower."""
+        return range(lo, min(top, max_n or top) + 1)
 
     if suite in ("oracle", "all"):
         brute = ROUTES["kl", "brute"][1]
         for fam, (lo, hi) in brute.items():
-            for n in range(lo, min(up_to(hi), hi) + 1):
+            for n in ns(lo, hi):
                 add(f"oracle/{fam}/{n}", _oracle, fam, n)
-        lo, hi = brute["whirl"]
-        for n in range(lo, min(up_to(hi), hi) + 1):
+        for n in ns(*brute["whirl"]):
             add(f"oracle/whirl-flats/{n}", _holds, _whirl_flat_partition, n)
         # the square's chromatic closed form is the fan's: t times the
         # characteristic polynomial of its cycle matroid, which is the fan's
@@ -362,27 +360,27 @@ def build_suite(suite, max_n=None, order=None):
         closed = ROUTES["chromatic", "closed"][0]
         for fam, (lo, hi) in fams.items():
             want = partial(closed, {"square": "fan"}.get(fam, fam))
-            for n in range(lo, min(up_to(hi), hi) + 1):
+            for n in ns(lo, hi):
                 add(f"oracle/chromatic/{fam}/{n}", _agrees, partial(chromatic, fam), want, n)
     if suite in ("gf", "all"):
         o = 12 if order is None else order
         for which in series.GF_NAMES:
             add(f"gf/{which}/order-{o}", _gf_matches, which, o)
     if suite in ("recurrence", "all"):
-        # from where both the recurrence and the closed form hold up to
-        # N_MAX, the top of every ROUTES["kl", "recurrence"] range
-        for fam, first in kl.FIRST_N["kl_recurrence"].items():
-            for n in range(max(first, kl.FIRST_N["kl_closed"][fam]), up_to(N_MAX) + 1):
+        # from where both the recurrence and the closed form hold
+        closed_ranges = ROUTES["kl", "closed"][1]
+        for fam, (lo, hi) in ROUTES["kl", "recurrence"][1].items():
+            for n in ns(max(lo, closed_ranges[fam][0]), hi):
                 add(f"recurrence/{fam}/{n}", _agrees, partial(kl.kl_recurrence, fam),
                     partial(kl.kl_closed, fam), n)
     if suite in ("roots", "all"):
-        # one check per record that compute and table print, from each
-        # closed route's first n
+        # one check per record that compute and table print, over each
+        # closed route's range
         for kind in ("kl", "z"):
-            for fam, (lo, _) in ROUTES[kind, "closed"][1].items():
-                for n in range(lo, up_to(30) + 1):
+            for fam, (lo, hi) in ROUTES[kind, "closed"][1].items():
+                for n in ns(lo, hi):
                     add(f"roots/{kind}-negative/{fam}/{n}", _closed_all_negative, kind, fam, n)
-        for n in range(3, min(up_to(25), 25) + 1):
+        for n in ns(3, 25):
             add(f"roots/fan-interlacing/{n}", _holds, _fan_interlaces, n)
     if suite in ("identities", "all"):
         for claim, lo, top, *check in (
@@ -393,7 +391,7 @@ def build_suite(suite, max_n=None, order=None):
                 ("n-sequence", 7, 30, _holds, _n_sequence_holds),
                 ("relaxation-kl", 3, 30, _relaxation, "kl"),
                 ("relaxation-z", 3, 30, _relaxation, "z")):
-            for n in range(lo, min(up_to(top), top) + 1):
+            for n in ns(lo, top):
                 add(f"identities/{claim}/{n}", *check, n)
         add("identities/spot-values", _spot_values)
     if not checks:
@@ -412,18 +410,8 @@ def _run_check_timed(item):
 
 
 def cmd_verify(args):
-    jobs, cpus = args.jobs, os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        # checked before any pool starts: the pool forks all its workers at once
-        raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
     checks = build_suite(args.suite, args.max_n, args.order)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_check_timed, checks))
-    else:
-        results = [_run_check_timed(item) for item in checks]
+    results = [_run_check_timed(item) for item in checks]
     lines = [f"PASS {name} ({seconds:.2f}s)\n" if ok else
              f"FAIL {name} ({seconds:.2f}s): {detail}\n"
              for name, ok, detail, seconds in results]
@@ -454,8 +442,6 @@ def build_parser():
     )
     pv.add_argument("--max-n", dest="max_n", type=int, default=None)
     pv.add_argument("--order", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, 1 (the default) to the CPU count")
 
     pt = sub.add_parser("table", help="closed-form table over a range of n")
     pt.add_argument("--family", required=True, choices=kl.FAMILIES)

@@ -48,7 +48,7 @@ def _report(title, results, t0, gate=None):
 def test_criteria_split_the_suite():
     owners = {name: [title for title, (prefixes, _) in CRITERIA.items()
                      if name.startswith(prefixes)] for name, _ in SUITE}
-    assert len(owners) == len(SUITE) == 711
+    assert len(owners) == len(SUITE) == 983
     assert {name: titles for name, titles in owners.items() if len(titles) != 1} == {}
 
 

@@ -96,9 +96,6 @@ def test_unsupported_combo_exits_2(capsys):
         assert f"n <= {N_MAX}" in err
         # the matrix lists compute/table combinations, which verify errors are not about
         assert ("supported" in err) == (argv[0] != "verify")
-    code, out, err = run(capsys, "verify", "--suite", "recurrence", "--jobs", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "supported" not in err
 
 
 def test_every_route_accepts_exactly_its_range(capsys):
@@ -255,7 +252,7 @@ def test_oracle_suite_spans_the_brute_ranges():
              for n in range(lo, hi + 1)]
     assert [name for name, _ in build_suite("oracle")] == want
     assert want[-1] == "oracle/chromatic/wheel/10"
-    assert len(build_suite("all")) == 711
+    assert len(build_suite("all")) == 983
 
 
 def test_build_suite_refuses_non_int_sizes():
@@ -266,17 +263,17 @@ def test_build_suite_refuses_non_int_sizes():
 
 
 def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
-    # one check per closed KL and Z record, from each closed route's first n,
+    # one check per closed KL and Z record over each closed route's range,
     # then one fan interlacing check per n from 3 to 25
     for max_n in (None, 1, 2, 5, 30):
-        hi = 30 if max_n is None else max_n
+        hi = N_MAX if max_n is None else max_n
         want = [f"roots/{kind}-negative/{fam}/{n}" for kind in ("kl", "z")
-                for fam, (lo, _) in cli.ROUTES[kind, "closed"][1].items()
-                for n in range(lo, hi + 1)]
+                for fam, (lo, top) in cli.ROUTES[kind, "closed"][1].items()
+                for n in range(lo, min(hi, top) + 1)]
         want += [f"roots/fan-interlacing/{n}" for n in range(3, min(hi, 25) + 1)]
         assert [name for name, _ in build_suite("roots", max_n=max_n)] == want, max_n
     code, out, _ = run(capsys, "verify", "--suite", "roots")
-    assert code == 0 and len(pass_names(out)) == 259 and "FAIL" not in out
+    assert code == 0 and len(pass_names(out)) == 531 and "FAIL" not in out
     assert "gf/kl_wheel/order-12" in [name for name, _ in build_suite("gf")]
     # each check certifies compute's record: a palindromic whirl Z of rank 2
     # with complex zeros fails its flag, a KL polynomial with constant term 2
@@ -493,15 +490,6 @@ def test_table_json(capsys):
     assert recs[1]["coeffs"] == ["1", "3", "1"]
 
 
-def test_jobs_out_of_range_exits_2(capsys):
-    # rejected before any worker process starts
-    for jobs in (0, (os.cpu_count() or 1) + 1):
-        code, out, err = run(capsys, "verify", "--suite", "recurrence", "--max-n", "3",
-                             "--jobs", str(jobs))
-        assert code == 2 and out == ""
-        assert "--jobs" in err
-
-
 def test_verify_flags_out_of_range_exit_2(capsys):
     # rejected before any check runs; 0 is not read as "the default"
     order_bound = f"order <= {cli.series.MAX_ORDER}"
@@ -518,7 +506,7 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
     assert code == 0
     assert pass_names(out) == ["PASS identities/narayana/1", "PASS identities/narayana/2",
                                "PASS identities/spot-values"]
-    tops = {"oracle": 8, "oracle/chromatic": 10, "recurrence": N_MAX, "roots": 30,
+    tops = {"oracle": 8, "oracle/chromatic": 10, "recurrence": N_MAX, "roots": N_MAX,
             "identities": 40}
     for max_n in (None, 1, 2, 6, 30, N_MAX):
         names = []
@@ -551,18 +539,15 @@ def pass_names(out):
             if line.startswith("PASS")]
 
 
-def test_verify_parallel_jobs(capsys):
-    # every kind of check must pickle for the pool, and output order must not
-    # depend on completion order
-    code, serial, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5",
-                          "--order", "5", "--jobs", "1")
+def test_verify_prints_one_line_per_check_in_suite_order(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5", "--order", "5")
     assert code == 0
-    code, pooled, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5",
-                          "--order", "5", "--jobs", "2")
-    assert code == 0
-    names = pass_names(serial)
-    assert len(names) == len(build_suite("all", max_n=5, order=5))
-    assert pass_names(pooled) == names
+    assert pass_names(out) == [f"PASS {name}" for name, _ in
+                               build_suite("all", max_n=5, order=5)]
+    # verify runs in the calling process and has no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "gf", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_failure_names_first_difference(capsys, monkeypatch):
