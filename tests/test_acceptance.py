@@ -6,7 +6,8 @@ against closed.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import time
 
-from matroidkl.cli import ROUTES, _compare, _run_check_timed, build_suite
+from matroidkl.checks import _compare, _run_check_timed, build_suite
+from matroidkl.cli import ROUTES
 from matroidkl.kl import FAMILIES
 
 SUITE = build_suite("all")

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from matroidkl import cli, kl, matroids, realroot, series
-from matroidkl.cli import N_MAX, OutputRecord, build_suite, main, supported_matrix
+from matroidkl import checks, cli, kl, matroids, realroot, series
+from matroidkl.checks import build_suite
+from matroidkl.cli import N_MAX, OutputRecord, main, supported_matrix
 from matroidkl.graphs import make_family
 from matroidkl.matroids import graphic_matroid
 from matroidkl.poly import T, Poly
@@ -210,7 +211,9 @@ from matroidkl import cli
 
 assert cli.main(["compute", "--family", "fan", "--n", "4", "--kind", "kl",
                  "--method", "brute"]) == 0
-for name, check in cli.build_suite("all", max_n=3, order=2):
+assert "matroidkl.checks" not in sys.modules
+from matroidkl import checks
+for name, check in checks.build_suite("all", max_n=3, order=2):
     ok, detail = check()
     assert ok, (name, detail)
 loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
@@ -221,7 +224,8 @@ assert not loaded, loaded
 def test_library_loads_no_dataclasses_or_inspect():
     # every CLI run, verify suite and benchmark repetition is a fresh process
     # that imports the library; the record types are named tuples, so none of
-    # them loads dataclasses and, through it, inspect, ast, dis and tokenize
+    # them loads dataclasses and, through it, inspect, ast, dis and tokenize;
+    # and a compute process does not import the verify suite
     import matroidkl
 
     src = os.path.dirname(os.path.dirname(matroidkl.__file__))
@@ -255,6 +259,58 @@ def test_oracle_suite_spans_the_brute_ranges():
     assert len(build_suite("all")) == 983
 
 
+# claim -> the (kind, method) routes that each of its checks compares with a
+# second route, at the family and n of its name; a gf check compares every n up
+# to its order.  The square's chromatic check reads the fan's closed form.
+COMPARES = {
+    r"oracle/(?P<fam>fan|square|wheel|whirl)/(?P<n>\d+)":
+        [(kind, method) for kind in ("kl", "z", "characteristic") for method in ("brute", "closed")],
+    r"oracle/chromatic/(?P<fam>fan|wheel)/(?P<n>\d+)": [("chromatic", "brute"),
+                                                        ("chromatic", "closed")],
+    r"oracle/chromatic/(?P<fam>square)/(?P<n>\d+)": [("chromatic", "brute")],
+    r"recurrence/(?P<fam>\w+)/(?P<n>\d+)": [("kl", "recurrence"), ("kl", "closed")],
+    r"gf/kl_(?P<fam>\w+)/order-(?P<top>\d+)": [("kl", "closed")],
+    r"gf/z_(?P<fam>\w+)/order-(?P<top>\d+)": [("z", "closed")],
+}
+# (kind, method, family) -> (the n that compute and table serve and no verify
+# check compares with a second route, why)
+UNCOMPARED = {
+    **{(kind, "closed", "square"): (range(9, N_MAX + 1), "the fan's closed form, by the paper's "
+                                    "theorem; oracle/square/<n> checks that up to n = 8")
+       for kind in ("kl", "z")},
+    **{("characteristic", "closed", fam): (range(9, N_MAX + 1), "no second route above the "
+                                           "brute range yet")
+       for fam in ("fan", "square", "wheel", "whirl")},
+    **{("chromatic", "closed", fam): (range(11, N_MAX + 1), "no second route above the "
+                                      "brute range yet")
+       for fam in ("fan", "wheel")},
+    ("kl", "recurrence", "whirl"): (range(1, 3), "below the whirl's closed form; "
+                                    "identities/spot-values pins both values"),
+}
+
+
+def test_every_served_route_is_compared_with_a_second_route():
+    # a new route or a wider range fails here until a check or an entry of
+    # UNCOMPARED covers it, and an entry that a check covers fails too
+    served = {(kind, method, fam, n) for (kind, method), (_, fams) in cli.ROUTES.items()
+              for fam, (lo, hi) in fams.items() for n in range(lo, hi + 1)}
+    compared = set()
+    for name, _ in build_suite("all"):
+        for pattern, routes in COMPARES.items():
+            match = re.fullmatch(pattern, name)
+            if match:
+                fields = match.groupdict()
+                ns = ([int(fields["n"])] if "n" in fields
+                      else range(int(fields["top"]) + 1))
+                compared |= {(kind, method, fields["fam"], n)
+                             for kind, method in routes for n in ns}
+    exempt = {(kind, method, fam, n) for (kind, method, fam), (ns, _) in UNCOMPARED.items()
+              for n in ns}
+    assert exempt <= served, sorted(exempt - served)
+    assert served - compared == exempt, (sorted(served - compared - exempt),
+                                         sorted(exempt & compared))
+
+
 def test_build_suite_refuses_non_int_sizes():
     # a bool would name its checks order-True, a float fail inside range()
     for kwargs, flag in (({"order": True}, "--order"), ({"max_n": 2.5}, "--max-n")):
@@ -274,7 +330,7 @@ def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
         assert [name for name, _ in build_suite("roots", max_n=max_n)] == want, max_n
     code, out, _ = run(capsys, "verify", "--suite", "roots")
     assert code == 0 and len(pass_names(out)) == 531 and "FAIL" not in out
-    assert "gf/kl_wheel/order-12" in [name for name, _ in build_suite("gf")]
+    assert f"gf/kl_wheel/order-{N_MAX}" in [name for name, _ in build_suite("gf")]
     # each check certifies compute's record: a palindromic whirl Z of rank 2
     # with complex zeros fails its flag, a KL polynomial with constant term 2
     # fails its invariants
@@ -288,7 +344,8 @@ def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
     assert code == 1 and len(fails) == 2, fails
     assert re.fullmatch(r"FAIL roots/kl-negative/wheel/3 \(\d+\.\d+s\): exception: "
                         r"ArithmeticError\(.*rank 3.*\)", fails[0]), fails[0]
-    assert re.fullmatch(r"FAIL roots/z-negative/whirl/2 \(\d+\.\d+s\): n=2", fails[1]), fails[1]
+    assert re.fullmatch(r"FAIL roots/z-negative/whirl/2 \(\d+\.\d+s\): n=2: real_rooted=False, "
+                        r"all_negative=False", fails[1]), fails[1]
 
 
 def test_readme_states_the_check_count():
@@ -314,7 +371,7 @@ def test_readme_layout_names_exist():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
         rows = re.findall(r"^\| `matroidkl\.(\w+)` \| (.*) \|$", f.read(), re.M)
-    assert len(rows) == 7, rows
+    assert len(rows) == 8, rows
     missing = []
     for module, contents in rows:
         for name in re.findall(r"`([^`]*)`", contents):
@@ -335,7 +392,7 @@ def test_readme_layout_names_exist():
 NOT_DRIVEN = {
     "cli._kl_route": "builds ROUTES at import, before the drive starts",
 }
-LIBRARY_MODULES = ("cli", "graphs", "kl", "matroids", "poly", "realroot", "series")
+LIBRARY_MODULES = ("checks", "cli", "graphs", "kl", "matroids", "poly", "realroot", "series")
 
 
 def _defined_functions():
@@ -492,7 +549,7 @@ def test_table_json(capsys):
 
 def test_verify_flags_out_of_range_exit_2(capsys):
     # rejected before any check runs; 0 is not read as "the default"
-    order_bound = f"order <= {cli.series.MAX_ORDER}"
+    order_bound = f"order <= {series.MAX_ORDER}"
     for flag, value, bound in (("--order", "65", order_bound), ("--order", "-1", order_bound),
                                ("--order", "0", order_bound), ("--max-n", "0", f"n <= {N_MAX}"),
                                ("--max-n", "-3", f"n <= {N_MAX}")):
@@ -591,7 +648,7 @@ def test_cycle_kl_matches_brute():
     # route, whose Z of the m-cycle is the Narayana polynomial N_m
     for m in range(3, 12):
         p, z, _ = kl.kl_z_chi(graphic_matroid(make_family("cycle", m)))
-        assert cli._cycle_kl(m) == p, m
+        assert checks._cycle_kl(m) == p, m
         assert z == realroot.narayana_polynomial(m), m
 
 
@@ -684,7 +741,7 @@ def test_each_claim_fails_at_its_perturbed_n(monkeypatch, prefix, check, module,
                         lambda *args: change(fn(*args)) if args == at else fn(*args))
     claim = [item for item in build_suite(prefix.split("/")[0], max_n=10, order=8)
              if item[0].startswith(prefix)]
-    assert [got for got, ok, _, _ in map(cli._run_check_timed, claim) if not ok] == [check]
+    assert [got for got, ok, _, _ in map(checks._run_check_timed, claim) if not ok] == [check]
 
 
 def test_poly_record_builds_one_sturm_chain(monkeypatch):
