@@ -2,7 +2,7 @@
 whirl matroids: brute-force lattice recursion, closed forms, recurrences,
 generating functions and Sturm-sequence root certificates."""
 
-from .poly import Poly, compose_rational, reverse_scaled
+from .poly import Poly
 from .graphs import SimpleGraph, make_family
 from .matroids import Flat, RankOracleMatroid, graphic_matroid, whirl_matroid
 from .kl import (
@@ -19,8 +19,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Poly",
-    "compose_rational",
-    "reverse_scaled",
     "SimpleGraph",
     "make_family",
     "Flat",

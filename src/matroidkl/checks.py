@@ -147,13 +147,12 @@ def _spot_values():
     return True, ""
 
 
-def build_suite(suite, max_n=None, order=None):
+def build_suite(suite, max_n=None):
     """The (name, check) pairs of a suite."""
-    for flag, value, top in (("--max-n", max_n, N_MAX), ("--order", order, series.MAX_ORDER)):
-        if value is not None and type(value) is not int:
-            raise TypeError(f"{flag} must be an int, got {type(value).__name__}")
-        if value is not None and not 1 <= value <= top:
-            raise UsageError(f"{flag} needs 1 <= {flag[2:]} <= {top}, got {value}")
+    if max_n is not None and type(max_n) is not int:
+        raise TypeError(f"--max-n must be an int, got {type(max_n).__name__}")
+    if max_n is not None and not 1 <= max_n <= N_MAX:
+        raise UsageError(f"--max-n needs 1 <= max-n <= {N_MAX}, got {max_n}")
     checks = []
 
     def add(name, fn, *args):
@@ -179,9 +178,9 @@ def build_suite(suite, max_n=None, order=None):
             for n in ns(lo, hi):
                 add(f"oracle/chromatic/{fam}/{n}", _agrees, partial(chromatic, fam), want, n)
     if suite in ("gf", "all"):
-        # by default to the top of the closed Z route, so that every Z value
-        # it serves is compared with a second route
-        o = max(hi for _, hi in ROUTES["z", "closed"][1].values()) if order is None else order
+        # to the top of the closed Z route, so that every Z value it serves
+        # is compared with a second route, or to --max-n if that is lower
+        o = ns(1, max(hi for _, hi in ROUTES["z", "closed"][1].values()))[-1]
         for which in series.GF_NAMES:
             add(f"gf/{which}/order-{o}", _gf_matches, which, o)
     if suite in ("recurrence", "all"):

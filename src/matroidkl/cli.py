@@ -195,7 +195,7 @@ def cmd_verify(args):
     # imported here, so that a compute or table process never compiles the checks
     from .checks import _run_check_timed, build_suite
 
-    checks = build_suite(args.suite, args.max_n, args.order)
+    checks = build_suite(args.suite, args.max_n)
     results = [_run_check_timed(item) for item in checks]
     lines = [f"PASS {name} ({seconds:.2f}s)\n" if ok else
              f"FAIL {name} ({seconds:.2f}s): {detail}\n"
@@ -226,7 +226,6 @@ def build_parser():
         choices=["oracle", "gf", "recurrence", "roots", "identities", "all"],
     )
     pv.add_argument("--max-n", dest="max_n", type=int, default=None)
-    pv.add_argument("--order", type=int, default=None)
 
     pt = sub.add_parser("table", help="closed-form table over a range of n")
     pt.add_argument("--family", required=True, choices=kl.FAMILIES)

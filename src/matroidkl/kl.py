@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import T, Poly, reverse_scaled
+from .poly import T, Poly
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -97,8 +97,9 @@ def _check_bottom(lat, solved):
         chi[r - f.rank] += mu
         for k, c in enumerate(z):
             total[k] += mu * c
-    # the last flat solved is the bottom, whose interval is the whole matroid
-    if Poly(total) != reverse_scaled(Poly(p), r):
+    # the last flat solved is the bottom, whose interval is the whole
+    # matroid; the right side is t^r * P_M(1/t) as a coefficient list
+    if total != [0] * (r + 1 - len(p)) + list(reversed(p)):
         raise ArithmeticError(
             "defining recursion fails at the bottom flat; rank oracle or lattice bug"
         )

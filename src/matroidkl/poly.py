@@ -4,7 +4,7 @@ Coefficients are stored ascending by degree with no trailing zeros; the zero
 polynomial has an empty coefficient tuple.  Integer values stay Python ints,
 everything else is a fractions.Fraction, so all arithmetic is exact and
 arbitrary precision.  The degree of the zero polynomial is float("-inf"),
-never -1, so accidental arithmetic on it fails loudly.
+not -1, so that deg(a*b) = deg(a) + deg(b) holds when a factor is zero.
 """
 
 from __future__ import annotations
@@ -200,36 +200,6 @@ class Poly:
 ZERO = Poly()
 ONE = Poly([1])
 T = Poly([0, 1])
-
-
-def reverse_scaled(p, r):
-    """Return t^r * p(1/t); requires r >= deg(p)."""
-    _nonnegative_int(r, "reverse_scaled exponent")
-    if p.degree > r:
-        raise ValueError(f"reverse_scaled needs r >= deg(p), got r={r}, deg={p.degree}")
-    return Poly([p.coeff(r - k) for k in range(r + 1)])
-
-
-def compose_rational(p, num, den, clear_power):
-    """Return den^clear_power * p(num/den) as an exact polynomial.
-
-    clear_power must be at least deg(p) so every denominator clears.
-    """
-    _nonnegative_int(clear_power, "clear_power")
-    if p.degree > clear_power:
-        raise ValueError("clear_power below deg(p): cleared expression is not a polynomial")
-    if p.is_zero():
-        return ZERO
-    den_pows = [ONE]
-    for _ in range(clear_power):
-        den_pows.append(den_pows[-1] * den)
-    result = ZERO
-    num_pow = ONE
-    for k, pk in enumerate(p.coeffs):
-        if pk:
-            result = result + num_pow * den_pows[clear_power - k] * pk
-        num_pow = num_pow * num
-    return result
 
 
 def poly_divmod(a, b):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, factorial
 
-from .poly import Poly, compose_rational, remainder_sequence
+from .poly import Poly, remainder_sequence
 from . import kl as _kl
 
 
@@ -149,12 +149,9 @@ def verify_narayana_identity(n):
     if n < 1:
         raise ValueError("needs n >= 1")
     nara = narayana_polynomial(n)
-    p = _kl.kl_closed("fan", n)
-    d = len(p.coeffs) - 1
-    substituted = (
-        compose_rational(p, Poly([0, 1]), Poly([1, 2, 1]), d)
-        * Poly([1, 1]) ** (n - 1 - 2 * d)
-    )
+    # c t^k in P_fan becomes c t^k (1+t)^(n-1-2k)
+    substituted = sum((Poly([0] * k + [c]) * Poly([1, 1]) ** (n - 1 - 2 * k)
+                       for k, c in enumerate(_kl.kl_closed("fan", n).coeffs)), Poly())
     if substituted != nara:
         return False
     if n >= 2 and _kl.z_closed("fan", n - 1) != nara:

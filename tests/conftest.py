@@ -15,7 +15,7 @@ from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
 from matroidkl.poly import (
-    ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence, reverse_scaled,
+    ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence,
 )
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import _sign, _variations, sturm_chain
@@ -652,6 +652,11 @@ def flat_pass_by_pairs(lat):
             z[k] += c
         ps[a] = Poly(p)
     return ps, Poly(z)
+
+
+def reverse_scaled(p, r):
+    """t^r * p(1/t), for r >= deg(p)."""
+    return Poly([p.coeff(r - k) for k in range(r + 1)])
 
 
 def check_bottom_by_pairs(lat, ps):

@@ -163,12 +163,12 @@ def test_verify_recurrence_suite(capsys):
 
 
 def test_verify_gf_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "gf", "--order", "8")
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--max-n", "8")
     assert code == 0
     assert "PASS gf/kl_fan/order-8" in out
     assert "PASS gf/kl_wheel/order-8" in out
-    # the lowest order the flag check accepts
-    code, out, _ = run(capsys, "verify", "--suite", "gf", "--order", "1")
+    # the lowest --max-n the flag check accepts
+    code, out, _ = run(capsys, "verify", "--suite", "gf", "--max-n", "1")
     assert code == 0, out
     assert len(pass_names(out)) == 6 and "FAIL" not in out
 
@@ -185,7 +185,7 @@ def run_module(*argv, **kwargs):
 
 
 def test_python_m_matroidkl_runs():
-    proc = run_module("verify", "--suite", "gf", "--order", "2", capture_output=True)
+    proc = run_module("verify", "--suite", "gf", "--max-n", "2", capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("6/6 checks passed\n")
 
@@ -213,7 +213,7 @@ assert cli.main(["compute", "--family", "fan", "--n", "4", "--kind", "kl",
                  "--method", "brute"]) == 0
 assert "matroidkl.checks" not in sys.modules
 from matroidkl import checks
-for name, check in checks.build_suite("all", max_n=3, order=2):
+for name, check in checks.build_suite("all", max_n=3):
     ok, detail = check()
     assert ok, (name, detail)
 loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
@@ -312,10 +312,10 @@ def test_every_served_route_is_compared_with_a_second_route():
 
 
 def test_build_suite_refuses_non_int_sizes():
-    # a bool would name its checks order-True, a float fail inside range()
-    for kwargs, flag in (({"order": True}, "--order"), ({"max_n": 2.5}, "--max-n")):
-        with pytest.raises(TypeError, match=f"{flag} must be an int"):
-            build_suite("all", **kwargs)
+    # a bool would pass for 1, a float fail inside range()
+    for max_n in (True, 2.5):
+        with pytest.raises(TypeError, match="--max-n must be an int"):
+            build_suite("all", max_n=max_n)
 
 
 def test_roots_suite_reads_the_closed_routes(capsys, monkeypatch):
@@ -385,6 +385,26 @@ def test_readme_layout_names_exist():
     assert not missing, "not in the row's module: " + ", ".join(missing)
 
 
+def test_every_module_stays_within_the_token_budget():
+    # past 4096 tokens (tokenize's count without comments and blank lines),
+    # compiling a module cost every benchmark process about 0.12 MB of peak
+    # RSS, above the benchmark's 0.1 MB bound on peak_rss_mb
+    import tokenize
+
+    import matroidkl
+
+    package = os.path.dirname(matroidkl.__file__)
+    counts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                counts[name] = sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                                   for tok in tokenize.generate_tokens(f.readline))
+    assert "kl.py" in counts and "checks.py" in counts, counts
+    over = {name: count for name, count in counts.items() if count > 4096}
+    assert not over, over
+
+
 # functions that the drive in test_every_library_function_runs need not reach,
 # each with its reason; dunder methods are exempt as a whole: they are the
 # value types' protocol (equality, hashing, arithmetic), and the benchmark's
@@ -430,7 +450,7 @@ def test_every_library_function_runs(capsys, monkeypatch):
         for (kind, method), (_, fams) in cli.ROUTES.items():
             for family, (lo, _) in fams.items():
                 cli.compute_record(family, lo, kind, method)
-        for name, check in build_suite("all", max_n=7, order=4):
+        for name, check in build_suite("all", max_n=7):
             ok, detail = check()
             assert ok, (name, detail)
         for argv in (["compute", "--family", "wheel", "--n", "5", "--kind", "z"],
@@ -439,7 +459,7 @@ def test_every_library_function_runs(capsys, monkeypatch):
                      ["table", "--family", "whirl", "--kind", "kl", "--max-n", "6"],
                      ["table", "--family", "fan", "--kind", "z", "--max-n", "4",
                       "--format", "json"],
-                     ["verify", "--suite", "gf", "--order", "2"]):
+                     ["verify", "--suite", "gf", "--max-n", "2"]):
             assert main(argv) == 0, argv
         assert main(["compute", "--family", "fan", "--n", str(N_MAX + 1), "--kind", "kl"]) == 2
     finally:
@@ -549,13 +569,11 @@ def test_table_json(capsys):
 
 def test_verify_flags_out_of_range_exit_2(capsys):
     # rejected before any check runs; 0 is not read as "the default"
-    order_bound = f"order <= {series.MAX_ORDER}"
-    for flag, value, bound in (("--order", "65", order_bound), ("--order", "-1", order_bound),
-                               ("--order", "0", order_bound), ("--max-n", "0", f"n <= {N_MAX}"),
-                               ("--max-n", "-3", f"n <= {N_MAX}")):
-        code, out, err = run(capsys, "verify", "--suite", "all", flag, value)
-        assert code == 2 and out == "", (flag, value)
-        assert err.startswith(f"error: {flag} needs 1 <= ") and bound in err, err
+    for suite, value in (("all", "0"), ("all", "-3"), ("all", str(N_MAX + 1)),
+                         ("gf", "0"), ("gf", str(N_MAX + 1))):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", value)
+        assert code == 2 and out == "", (suite, value)
+        assert err == f"error: --max-n needs 1 <= max-n <= {N_MAX}, got {value}\n", err
 
 
 def test_each_check_runs_the_n_that_ends_its_name(capsys):
@@ -567,9 +585,15 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
             "identities": 40}
     for max_n in (None, 1, 2, 6, 30, N_MAX):
         names = []
+        cap = N_MAX if max_n is None else max_n
         for name, check in build_suite("all", max_n=max_n):
             names.append(name)
-            if name.startswith("gf/") or name == "identities/spot-values":
+            if name.startswith("gf/"):
+                # the gf checks run to the top of the closed Z route or --max-n
+                assert name.endswith(f"/order-{min(cap, 64)}"), name
+                assert check.args[-1] == min(cap, 64), name
+                continue
+            if name == "identities/spot-values":
                 continue
             suite = "oracle/chromatic" if name.startswith("oracle/chromatic/") \
                 else name.split("/")[0]
@@ -578,7 +602,6 @@ def test_each_check_runs_the_n_that_ends_its_name(capsys):
             assert n <= (tops[suite] if max_n is None else max_n), name
         # the ranges that ran as one check each before, n by n: recurrence to
         # N_MAX or --max-n, the rest each to its own top or --max-n if lower
-        cap = N_MAX if max_n is None else max_n
         want = [f"recurrence/{fam}/{n}" for fam, lo in (("fan", 1), ("wheel", 2), ("whirl", 3))
                 for n in range(lo, cap + 1)]
         want += [f"roots/fan-interlacing/{n}" for n in range(3, min(cap, 25) + 1)]
@@ -597,14 +620,15 @@ def pass_names(out):
 
 
 def test_verify_prints_one_line_per_check_in_suite_order(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5", "--order", "5")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5")
     assert code == 0
-    assert pass_names(out) == [f"PASS {name}" for name, _ in
-                               build_suite("all", max_n=5, order=5)]
-    # verify runs in the calling process and has no --jobs
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "gf", "--jobs", "2"])
-    assert exc.value.code == 2
+    assert pass_names(out) == [f"PASS {name}" for name, _ in build_suite("all", max_n=5)]
+    # verify runs in the calling process and has no --jobs; --max-n sizes
+    # the gf checks, so there is no --order
+    for flag, value in (("--jobs", "2"), ("--order", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "gf", flag, value])
+        assert exc.value.code == 2, flag
 
 
 def test_verify_failure_names_first_difference(capsys, monkeypatch):
@@ -694,7 +718,7 @@ def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):
 # the module and function it reads, the arguments at which that function's
 # value is changed, and the change)
 PERTURBATIONS = [
-    ("gf/", "gf/kl_fan/order-8", series, "gf_expand", ("kl_fan", 8), lambda s: s * 2),
+    ("gf/", "gf/kl_fan/order-10", series, "gf_expand", ("kl_fan", 10), lambda s: s * 2),
     ("roots/fan-interlacing/", "roots/fan-interlacing/6", realroot, "interleaves",
      (kl.kl_closed("fan", 6), kl.kl_closed("fan", 7)), lambda verdict: not verdict),
     ("identities/narayana/", "identities/narayana/4", realroot, "narayana_polynomial", (4,),
@@ -739,7 +763,7 @@ def test_each_claim_fails_at_its_perturbed_n(monkeypatch, prefix, check, module,
     fn = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *args: change(fn(*args)) if args == at else fn(*args))
-    claim = [item for item in build_suite(prefix.split("/")[0], max_n=10, order=8)
+    claim = [item for item in build_suite(prefix.split("/")[0], max_n=10)
              if item[0].startswith(prefix)]
     assert [got for got, ok, _, _ in map(checks._run_check_timed, claim) if not ok] == [check]
 
@@ -775,7 +799,7 @@ def test_poly_record_builds_one_sturm_chain(monkeypatch):
 
 
 def test_suite_registry_covers_all():
-    names = [name for name, _ in build_suite("all", max_n=4, order=4)]
+    names = [name for name, _ in build_suite("all", max_n=4)]
     assert any(n.startswith("oracle/") for n in names)
     assert any(n.startswith("oracle/chromatic/") for n in names)
     assert any(n.startswith("gf/") for n in names)

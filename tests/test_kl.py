@@ -20,6 +20,7 @@ from conftest import (
     localization,
     multiplicative_kl,
     rec_sequence_by_poly,
+    reverse_scaled,
     z_closed_over_q,
 )
 from matroidkl import cli, kl, matroids
@@ -27,7 +28,7 @@ from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
 )
-from matroidkl.poly import T, Poly, reverse_scaled
+from matroidkl.poly import T, Poly
 from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
 
 

@@ -9,12 +9,10 @@ from matroidkl.poly import (
     NEG_INF,
     ZERO,
     Poly,
-    compose_rational,
     divexact,
     poly_divmod,
     primitive_part,
     remainder_sequence,
-    reverse_scaled,
 )
 
 
@@ -46,51 +44,6 @@ def test_ring_axioms_random():
         assert a * b == b * a
         assert a + b == b + a
         assert a - a == Poly()
-
-
-def test_reverse_scaled_examples():
-    assert reverse_scaled(Poly([1, 1]), 3) == Poly([0, 0, 1, 1])
-    assert reverse_scaled(Poly([1]), 0) == Poly([1])
-    assert reverse_scaled(Poly([1, 5]), 4) == Poly([0, 0, 0, 5, 1])
-    with pytest.raises(ValueError):
-        reverse_scaled(Poly([1, 1, 1]), 1)
-    with pytest.raises(TypeError):
-        reverse_scaled(Poly([1]), True)
-
-
-def test_reverse_scaled_involution():
-    rng = random.Random(11)
-    for _ in range(200):
-        p = rand_poly(rng)
-        if p.coeff(0) == 0:
-            p = p + 1
-        r = len(p.coeffs) - 1
-        assert reverse_scaled(reverse_scaled(p, r), r) == p
-
-
-def test_compose_rational_narayana_style():
-    # (1+t)^2 * (1 + t/(1+t)^2) = 1 + 3t + t^2; one den power clears deg 1
-    got = compose_rational(Poly([1, 1]), Poly([0, 1]), Poly([1, 2, 1]), 1)
-    assert got == Poly([1, 3, 1])
-    assert compose_rational(Poly([1]), Poly([0, 7]), Poly([3, 1]), 0) == Poly([1])
-    assert compose_rational(Poly([0, 1]), Poly([0, 1]), Poly([1]), 1) == Poly([0, 1])
-
-
-def test_compose_rational_identity_property():
-    rng = random.Random(3)
-    for _ in range(100):
-        p = rand_poly(rng)
-        if p.is_zero():
-            continue
-        d = len(p.coeffs) - 1
-        assert compose_rational(p, Poly([0, 1]), Poly([1]), d) == p
-
-
-def test_compose_rational_rejects_low_clear_power():
-    with pytest.raises(ValueError):
-        compose_rational(Poly([1, 2, 3]), Poly([0, 1]), Poly([1, 1]), 1)
-    with pytest.raises(TypeError):
-        compose_rational(Poly([1]), Poly([0, 1]), Poly([1, 1]), True)
 
 
 def test_eval_examples():
