@@ -18,11 +18,7 @@ from functools import partial
 from . import graphs, kl, matroids, realroot
 
 # largest n any command accepts, so that no request runs for minutes: the
-# Sturm chain behind every record's root flags grows in length and in
-# coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
-# Xeon, three runs) it takes 0.015-0.016 s at n = 64, 0.15-0.18 s at n = 96
-# and 0.79-0.85 s at n = 128, about half of it in pseudo-division, which stays
-# in the integers, and half in content stripping
+# Sturm chain behind a record's root flags grows with n (README times it)
 N_MAX = 64
 
 

@@ -231,32 +231,37 @@ def divexact(a, b):
     return q
 
 
-def primitive_part(p):
-    """p divided by its content: primitive integer coefficients, sign kept.
-    The denominators are cleared first (a no-op on an int polynomial), so the
-    division by the positive gcd stays in integers."""
-    if p.is_zero():
-        return p
-    den = lcm(*(c.denominator for c in p.coeffs))
-    cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = gcd(*cs)
-    return Poly([c // g for c in cs])
+def _stripped(cs, sign=1):
+    """The int list cs, trailing zeros popped, over sign * its content."""
+    while cs and not cs[-1]:
+        cs.pop()
+    g = sign * gcd(*cs)
+    return [c // g for c in cs] if cs else cs
 
 
 def remainder_sequence(a, b):
     """Signed remainder sequence a, b, -rem(a, b), ... down to the last
-    nonzero term, which is gcd(a, b).  Every term is content-stripped: that
-    keeps its signs and stops its coefficients swelling.  A zero b ends the
-    sequence at a.
-
-    Each step pseudo-divides: it scales the dividend by |lc(b)|^(deg a -
-    deg b + 1), which keeps every quotient coefficient an int, and, being
-    positive, changes the remainder only by a positive factor that content
-    stripping removes."""
-    seq = [primitive_part(a)]
+    nonzero term, gcd(a, b); a zero b ends it at a.  Denominators are cleared
+    once, on entry.  Each step pseudo-divides int lists term by term from the
+    top, scaling the remainder by |lc(b)| and subtracting sign(lc(b)) * top *
+    t^i * b; with two quotient terms, the usual step, both go in one pass.
+    Content stripping, which keeps every sign, then removes the power of
+    |lc(b)| and stops the coefficients swelling."""
+    den = lcm(*(c.denominator for c in a.coeffs + b.coeffs))
+    a, b = (_stripped([c.numerator * (den // c.denominator) for c in x.coeffs]) for x in (a, b))
+    seq = [a]
     while b:
-        a, b = seq[-1], primitive_part(b)
+        r, d = seq[-1], len(b) - 1
         seq.append(b)
-        scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
-        b = -poly_divmod(a * scale, b)[1]
-    return seq
+        if d and len(r) == d + 2:  # the usual step: both quotient terms in one pass
+            lo, hi, s2 = b[-1] * r[-2] - r[-1] * b[-2], b[-1] * r[-1], b[-1] ** 2
+            r = [s2 * c - lo * bj - hi * bk for c, bj, bk in zip(r[:d], b, [0, *b])]
+        else:
+            r, scale, sign = list(r), abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+            for i in range(len(r) - d - 1, -1, -1):
+                top = sign * r.pop()
+                if top:
+                    r[:i] = [scale * c for c in r[:i]]
+                    r[i:] = [scale * c - top * bj for c, bj in zip(r[i:], b)]
+        b = _stripped(r, -1)
+    return [Poly(cs) for cs in seq]

@@ -2,17 +2,21 @@
 
 Every verdict (real-rootedness, negativity, the n-sequence criterion and
 interlacing) reads the sign variations of one remainder sequence at -inf, 0
-and +inf, and takes no gcd, divides nothing out and isolates no root.  Zero
-entries are skipped, so V(-inf) - V(x) counts the distinct real roots <= x
-of p, for any x with p(x) != 0.  The signs at -inf and +inf come from the
-leading coefficients and the degree parities, the signs at 0 from the
-constant coefficients: no polynomial is evaluated.
+and +inf, and takes no gcd and isolates no root.  Zero entries are skipped,
+so V(-inf) - V(x) counts the distinct real roots <= x of p, for any x with
+p(x) != 0.  The signs at -inf and +inf come from the leading coefficients
+and the degree parities, the signs at 0 from the constant coefficients.
+A palindromic p, such as every Z-polynomial, is read at half its degree, in
+s = t + 1/t, at s = -2 and 2 as well.  Its roots t = -1 and 1 are divided
+out first (1+t always divides at odd degree), so none lies at s = -2 or 2.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import zip_longest
 from math import comb, factorial
+from operator import ne
 
 from .poly import Poly, remainder_sequence
 from . import kl as _kl
@@ -32,35 +36,44 @@ def sturm_chain(p):
     return SturmChain(tuple(seq), p.degree - seq[-1].degree)
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
+def _variations(values):
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
 
 
-def _variations(signs):
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _sign_variations(polys):
-    """(V(-inf), V(0), V(+inf)) of a sequence of nonzero polynomials."""
-    return (_variations([_sign(c.leading) * (-1) ** c.degree for c in polys]),
-            _variations([_sign(c.coeff(0)) for c in polys]),
-            _variations([_sign(c.leading) for c in polys]))
+def _sign_variations(polys, *points):
+    """(V(-inf), V(x) for each x in points, V(+inf)) of a sequence of nonzero
+    polynomials; at x = 0 the values are the constant coefficients."""
+    lead = [c.coeffs[-1] for c in polys]
+    return (_variations([v if len(c.coeffs) % 2 else -v for v, c in zip(lead, polys)]),
+            *(_variations([c(x) if x else c.coeffs[0] for c in polys]) for x in points),
+            _variations(lead))
 
 
 def _root_flags(p):
-    """(real-rooted, all zeros negative) off one Sturm chain of p."""
+    """(real-rooted, all zeros negative) off one Sturm chain: of p, or of q
+    for a palindromic p of degree >= 2.  Such a p, its roots t = -1 and 1
+    divided out by synthetic division in ints, is t^m * q(t + 1/t) with
+    q(s) = c_m + sum_j c_(m+j) * D_j(s) in the Dickson polynomials D_0 = 2,
+    D_1 = s, D_(j+1) = s*D_j - D_(j-1).  A root s of q gives the roots of
+    t^2 - s*t + 1, real iff |s| >= 2 and negative iff s <= -2."""
+    cs, negative_so_far, ends = list(p.coeffs), p.coeff(0) != 0, (0, 0)
+    if len(cs) >= 3 and cs == cs[::-1]:
+        for r in (-1, 1):
+            while not sum(cs[::2]) + r * sum(cs[1::2]):
+                for k in range(len(cs) - 2, 0, -1):
+                    cs[k] += r * cs[k + 1]
+                cs, negative_so_far = cs[1:], negative_so_far and r < 0
+        m = len(cs) // 2
+        q, d_prev, d = [cs[m]], [2], [0, 1]
+        for c in cs[m + 1:]:
+            q = [a + c * b for a, b in zip_longest(q, d, fillvalue=0)]
+            d_prev, d = d, [a - b for a, b in zip_longest([0, *d], d_prev, fillvalue=0)]
+        p, ends = Poly(q), (-2, 2)
     chain = sturm_chain(p)
-    v_neg, v_zero, v_pos = _sign_variations(chain.polys)
-    real = v_neg - v_pos == chain.distinct_roots
-    return real, real and p.coeff(0) != 0 and v_neg - v_zero == chain.distinct_roots
+    v_neg, v_low, v_high, v_pos = _sign_variations(chain.polys, *ends)
+    real = v_neg - v_pos == chain.distinct_roots and v_low == v_high
+    return real, real and negative_so_far and v_neg - v_low == chain.distinct_roots
 
 
 def is_real_rooted(p):
@@ -96,7 +109,7 @@ def interleaves(g, f):
     if f.degree - g.degree not in (0, 1):
         raise ValueError("degree gap must be 0 or 1")
     seq = remainder_sequence(f, g)
-    v_neg, _, v_pos = _sign_variations(seq)
+    v_neg, v_pos = _sign_variations(seq)
     return v_neg - v_pos == f.degree - seq[-1].degree
 
 
@@ -107,7 +120,7 @@ def n_sequence_check(gamma, n):
         raise ValueError("gamma must have length n+1")
     p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
     chain = sturm_chain(p)
-    v_neg, v_zero, v_pos = _sign_variations(chain.polys)
+    v_neg, v_zero, v_pos = _sign_variations(chain.polys, 0)
     real = v_neg - v_pos
     if real != chain.distinct_roots or p.coeff(0) == 0:
         return False

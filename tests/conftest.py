@@ -15,10 +15,10 @@ from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
 from matroidkl.poly import (
-    ONE, ZERO, Poly, divexact, primitive_part, remainder_sequence,
+    ONE, ZERO, Poly, divexact, poly_divmod, remainder_sequence,
 )
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
-from matroidkl.realroot import _sign, _variations, sturm_chain
+from matroidkl.realroot import _variations, sturm_chain
 
 
 def all_set_partitions(items):
@@ -868,6 +868,35 @@ def lattice_isomorphic(a, b, budget=2_000_000):
 # rational interval, with its multiplicity from Yun's squarefree decomposition
 
 
+def primitive_part(p):
+    """p over its content: primitive integer coefficients, sign kept."""
+    return p / content(p) if p else p
+
+
+def remainder_sequence_by_poly(a, b):
+    """The library's remainder sequence as it was before it moved to int
+    lists: each step builds Poly terms and pseudo-divides the whole dividend,
+    scaled by |lc(b)|^(deg a - deg b + 1), with poly_divmod."""
+    seq = [primitive_part(a)]
+    while b:
+        a, b = seq[-1], primitive_part(b)
+        seq.append(b)
+        scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
+        b = -poly_divmod(a * scale, b)[1]
+    return seq
+
+
+def root_flags_by_full_chain(p, seq=None):
+    """(real-rooted, all zeros negative) read at -inf, 0 and +inf off the
+    full-degree chain seq = remainder_sequence_by_poly(p, p'), palindromic p
+    or not."""
+    seq = seq or remainder_sequence_by_poly(p, p.derivative())
+    distinct = p.degree - seq[-1].degree
+    v_neg, v_zero, v_pos = (_variations_at(seq, x) for x in (NEG_INF, 0, POS_INF))
+    real = v_neg - v_pos == distinct
+    return real, real and p(0) != 0 and v_neg - v_zero == distinct
+
+
 def poly_gcd(a, b):
     """Primitive gcd with positive leading coefficient; zero iff a = b = 0."""
     g = remainder_sequence(a, b)[-1]
@@ -886,10 +915,10 @@ POS_INF = object()
 
 def _variations_at(polys, x):
     if x is NEG_INF:
-        return _variations([_sign(c.leading) * (-1) ** c.degree for c in polys])
+        return _variations([c.leading * (-1) ** c.degree for c in polys])
     if x is POS_INF:
-        return _variations([_sign(c.leading) for c in polys])
-    return _variations([_sign(c(x)) for c in polys])
+        return _variations([c.leading for c in polys])
+    return _variations([c(x) for c in polys])
 
 
 def _roots_le(chain, x):

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q, poly_gcd
+from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q, poly_gcd, primitive_part
 from matroidkl.poly import (
     NEG_INF,
     ZERO,
     Poly,
     divexact,
     poly_divmod,
-    primitive_part,
     remainder_sequence,
 )
 

@@ -16,6 +16,8 @@ from conftest import (
     interleaves_by_squarefree_chain,
     isolate_real_roots,
     refine,
+    remainder_sequence_by_poly,
+    root_flags_by_full_chain,
     root_verdicts_by_isolation,
     root_verdicts_by_squarefree_chain,
     squarefree_decomposition,
@@ -279,10 +281,13 @@ def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
 
 def test_certificate_path_builds_no_fraction(no_fraction_coeffs):
     # on int input every remainder sequence step pseudo-divides in ints, and
-    # the identity checks build their integer terms without a Fraction
+    # the identity checks build their integer terms without a Fraction; the
+    # Z records reduce to half degree, at odd n after a division by 1+t
+    odd_z = [kl.z_closed(fam, 31) for fam in ("wheel", "whirl")]
+    assert all(p.degree == 31 and p.coeffs == p.coeffs[::-1] for p in odd_z)
     wheel_z = kl.z_closed("wheel", 30)
     squares = Poly([1, 1]) ** 3 * Poly([-2, 1]) ** 2 * Poly([0, 0, -3])
-    for p in (wheel_z, kl.kl_closed("whirl", 30), squares):
+    for p in (wheel_z, *odd_z, kl.kl_closed("whirl", 30), squares):
         sturm_chain(p)
         is_real_rooted(p)
         all_zeros_negative(p)
@@ -335,7 +340,7 @@ def test_certifiers_match_root_list_definitions(roots, quad, lead):
     assert _verdicts(p) == root_verdicts_by_squarefree_chain(p)
     # the signs at 0 read off the constant coefficients are those of the values
     chain = sturm_chain(p).polys
-    assert realroot._sign_variations(chain) == tuple(
+    assert realroot._sign_variations(chain, 0) == tuple(
         _variations_at(chain, x) for x in (NEG_INF, 0, POS_INF))
 
 
@@ -354,6 +359,66 @@ def test_interleaves_matches_root_list_definition(f_roots, gap, data):
     quad = data.draw(IRREDUCIBLE_QUADRATICS)
     with pytest.raises(ValueError):
         interleaves(_with_quadratic(g, quad), _with_quadratic(f, quad))
+
+
+def test_int_list_chains_and_reduced_verdicts_match_the_poly_chain():
+    # every closed record that compute and table serve: the int-list sequence
+    # is the Poly oracle's term for term, and the verdicts, off the half-degree
+    # chain for exactly the palindromic Z records, are the full chain's
+    for (kind, method), (route, ranges) in cli.ROUTES.items():
+        if method != "closed":
+            continue
+        for fam, (lo, hi) in ranges.items():
+            for n in range(lo, hi + 1):
+                p, where = route(fam, n), (kind, fam, n)
+                seq = remainder_sequence_by_poly(p, p.derivative())
+                assert poly.remainder_sequence(p, p.derivative()) == seq, where
+                assert realroot._root_flags(p) == root_flags_by_full_chain(p, seq), where
+                palindromic = p.degree >= 2 and p.coeffs == p.coeffs[::-1]
+                assert palindromic is (kind == "z" and n >= 2), where
+
+
+def _product(factors):
+    p = Poly([1])
+    for f in factors:
+        p = p * Poly(f)
+    return p
+
+
+@pytest.mark.parametrize("factors, real_rooted, all_negative", [
+    ([(1, 1)] * 2, True, True),  # s = -2: a double root at t = -1
+    ([(1, 1)] * 3, True, True),  # odd degree: 1+t divides, then s = -2
+    ([(1, 1), (1, 1), (1, 3, 1)], True, True),  # s = -2 and s = -3
+    ([(1, -1)] * 2, True, False),  # s = 2: a double root at t = 1
+    ([(1, 1), (1, 1), (1, -1), (1, -1)], True, False),  # s = -2 and s = 2
+    ([(1, 0, 1)], False, False),  # 1+t^2: s = 0
+    ([(1, 0, 0, 0, 1)], False, False),  # 1+t^4: s^2 = 2
+    ([(-2, 1), (-1, 2)], True, False),  # (t-2)(2t-1): s = 5/2
+    ([(1, 3, 1), (1, 1, 1)], False, False),  # s = -3 and s = -1
+    ([(1, 5, 1), (1, 1), (1, -1, 1)], False, False),  # s = -5, t = -1 and s = 1
+    ([(1, 3, 1), (1, 4, 1), (1, 1)], True, True),  # s = -3, -4 and t = -1
+])
+def test_palindromic_reduction_edge_cases(monkeypatch, factors, real_rooted, all_negative):
+    p = _product(factors)
+    assert p.degree >= 2 and p.coeffs == p.coeffs[::-1]
+    want = (real_rooted, all_negative)
+    assert root_verdicts_by_squarefree_chain(p)[:2] == want
+    assert root_flags_by_full_chain(p) == want
+    chains = _count_calls(monkeypatch, realroot, "sturm_chain")
+    assert (is_real_rooted(p), all_zeros_negative(p)) == want
+    # one chain per verdict, of at most half p's degree
+    assert len(chains) == 2 and max(q.degree for q, in chains) <= p.degree // 2
+
+
+@VERDICT_SETTINGS
+@given(st.integers(0, 3), st.lists(st.integers(-4, 6), max_size=4))
+def test_palindromic_products_match_their_roots(ones, quads):
+    # (1+t)^ones times t^2 + a*t + 1 per a: the quadratic's roots are real iff
+    # |a| >= 2 and negative iff a >= 2
+    p = _product([(1, 1)] * ones + [(1, a, 1) for a in quads])
+    want = (all(abs(a) >= 2 for a in quads), all(a >= 2 for a in quads))
+    assert (is_real_rooted(p), all_zeros_negative(p)) == want
+    assert root_verdicts_by_squarefree_chain(p)[:2] == want
 
 
 def test_derivative_interlaces():
