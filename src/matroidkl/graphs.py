@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from .poly import ONE, Poly, _nonnegative_int
 
-_FIRST_N = {"path": 1, "cycle": 3, "fan": 1, "wheel": 3, "square_of_path": 1}
-FAMILIES = tuple(_FIRST_N)
+FAMILIES = ("path", "cycle", "fan", "wheel", "square_of_path")
 
 # largest graph chromatic_polynomial accepts: on the edgeless graph, its worst
 # case, the sweep takes 0.6-0.75 s at 13 vertices and 2.4 s at 14 (Python
@@ -64,18 +63,33 @@ def make_family(family, n):
     hub 0 and rim 1..n, or the square of the (n+1)-vertex path."""
     if type(n) is not int:
         raise TypeError(f"{family} needs an int n, got {type(n).__name__}")
-    if family not in _FIRST_N:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if n < _FIRST_N[family]:
-        raise ValueError(f"{family} needs n >= {_FIRST_N[family]}")
     if family == "path":
+        if n < 1:
+            raise ValueError("path needs n >= 1")
         return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "cycle":
+        if n < 3:
+            raise ValueError("cycle needs n >= 3")
         return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    if family == "fan":
+        if n < 1:
+            raise ValueError("fan needs n >= 1")
+        edges = [(0, i) for i in range(1, n + 1)]
+        edges += [(i, i + 1) for i in range(1, n)]
+        return SimpleGraph(n + 1, edges)
+    if family == "wheel":
+        if n < 3:
+            raise ValueError("wheel needs n >= 3")
+        edges = [(0, i) for i in range(1, n + 1)]
+        edges += [(i, i % n + 1) for i in range(1, n + 1)]
+        return SimpleGraph(n + 1, edges)
     if family == "square_of_path":
-        return SimpleGraph(n + 1, [(i, i + d) for d in (1, 2) for i in range(n + 1 - d)])
-    rim = [(i, i % n + 1) for i in range(1, n + 1 if family == "wheel" else n)]
-    return SimpleGraph(n + 1, [(0, i) for i in range(1, n + 1)] + rim)
+        if n < 1:
+            raise ValueError("square_of_path needs n >= 1")
+        edges = [(i, i + 1) for i in range(n)]
+        edges += [(i, i + 2) for i in range(n - 1)]
+        return SimpleGraph(n + 1, edges)
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def chromatic_polynomial(g):

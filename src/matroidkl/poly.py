@@ -243,25 +243,20 @@ def remainder_sequence(a, b):
     """Signed remainder sequence a, b, -rem(a, b), ... down to the last
     nonzero term, gcd(a, b); a zero b ends it at a.  Denominators are cleared
     once, on entry.  Each step pseudo-divides int lists term by term from the
-    top, scaling the remainder by |lc(b)| and subtracting sign(lc(b)) * top *
-    t^i * b; with two quotient terms, the usual step, both go in one pass.
+    top: for each quotient term it scales the remainder by |lc(b)| once and
+    subtracts sign(lc(b)) * top * t^i * b, so every quotient term is an int.
     Content stripping, which keeps every sign, then removes the power of
     |lc(b)| and stops the coefficients swelling."""
     den = lcm(*(c.denominator for c in a.coeffs + b.coeffs))
     a, b = (_stripped([c.numerator * (den // c.denominator) for c in x.coeffs]) for x in (a, b))
     seq = [a]
     while b:
-        r, d = seq[-1], len(b) - 1
+        r, scale, sign = list(seq[-1]), abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
         seq.append(b)
-        if d and len(r) == d + 2:  # the usual step: both quotient terms in one pass
-            lo, hi, s2 = b[-1] * r[-2] - r[-1] * b[-2], b[-1] * r[-1], b[-1] ** 2
-            r = [s2 * c - lo * bj - hi * bk for c, bj, bk in zip(r[:d], b, [0, *b])]
-        else:
-            r, scale, sign = list(r), abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
-            for i in range(len(r) - d - 1, -1, -1):
-                top = sign * r.pop()
-                if top:
-                    r[:i] = [scale * c for c in r[:i]]
-                    r[i:] = [scale * c - top * bj for c, bj in zip(r[i:], b)]
+        for i in range(len(r) - len(b), -1, -1):
+            top = sign * r.pop()
+            if top:
+                r[:i] = [scale * c for c in r[:i]]
+                r[i:] = [scale * c - top * bj for c, bj in zip(r[i:], b)]
         b = _stripped(r, -1)
     return [Poly(cs) for cs in seq]

@@ -56,24 +56,29 @@ def _root_flags(p):
     divided out by synthetic division in ints, is t^m * q(t + 1/t) with
     q(s) = c_m + sum_j c_(m+j) * D_j(s) in the Dickson polynomials D_0 = 2,
     D_1 = s, D_(j+1) = s*D_j - D_(j-1).  A root s of q gives the roots of
-    t^2 - s*t + 1, real iff |s| >= 2 and negative iff s <= -2."""
-    cs, negative_so_far, ends = list(p.coeffs), p.coeff(0) != 0, (0, 0)
-    if len(cs) >= 3 and cs == cs[::-1]:
-        for r in (-1, 1):
-            while not sum(cs[::2]) + r * sum(cs[1::2]):
-                for k in range(len(cs) - 2, 0, -1):
-                    cs[k] += r * cs[k + 1]
-                cs, negative_so_far = cs[1:], negative_so_far and r < 0
-        m = len(cs) // 2
-        q, d_prev, d = [cs[m]], [2], [0, 1]
-        for c in cs[m + 1:]:
-            q = [a + c * b for a, b in zip_longest(q, d, fillvalue=0)]
-            d_prev, d = d, [a - b for a, b in zip_longest([0, *d], d_prev, fillvalue=0)]
-        p, ends = Poly(q), (-2, 2)
-    chain = sturm_chain(p)
-    v_neg, v_low, v_high, v_pos = _sign_variations(chain.polys, *ends)
+    t^2 - s*t + 1, real iff |s| >= 2 and negative iff s <= -2.  With t = -1
+    and 1 gone, q(-2) and q(2) are nonzero, so V(-2) and V(2) count."""
+    cs = list(p.coeffs)
+    if len(cs) < 3 or cs != cs[::-1]:
+        chain = sturm_chain(p)
+        v_neg, v_zero, v_pos = _sign_variations(chain.polys, 0)
+        real = v_neg - v_pos == chain.distinct_roots
+        return real, real and cs[0] != 0 and v_neg - v_zero == chain.distinct_roots
+    for r in (-1, 1):
+        while not sum(cs[::2]) + r * sum(cs[1::2]):
+            for k in range(len(cs) - 2, 0, -1):
+                cs[k] += r * cs[k + 1]
+            cs = cs[1:]
+    m = len(cs) // 2
+    q, d_prev, d = [cs[m]], [2], [0, 1]
+    for c in cs[m + 1:]:
+        q = [a + c * b for a, b in zip_longest(q, d, fillvalue=0)]
+        d_prev, d = d, [a - b for a, b in zip_longest([0, *d], d_prev, fillvalue=0)]
+    chain = sturm_chain(Poly(q))
+    v_neg, v_low, v_high, v_pos = _sign_variations(chain.polys, -2, 2)
+    # real: no root of q in (-2, 2); negative: besides, none above 2 and p(1) != 0
     real = v_neg - v_pos == chain.distinct_roots and v_low == v_high
-    return real, real and negative_so_far and v_neg - v_low == chain.distinct_roots
+    return real, real and sum(p.coeffs) != 0 and v_neg - v_low == chain.distinct_roots
 
 
 def is_real_rooted(p):
