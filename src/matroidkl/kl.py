@@ -22,9 +22,9 @@ whirl families.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
-from .poly import T, Poly
+from .poly import T, Poly, _add_product
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -126,10 +126,6 @@ def z_poly(matroid):
 # closed forms
 
 
-def _comb(n, k):
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 # FIRST_N[name][family]: the first n at which the closed form or recurrence
 # `name` holds, for each family it covers; the one copy of these domains.
 FIRST_N = {
@@ -171,38 +167,68 @@ def kl_closed(family, n):
     binomials, h_k = C(n-1, 2k) C(2k, k) and, for the wheel,
     h_k = C(n, 2k+1) C(2k+1, k), each stepped from the last by its term
     ratio (n-2k+1)(n-2k) / k^2, or / k(k+1) for the wheel.  Every step and
-    every weight is an exact division.
+    every weight is an exact division, checked by its divmod.
     """
     _first_n("kl_closed", family, n)
     wheel = family == "wheel"
-    hs = [n if wheel else 1]
-    for k in range(1, (n - 1) // 2 + 1):
-        hs.append(_exact(hs[-1] * (n - 2 * k + 1) * (n - 2 * k), k * (k + 1 if wheel else k)))
-    if family in ("fan", "square"):
-        return Poly([_exact(h, k + 1) for k, h in enumerate(hs)])
-    if family == "whirl":
-        return Poly([_exact(n * h, n - k) for k, h in enumerate(hs)])
-    terms = []
-    for k, h in enumerate(hs):
-        # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
-        # its common denominator (n-k)(n-k+1)(n-k-1)
-        a, b, c = n - k, n - k + 1, n - k - 1
-        w = (k + 1) * b * c + k * a * c - k * a * b
-        terms.append(_exact(w * h, a * b * c))
-    return Poly(terms)
+    h, terms = n if wheel else 1, []
+    for k in range((n - 1) // 2 + 1):
+        if k:
+            h, r = divmod(h * (n - 2 * k + 1) * (n - 2 * k), k * (k + 1 if wheel else k))
+            if r:
+                break
+        if family in ("fan", "square"):
+            num, den = h, k + 1
+        elif family == "whirl":
+            num, den = n * h, n - k
+        else:
+            # the printed weight (k+1)/(n-k) + k/(n-k+1) - k/(n-k-1), over
+            # its common denominator (n-k)(n-k+1)(n-k-1)
+            a, b, c = n - k, n - k + 1, n - k - 1
+            num, den = ((k + 1) * b * c + k * a * c - k * a * b) * h, a * b * c
+        q, r = divmod(num, den)
+        if r:
+            break
+        terms.append(q)
+    else:
+        return Poly(terms)
+    raise ArithmeticError(f"{family} kl_closed({n}): inexact division at k = {k}")
+
+
+def _binomials(n):
+    """C(n, 0), ..., C(n, n), each stepped from the last by (n - k) / (k + 1)."""
+    row = [1]
+    for k in range(n):
+        c, r = divmod(row[-1] * (n - k), k + 1)
+        if r:
+            raise ArithmeticError(f"C({n}, {k + 1}): inexact division")
+        row.append(c)
+    return row
 
 
 def z_closed(family, n):
     """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on; the
-    fan's is the Narayana polynomial of index n + 1."""
+    fan's is the Narayana polynomial of index n + 1, C(n+1, k+1) C(n+1, k)
+    / (n+1), the wheel's C(n, k)^2 - 2 C(n, k+1) C(n, k-1) / n and the
+    whirl's C(n, k)^2.  The binomials are stepped by their term ratios, and
+    every division by n + 1 or n is checked exact by its divmod."""
     _first_n("z_closed", family, n)
-    ks = range(n + 1)
-    if family in ("fan", "square"):
-        return Poly([_exact(comb(n + 1, k + 1) * comb(n + 1, k), n + 1) for k in ks])
-    if family == "wheel":
-        return Poly([comb(n, k) ** 2 - _exact(2 * _comb(n, k + 1) * _comb(n, k - 1), n)
-                     for k in ks])
-    return Poly([comb(n, k) ** 2 for k in ks])
+    if family == "whirl":
+        return Poly([c * c for c in _binomials(n)])
+    fan = family in ("fan", "square")
+    # one 0 past the end: C(n, n+1), and at index -1 C(n, -1)
+    row = _binomials(n + 1 if fan else n) + [0]
+    terms = []
+    for k in range(n + 1):
+        if fan:
+            q, r = divmod(row[k + 1] * row[k], n + 1)
+        else:
+            q, r = divmod(2 * row[k + 1] * row[k - 1], n)
+            q = row[k] * row[k] - q
+        if r:
+            raise ArithmeticError(f"{family} z_closed({n}): inexact division at k = {k}")
+        terms.append(q)
+    return Poly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +282,36 @@ _RECURRENCES = {
 }
 
 
-def _factors_at(factors, n):
-    """Product of the factors at index n, as ascending int coefficients in t."""
-    out = [1]
-    for rows in factors:
-        f = [sum(c * n**j for j, c in enumerate(row)) for row in rows]
-        prod = [0] * (len(out) + len(f) - 1)
+def _expanded(factors):
+    """The product of the factors, expanded once: row i lists the ascending
+    coefficients, as a polynomial in n, of its t^i coefficient."""
+    out = [[1]]
+    for factor in factors:
+        prod = [[] for _ in range(len(out) + len(factor) - 1)]
         for i, x in enumerate(out):
-            for j, y in enumerate(f, i):
-                prod[j] += x * y
+            for j, y in enumerate(factor, i):
+                _add_product(prod[j], x, y)
         out = prod
+    return out
+
+
+def _step_rows(rec):
+    """A recurrence's lead and terms as rows (_expanded), which each step
+    evaluates at its n by Horner."""
+    return _expanded(rec["lead"]), [_expanded(factors) for factors in rec["terms"]]
+
+
+_ROWS = {family: _step_rows(rec) for family, rec in _RECURRENCES.items()}
+
+
+def _at(rows, n):
+    """The rows evaluated at n: the product's ascending int coefficients in t."""
+    out = []
+    for row in rows:
+        v = 0
+        for c in reversed(row):
+            v = v * n + c
+        out.append(v)
     return out
 
 
@@ -280,21 +326,17 @@ def _rec_sequence(family, length):
     Each step sums prod(terms[j-1]) * a[m-j] into one int list and divides it
     by prod(lead) from the top down, one divmod per quotient coefficient; a
     nonzero remainder there or below the lead's degree is inexact."""
-    rec, cache = _RECURRENCES[family], _rec_cache[family]
+    lead_rows, term_rows = _ROWS[family]
+    cache = _rec_cache[family]
     if not cache:
-        cache.extend(Poly(s) for s in rec["seeds"])
+        cache.extend(Poly(s) for s in _RECURRENCES[family]["seeds"])
     while len(cache) < length:
         m = len(cache)
-        n = m - len(rec["terms"])
-        scaled = [(_factors_at(factors, n), cache[m - j].coeffs)
-                  for j, factors in enumerate(rec["terms"], 1)]
-        num = [0] * max(len(f) + len(a) - 1 for f, a in scaled)
-        for f, a in scaled:
-            for i, x in enumerate(f):
-                if x:
-                    for k, y in enumerate(a, i):
-                        num[k] += x * y
-        lead = _factors_at(rec["lead"], n)
+        n = m - len(term_rows)
+        num = []
+        for j, rows in enumerate(term_rows, 1):
+            _add_product(num, _at(rows, n), cache[m - j].coeffs)
+        lead = _at(lead_rows, n)
         d, top = len(lead) - 1, lead[-1]
         quotient = [0] * (len(num) - d)
         for i in range(len(num) - 1, d - 1, -1):

@@ -24,6 +24,18 @@ def _quotient(a, b):
     return Fraction(a, b)
 
 
+def _add_product(acc, x, y, scale=1):
+    """acc + scale·x·y for ascending coefficient lists, in place: acc is
+    extended to fit and returned."""
+    acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
+    for i, c in enumerate(x):
+        if c:
+            c *= scale
+            for k, d in enumerate(y, i):
+                acc[k] += c * d
+    return acc
+
+
 def _norm_coeff(c):
     if isinstance(c, bool):
         raise TypeError("bool is not a polynomial coefficient")
@@ -200,35 +212,6 @@ class Poly:
 ZERO = Poly()
 ONE = Poly([1])
 T = Poly([0, 1])
-
-
-def poly_divmod(a, b):
-    """Exact rational polynomial division: a = q*b + r with deg r < deg b.
-    A quotient coefficient stays an int when b's leading coefficient divides
-    it, so an exact division of int polynomials never leaves the integers."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    bc = b.coeffs
-    qlen = len(r) - len(bc) + 1
-    if qlen <= 0:
-        return ZERO, a
-    q = [0] * qlen
-    bl = bc[-1]
-    for i in range(qlen - 1, -1, -1):
-        c = q[i] = _quotient(r[i + len(bc) - 1], bl)
-        if c:
-            for j, bj in enumerate(bc):
-                r[i + j] -= c * bj
-    return Poly(q), Poly(r)
-
-
-def divexact(a, b):
-    """Exact division a / b; raises ArithmeticError when b does not divide a."""
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def _stripped(cs, sign=1):

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from math import comb, factorial
 from operator import ne
 
-from .poly import Poly, remainder_sequence
+from .poly import Poly, _add_product, remainder_sequence
 from . import kl as _kl
 
 
@@ -141,24 +141,25 @@ def narayana_polynomial(n):
 
 
 def _lucas_sequence(x0, x1, k):
-    """x_k of x_{j+1} = t*x_j + x_{j-1}, seeded with x_0 and x_1."""
+    """x_k of x_{j+1} = t*x_j + x_{j-1}, seeded with x_0 and x_1 as ascending
+    int lists: each step shifts x_j up one power and adds x_{j-1}."""
     for _ in range(k):
-        x0, x1 = x1, Poly([0, 1]) * x1 + x0
-    return x0
+        x0, x1 = x1, _add_product([0, *x1], [1], x0)
+    return Poly(x0)
 
 
 def lucas_polynomial(n):
     """Lucas polynomial by its defining recurrence, seeded with (2, t)."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    return _lucas_sequence(Poly([2]), Poly([0, 1]), n)
+    return _lucas_sequence([2], [0, 1], n)
 
 
 def fibonacci_polynomial(n):
     """Fibonacci polynomial by its defining recurrence, seeded with (0, 1)."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    return _lucas_sequence(Poly(), Poly([1]), n)
+    return _lucas_sequence([], [1], n)
 
 
 def verify_narayana_identity(n):

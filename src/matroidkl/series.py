@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ONE, ZERO, Poly, _nonnegative_int, divexact
+from .poly import ONE, ZERO, Poly, _add_product, _nonnegative_int, _quotient
 
 MAX_ORDER = 64
 
@@ -30,16 +30,118 @@ def _as_poly(c):
         return c
     if isinstance(c, (int, Fraction)):
         return Poly([c])
+    if isinstance(c, list):  # ascending t-coefficients, as the kernels build them
+        return Poly(c)
     raise TypeError(f"polynomial coefficient expected, got {type(c).__name__}")
 
 
-def _nonzero(coeffs):
-    """(i, c) for every nonzero coefficient c of u^i."""
-    return [(i, c) for i, c in enumerate(coeffs) if c]
+# ---------------------------------------------------------------------------
+# kernels over a series held as one list per power of u, each the ascending
+# t-coefficients of that coefficient with no trailing zeros ([] is 0).  They
+# never change their arguments; a coefficient is an int, or a Fraction only
+# where a division leaves one.
+
+
+def _nonzero(rows):
+    """(i, row) for every nonzero coefficient row of u^i."""
+    return [(i, row) for i, row in enumerate(rows) if row]
+
+
+def _trimmed(row):
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+def _add(a, b, sign=1):
+    """a + sign·b, coefficient by coefficient."""
+    return [_trimmed(_add_product(list(x), [sign], y)) for x, y in zip(a, b)]
+
+
+def _mul(a, b):
+    """a·b truncated at a's order, over the nonzero coefficients of each,
+    the sparser factor outside."""
+    n = len(a) - 1
+    a, b = _nonzero(a), _nonzero(b)
+    if len(a) > len(b):
+        a, b = b, a
+    out = [[] for _ in range(n + 1)]
+    for i, x in a:
+        for j, y in b:
+            if i + j > n:
+                break
+            _add_product(out[i + j], x, y)
+    return [_trimmed(row) for row in out]
+
+
+def _scaled_down(row, d):
+    """row / d for a nonzero scalar d.  Where d divides every entry the floor
+    quotients are exact, so ints stay ints; otherwise each entry is divided
+    by _quotient."""
+    if any([c % d for c in row]):
+        return [_quotient(c, d) for c in row]
+    return [c // d for c in row]
+
+
+def _divexact(a, b):
+    """a / b for t-coefficient lists, b nonzero; raises ArithmeticError when
+    b leaves a remainder.  Term by term from the top, each quotient term by
+    _quotient, so an int that b's leading coefficient divides stays an int."""
+    if len(b) == 1:
+        return _scaled_down(a, b[0])
+    r = list(a)
+    q = [0] * (len(r) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        c = q[i] = _quotient(r[i + len(b) - 1], b[-1])
+        if c:
+            for j, d in enumerate(b, i):
+                r[j] -= c * d
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _div(s, d):
+    """s / d for a d whose constant coefficient d0 divides each step:
+    coefficient k of the quotient is (s_k − Σ_{i≥1} d_i q_{k−i}) / d0, the
+    sum over the nonzero d_i only.  A d shorter than s is 0 beyond its end."""
+    d0 = d[0]
+    if not d0:
+        raise ValueError("series division needs a nonzero constant coefficient")
+    tail = _nonzero(d)[1:]
+    out = []
+    for k, acc in enumerate(s):
+        acc = list(acc)
+        for i, c in tail:
+            if i > k:
+                break
+            _add_product(acc, c, out[k - i], -1)
+        out.append(_divexact(_trimmed(acc), d0))
+    return out
+
+
+def _sqrt(p):
+    """The principal square root of p, whose constant coefficient is 1.
+
+    r = √p solves 2·p·r′ = p′·r, so with p_0 = 1 coefficient k of r is
+    r_k = Σ_{i≥1} (3i − 2k)·p_i·r_{k−i} / (2k), the sum over the nonzero
+    p_i only: a radicand with m terms costs m − 1 products per coefficient.
+    The division by 2k keeps the ints it divides ints."""
+    tail = _nonzero(p)[1:]
+    out = [[1]]
+    for k in range(1, len(p)):
+        acc = []
+        for i, c in tail:
+            if i > k:
+                break
+            _add_product(acc, c, out[k - i], 3 * i - 2 * k)
+        out.append(_scaled_down(_trimmed(acc), 2 * k))
+    return out
 
 
 class TruncSeries:
-    """Power series in u modulo u^(order+1), coefficients in Q[t]."""
+    """Power series in u modulo u^(order+1), coefficients in Q[t].  Its
+    arithmetic runs the kernels above on the coefficients' lists."""
 
     __slots__ = ("order", "coeffs")
 
@@ -57,11 +159,16 @@ class TruncSeries:
             raise ValueError(f"coefficient u^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def _match(self, other):
+    def _rows(self, other=None):
+        """The coefficient lists of self, or of self and the series other."""
+        rows = [list(c.coeffs) for c in self.coeffs]
+        if other is None:
+            return rows
         if not isinstance(other, TruncSeries):
             raise TypeError("series operand expected")
         if self.order != other.order:
             raise ValueError("truncation order mismatch")
+        return rows, other._rows()
 
     def __eq__(self, other):
         return (
@@ -74,108 +181,73 @@ class TruncSeries:
         return hash((self.order, self.coeffs))
 
     def __add__(self, other):
-        self._match(other)
-        return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries(self.order, _add(*self._rows(other)))
 
     def __sub__(self, other):
-        self._match(other)
-        return TruncSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries(self.order, _add(*self._rows(other), -1))
 
     def __neg__(self):
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            p = _as_poly(other)
-            return TruncSeries(self.order, [c * p for c in self.coeffs])
-        self._match(other)
-        n = self.order
-        a, b = _nonzero(self.coeffs), _nonzero(other.coeffs)
-        if len(a) > len(b):  # the outer loop runs over the sparser factor
-            a, b = b, a
-        out = [ZERO] * (n + 1)
-        for i, x in a:
-            for j, y in b:
-                if i + j > n:
-                    break
-                out[i + j] = out[i + j] + x * y
-        return TruncSeries(n, out)
+            return TruncSeries(self.order, _mul(self._rows(), [list(_as_poly(other).coeffs)]))
+        return TruncSeries(self.order, _mul(*self._rows(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, d):
         """Division by a nonzero scalar, or by a series whose constant
-        coefficient d0 divides each step: coefficient k of the quotient is
-        (s_k − Σ_{i≥1} d_i q_{k−i}) / d0, the sum over the nonzero d_i only
-        and the division a divexact in Q[t], which raises ArithmeticError when
-        d0 leaves a remainder.  Int coefficients that d or d0 divides stay ints."""
-        if not isinstance(d, TruncSeries):
-            return TruncSeries(self.order, [c / d for c in self.coeffs])
-        self._match(d)
-        d0 = d.coeffs[0]
-        if not d0:
-            raise ValueError("series division needs a nonzero constant coefficient")
-        tail = _nonzero(d.coeffs)[1:]
-        out = []
-        for k, acc in enumerate(self.coeffs):
-            for i, c in tail:
-                if i > k:
-                    break
-                acc = acc - c * out[k - i]
-            out.append(divexact(acc, d0))
-        return TruncSeries(self.order, out)
+        coefficient d0 divides each step (_div), each division exact in
+        Q[t]: ArithmeticError when d0 leaves a remainder.  Int coefficients
+        that d or d0 divides stay ints."""
+        if isinstance(d, (int, Fraction)):
+            if not d:
+                raise ZeroDivisionError("series division by zero")
+            return TruncSeries(self.order, _div(self._rows(), [[d]]))
+        return TruncSeries(self.order, _div(*self._rows(d)))
 
     def sqrt(self):
-        """Principal square root; requires constant coefficient exactly 1.
-
-        r = √p solves 2·p·r′ = p′·r, so with p_0 = 1 coefficient k of r is
-        r_k = Σ_{i≥1} (3i − 2k)·p_i·r_{k−i} / (2k), the sum over the nonzero
-        p_i only: a radicand with m terms costs m − 1 products per
-        coefficient.  The division by 2k keeps the ints it divides ints."""
+        """Principal square root (_sqrt); requires constant coefficient exactly 1."""
         if self.coeffs[0] != ONE:
             raise ValueError("series sqrt needs constant coefficient 1")
-        tail = _nonzero(self.coeffs)[1:]
-        out = [ONE]
-        for k in range(1, self.order + 1):
-            acc = ZERO
-            for i, p in tail:
-                if i > k:
-                    break
-                acc = acc + p * (3 * i - 2 * k) * out[k - i]
-            out.append(acc / (2 * k))
-        return TruncSeries(self.order, out)
+        return TruncSeries(self.order, _sqrt(self._rows()))
 
     def integerized(self):
-        """Validate that every coefficient is an integer polynomial."""
-        return TruncSeries(self.order, [c.integerized() for c in self.coeffs])
+        """Return self, or raise unless every coefficient is an integer polynomial."""
+        for c in self.coeffs:
+            c.integerized()
+        return self
 
     def __repr__(self):
         parts = [f"({c!r})*u^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         return f"TruncSeries(order={self.order}: " + " + ".join(parts or ["0"]) + ")"
 
 
-def _series(order, *coeffs):
-    """The series c0 + c1 u + c2 u^2 + ..., truncated at the order."""
-    return TruncSeries(order, coeffs[:order + 1])
+def _u_poly(order, *coeffs):
+    """c0 + c1 u + c2 u^2 + ... as coefficient lists truncated at the order,
+    each c an int or a list of ascending t-coefficients."""
+    rows = [([c] if c else []) if type(c) is int else list(c) for c in coeffs[:order + 1]]
+    return rows + [[] for _ in range(order + 1 - len(rows))]
 
 
 def _over(numer, a, b, radicand, rad, order):
     """numer / (a + b·rad) to the given order, where rad = √radicand and
     numer, a, b and the radicand are polynomials in u, all four given, like
-    rad, as series to a higher order.
+    rad, as coefficient lists to a higher order.
 
     Through the conjugate the quotient is numer·(a − b·rad) / q with the
     polynomial q = a² − b²·radicand, since rad² = radicand.  With q = u^v·q̃
     and q̃(0) ≠ 0, the numerator's first v coefficients vanish; shifted down
     by v, it is divided by q̃ in one pass."""
-    q = (a * a - b * b * radicand).coeffs
+    q = _add(_mul(a, a), _mul(_mul(b, b), radicand), -1)
     v = next((k for k, c in enumerate(q) if c), len(q))
-    if v > rad.order - order:
+    if v > len(rad) - 1 - order:
         raise ArithmeticError(f"conjugate denominator divisible by u^{v}, beyond the expansion")
-    top = (numer * (a - b * rad)).coeffs
+    top = _mul(numer, _add(a, _mul(b, rad), -1))
     if any(top[:v]):
         raise ArithmeticError(f"conjugate numerator not divisible by u^{v}")
-    return _series(order, *top[v:]) / _series(order, *q[v:])
+    return _div(top[v:v + order + 1], q[v:v + order + 1])
 
 
 def gf_expand(which, order):
@@ -191,48 +263,49 @@ def gf_expand(which, order):
     if which not in GF_NAMES:
         raise ValueError(f"unknown generating function {which!r}; expected one of {GF_NAMES}")
     n = order
-    t = Poly([0, 1])
-    one = _series(n, 1)
+    one = _u_poly(n, 1)
 
     def poly(*coeffs):  # a polynomial in u, to the order rad is expanded to
-        return _series(n + _SHIFT, *coeffs)
+        return _u_poly(n + _SHIFT, *coeffs)
 
     def over(numer, a, b):
         return _over(numer, a, b, radicand, rad, n)
 
     if which.startswith("kl"):
         # (u-1)^2 - 4 t u^2 = 1 - 2u + (1-4t) u^2
-        radicand = poly(1, -2, Poly([1, -4]))
-        rad = radicand.sqrt()
+        radicand = poly(1, -2, [1, -4])
+        rad = _sqrt(radicand)
         if which == "kl_fan":
             # 1 + 2u / (1 - u + rad)
-            result = one + over(poly(0, 2), poly(1, -1), poly(1))
+            result = _add(one, over(poly(0, 2), poly(1, -1), poly(1)))
         elif which == "kl_wheel":
             # (2u - 2) / (1 - u + rad) - (2u^2 + 2u - 2) / ((u+1)(u + 1 + rad))
             # + 2u / ((u+1) rad)
             u_plus_1 = poly(1, 1)
             term1 = over(poly(-2, 2), poly(1, -1), poly(1))
-            term2 = over(poly(-2, 2, 2), u_plus_1 * u_plus_1, u_plus_1)
+            term2 = over(poly(-2, 2, 2), _mul(u_plus_1, u_plus_1), u_plus_1)
             term3 = over(poly(0, 2), poly(0), u_plus_1)
-            result = term1 - term2 + term3
+            result = _add(_add(term1, term2, -1), term3)
         else:  # kl_whirl
             # (u+1) / (2 (tu+1) rad) - 1 / (2 (tu+1)): the odd constant of
             # u+1 cannot be halved, so the 1/2 is taken off the difference
-            tu_plus_1 = poly(1, t)
-            result = (over(poly(1, 1), poly(0), tu_plus_1) - over(poly(1), tu_plus_1, poly(0))) / 2
+            tu_plus_1 = poly(1, [0, 1])
+            result = _div(_add(over(poly(1, 1), poly(0), tu_plus_1),
+                               over(poly(1), tu_plus_1, poly(0)), -1), [[2]])
     else:
         # (1-(t+1)u)^2 - 4 t u^2 = 1 - 2(t+1)u + (t-1)^2 u^2
-        radicand = poly(1, Poly([-2, -2]), Poly([1, -2, 1]))
-        rad = radicand.sqrt()
+        radicand = poly(1, [-2, -2], [1, -2, 1])
+        rad = _sqrt(radicand)
         if which == "z_fan":
             # 2 / (1 - (t+1)u + rad)
-            result = over(poly(2), poly(1, Poly([-1, -1])), poly(1))
+            result = over(poly(2), poly(1, [-1, -1]), poly(1))
         elif which == "z_wheel":
             # 1/rad - 1 - 2u (1-(t+1)u) (t+1+tu) / (1 - (t+1)u - 2t u^2 + rad)
-            numer = poly(0, 2) * poly(1, Poly([-1, -1])) * poly(Poly([1, 1]), t)
-            denom = poly(1, Poly([-1, -1]), Poly([0, -2]))
-            result = over(poly(1), poly(0), poly(1)) - one - over(numer, denom, poly(1))
+            numer = _mul(_mul(poly(0, 2), poly(1, [-1, -1])), poly([1, 1], [0, 1]))
+            denom = poly(1, [-1, -1], [0, -2])
+            result = _add(_add(over(poly(1), poly(0), poly(1)), one, -1),
+                          over(numer, denom, poly(1)), -1)
         else:  # z_whirl
             # 1/rad - 1
-            result = over(poly(1), poly(0), poly(1)) - one
-    return result.integerized()
+            result = _add(over(poly(1), poly(0), poly(1)), one, -1)
+    return TruncSeries(n, result).integerized()

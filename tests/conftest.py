@@ -14,9 +14,7 @@ from hypothesis import settings, strategies as st
 from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
-from matroidkl.poly import (
-    ONE, ZERO, Poly, divexact, poly_divmod, remainder_sequence,
-)
+from matroidkl.poly import ONE, ZERO, Poly, _quotient, remainder_sequence
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import _variations, sturm_chain
 
@@ -868,6 +866,39 @@ def lattice_isomorphic(a, b, budget=2_000_000):
 # rational interval, with its multiplicity from Yun's squarefree decomposition
 
 
+# polynomial division, which the library left when its series kernels began
+# to divide coefficient lists; the oracles below divide with it
+
+
+def poly_divmod(a, b):
+    """Exact rational polynomial division: a = q*b + r with deg r < deg b.
+    A quotient coefficient stays an int when b's leading coefficient divides
+    it, so an exact division of int polynomials never leaves the integers."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    bc = b.coeffs
+    qlen = len(r) - len(bc) + 1
+    if qlen <= 0:
+        return ZERO, a
+    q = [0] * qlen
+    bl = bc[-1]
+    for i in range(qlen - 1, -1, -1):
+        c = q[i] = _quotient(r[i + len(bc) - 1], bl)
+        if c:
+            for j, bj in enumerate(bc):
+                r[i + j] -= c * bj
+    return Poly(q), Poly(r)
+
+
+def divexact(a, b):
+    """Exact division a / b; raises ArithmeticError when b does not divide a."""
+    q, r = poly_divmod(a, b)
+    if not r.is_zero():
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def primitive_part(p):
     """p over its content: primitive integer coefficients, sign kept."""
     return p / content(p) if p else p
@@ -1357,3 +1388,77 @@ def gf_expand_over_q(which, order):
         else:  # z_whirl
             result = convolution_inverse(rad) - one
     return result.integerized()
+
+
+# ---------------------------------------------------------------------------
+# Poly-level steppers: the library runs series arithmetic, recurrence rows and
+# the Lucas recurrence on int lists and builds one Poly per result; these are
+# the Poly-object versions they replaced, kept as differential oracles
+
+
+def _nonzero_coeffs(s):
+    return [(i, c) for i, c in enumerate(s.coeffs) if c]
+
+
+def series_mul_by_poly(s, other):
+    """s * other with one Poly product per pair of nonzero coefficients, the
+    sparser factor outside; other a series or a scalar int, Fraction or Poly."""
+    if isinstance(other, (int, Fraction, Poly)):
+        p = other if isinstance(other, Poly) else Poly([other])
+        return TruncSeries(s.order, [c * p for c in s.coeffs])
+    assert s.order == other.order
+    n = s.order
+    a, b = _nonzero_coeffs(s), _nonzero_coeffs(other)
+    if len(a) > len(b):
+        a, b = b, a
+    out = [ZERO] * (n + 1)
+    for i, x in a:
+        for j, y in b:
+            if i + j > n:
+                break
+            out[i + j] = out[i + j] + x * y
+    return TruncSeries(n, out)
+
+
+def series_div_by_poly(s, d):
+    """s / d for a scalar d, or for a series d whose constant coefficient d0
+    divides each step: q_k = divexact(s_k − Σ_{i≥1} d_i q_{k−i}, d0)."""
+    if not isinstance(d, TruncSeries):
+        return TruncSeries(s.order, [c / d for c in s.coeffs])
+    assert s.order == d.order
+    d0 = d.coeffs[0]
+    if not d0:
+        raise ValueError("series division needs a nonzero constant coefficient")
+    tail = _nonzero_coeffs(d)[1:]
+    out = []
+    for k, acc in enumerate(s.coeffs):
+        for i, c in tail:
+            if i > k:
+                break
+            acc = acc - c * out[k - i]
+        out.append(divexact(acc, d0))
+    return TruncSeries(s.order, out)
+
+
+def series_sqrt_by_poly(s):
+    """√s for a constant coefficient 1, by 2·s·r′ = s′·r:
+    r_k = Σ_{i≥1} (3i − 2k)·s_i·r_{k−i} / (2k)."""
+    if s.coeffs[0] != ONE:
+        raise ValueError("series sqrt needs constant coefficient 1")
+    tail = _nonzero_coeffs(s)[1:]
+    out = [ONE]
+    for k in range(1, s.order + 1):
+        acc = ZERO
+        for i, p in tail:
+            if i > k:
+                break
+            acc = acc + p * (3 * i - 2 * k) * out[k - i]
+        out.append(acc / (2 * k))
+    return TruncSeries(s.order, out)
+
+
+def lucas_sequence_by_poly(x0, x1, k):
+    """x_k of x_{j+1} = t·x_j + x_{j−1} for Poly seeds x_0 and x_1."""
+    for _ in range(k):
+        x0, x1 = x1, Poly([0, 1]) * x1 + x0
+    return x0

@@ -12,6 +12,7 @@ from conftest import (
     characteristic_by_masks,
     check_bottom_by_pairs,
     contraction,
+    factor_product,
     flat_pass_by_pairs,
     graphs_up_to_16_edges,
     kl_closed_over_q,
@@ -23,7 +24,7 @@ from conftest import (
     reverse_scaled,
     z_closed_over_q,
 )
-from matroidkl import cli, kl, matroids
+from matroidkl import cli, kl, matroids, series
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
@@ -238,10 +239,26 @@ def test_closed_forms_match_fraction_oracle(family):
 
 def test_expand_route_builds_no_fraction(monkeypatch, no_fraction_coeffs):
     # every polynomial the series, the recurrences and the closed forms
-    # build, the recurrence cache included, has int coefficients only
+    # build, the recurrence cache included, has int coefficients only; on the
+    # gf route so has every coefficient list the series kernels return
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
+    ran = set()
+
+    def ints_only(kernel):
+        def checked(*args):
+            out = kernel(*args)
+            bad = [c for row in out for c in row if type(c) is not int]
+            assert not bad, f"{kernel.__name__} built {bad[0]!r} on an integer route"
+            ran.add(kernel.__name__)
+            return out
+        return checked
+
+    kernels = ("_add", "_mul", "_div", "_sqrt")
+    for name in kernels:
+        monkeypatch.setattr(series, name, ints_only(getattr(series, name)))
     for name in GF_NAMES:
         gf_expand(name, MAX_ORDER)
+    assert ran == set(kernels)
     for family in ("fan", "wheel", "whirl"):
         kl.kl_recurrence(family, 60)
     for family in kl.FAMILIES:
@@ -251,12 +268,21 @@ def test_expand_route_builds_no_fraction(monkeypatch, no_fraction_coeffs):
             kl.z_closed(family, n)
     with pytest.raises(AssertionError):  # the guard itself is live
         Poly([Fraction(1, 2)])
+    with pytest.raises(AssertionError):  # and so is the kernels'
+        series._div([[1]], [[2]])
 
 
-def test_closed_form_exact_division_signal():
+def test_closed_form_exact_division_signal(monkeypatch):
     assert kl._exact(12, -4) == -3
     with pytest.raises(ArithmeticError):
         kl._exact(7, 2)
+    # the closed forms check each divmod inline: with every numerator one
+    # too large, the first division by more than 1 leaves a remainder
+    monkeypatch.setattr(kl, "divmod", lambda a, b: divmod(a + 1, b), raising=False)
+    for family in kl.FAMILIES:
+        for name in ("kl_closed", "z_closed"):
+            with pytest.raises(ArithmeticError, match="inexact division"):
+                getattr(kl, name)(family, 10)
 
 
 def test_recurrence_transcription_digests():
@@ -473,6 +499,7 @@ def test_recurrence_inexact_division_signal(monkeypatch):
     broken = dict(kl._RECURRENCES["fan"])
     broken["lead"] = (((5, 1),),)  # wrong integer leading factor
     monkeypatch.setitem(kl._RECURRENCES, "fan", broken)
+    monkeypatch.setitem(kl._ROWS, "fan", kl._step_rows(broken))
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     with pytest.raises(ArithmeticError):
         kl.kl_recurrence("fan", 6)
@@ -485,9 +512,22 @@ def test_recurrence_remainder_below_lead_degree_signal(monkeypatch):
     broken = dict(kl._RECURRENCES["wheel"])
     broken["lead"] += (((0,), (1,)),)
     monkeypatch.setitem(kl._RECURRENCES, "wheel", broken)
+    monkeypatch.setitem(kl._ROWS, "wheel", kl._step_rows(broken))
     monkeypatch.setattr(kl, "_rec_cache", {"fan": [], "wheel": [], "whirl": []})
     with pytest.raises(ArithmeticError, match=r"^wheel recurrence step 3: inexact division"):
         kl.kl_recurrence("wheel", 5)
+
+
+def test_import_time_rows_match_the_factor_products():
+    # each entry's lead and terms, expanded once at import, evaluate to the
+    # products of the printed factors at every n up to 200
+    for family, rec in kl._RECURRENCES.items():
+        lead, terms = kl._ROWS[family]
+        assert len(terms) == len(rec["terms"])
+        for n in range(201):
+            assert Poly(kl._at(lead, n)) == factor_product(rec["lead"], n), (family, n)
+            for rows, factors in zip(terms, rec["terms"]):
+                assert Poly(kl._at(rows, n)) == factor_product(factors, n), (family, n)
 
 
 def test_int_list_step_matches_poly_stepper(monkeypatch):

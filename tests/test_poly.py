@@ -4,15 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import euclid_over_q, gcd_over_q, poly_divmod_over_q, poly_gcd, primitive_part
-from matroidkl.poly import (
-    NEG_INF,
-    ZERO,
-    Poly,
-    divexact,
-    poly_divmod,
-    remainder_sequence,
+from conftest import (
+    divexact, euclid_over_q, gcd_over_q, poly_divmod, poly_divmod_over_q, poly_gcd,
+    primitive_part,
 )
+from matroidkl.poly import NEG_INF, ZERO, Poly, remainder_sequence
 
 
 def rand_poly(rng, max_deg=6, span=9):

@@ -15,6 +15,7 @@ from conftest import (
     interleaves_by_isolation,
     interleaves_by_squarefree_chain,
     isolate_real_roots,
+    lucas_sequence_by_poly,
     refine,
     remainder_sequence_by_poly,
     root_flags_by_full_chain,
@@ -256,9 +257,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
-    # the library has no gcd routine: a gcd would take a remainder sequence of
-    # its own, which the sequence counts below rule out
-    divisions = _count_calls(monkeypatch, poly, "divexact")
+    # the library has no gcd routine and no polynomial division: a gcd would
+    # take a remainder sequence of its own, which the sequence counts below
+    # rule out
     chains = _count_calls(monkeypatch, realroot, "sturm_chain")
     sequences = _count_calls(monkeypatch, poly, "remainder_sequence")
     z = kl.z_closed("wheel", 20)
@@ -276,7 +277,6 @@ def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
         sequences.clear()
         assert verdict(*args) is True, verdict.__name__
         assert (len(chains), len(sequences)) == (n_chains, n_sequences), verdict.__name__
-    assert divisions == []
 
 
 def test_certificate_path_builds_no_fraction(no_fraction_coeffs):
@@ -487,6 +487,15 @@ def test_lucas_fibonacci():
     assert Poly([1, 1]) == Poly(
         [fibonacci_polynomial(3).coeff(2), fibonacci_polynomial(3).coeff(0)]
     )
+
+
+def test_lucas_fibonacci_match_the_poly_stepper():
+    # the int-list recurrence against the Poly one it replaced, over every n
+    # that the identities suite reaches (n <= 40)
+    for n in range(41):
+        assert lucas_polynomial(n) == lucas_sequence_by_poly(Poly([2]), Poly([0, 1]), n), n
+        if n:
+            assert fibonacci_polynomial(n) == lucas_sequence_by_poly(Poly(), Poly([1]), n), n
 
 
 def test_wheel_z_quadratic():

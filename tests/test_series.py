@@ -5,8 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convolution_sqrt, gf_expand_over_q
-from matroidkl import kl
+from conftest import (
+    convolution_sqrt, gf_expand_over_q, series_div_by_poly, series_mul_by_poly,
+    series_sqrt_by_poly,
+)
+from matroidkl import kl, series
 from matroidkl.poly import Poly
 from matroidkl.series import GF_NAMES, GF_START, MAX_ORDER, TruncSeries, gf_expand
 
@@ -185,23 +188,36 @@ def test_truncation_order_must_be_an_int():
 
 def test_gf_expansion_costs_linear_in_the_order(monkeypatch):
     # the radical by its differential equation and each quotient by one pass
-    # over a short divisor: doubling the order about doubles the Poly x Poly
-    # products, where the convolutions quadrupled them (ratio 3.84)
+    # over a short divisor: doubling the order about doubles the products of
+    # two nonzero coefficients that the kernels form, where the convolutions
+    # quadrupled them (ratio 3.84)
     count = [0]
-    mul = Poly.__mul__
 
-    def counted(a, b):
-        count[0] += isinstance(b, Poly)
-        return mul(a, b)
+    def nonzero(rows):
+        return [i for i, row in enumerate(rows) if row]
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    def mul(a, b):
+        count[0] += sum(i + j < len(a) for i in nonzero(a) for j in nonzero(b))
+        return kernels["_mul"](a, b)
+
+    def div(s, d):  # one product per nonzero d_i, i >= 1, at each k >= i
+        count[0] += sum(len(s) - i for i in nonzero(d) if 0 < i < len(s))
+        return kernels["_div"](s, d)
+
+    def sqrt(p):
+        count[0] += sum(len(p) - i for i in nonzero(p) if i)
+        return kernels["_sqrt"](p)
+
+    kernels = {name: getattr(series, name) for name in ("_mul", "_div", "_sqrt")}
+    for name, counted in (("_mul", mul), ("_div", div), ("_sqrt", sqrt)):
+        monkeypatch.setattr(series, name, counted)
     products = {}
     for order in (32, 64):
         count[0] = 0
         for name in GF_NAMES:
             gf_expand(name, order)
         products[order] = count[0]
-    assert products[64] <= 2.2 * products[32], products
+    assert products[32] > 0 and products[64] <= 2.2 * products[32], products
 
 
 def test_series_division():
@@ -289,3 +305,74 @@ def test_inexact_division_raises(data):
     r = data.draw(INT_POLYS.filter(lambda p: p and p.degree < b.coefficient(0).degree))
     with pytest.raises(ArithmeticError):
         (a * b + TruncSeries(order, [r])) / b
+    with pytest.raises(ArithmeticError):
+        series_div_by_poly(a * b + TruncSeries(order, [r]), b)
+
+
+# the TruncSeries methods run the list kernels; the Poly-level methods they
+# replaced (conftest) are the oracles, on int and Fraction series alike, down
+# to each coefficient's type
+ANY_POLYS = st.one_of(INT_POLYS, COEFF_POLYS)
+SCALARS = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+
+
+@st.composite
+def series_pairs(draw, constant=ANY_POLYS):
+    """(a, b) of one order, b's constant coefficient drawn from `constant`."""
+    order = draw(st.integers(0, 6))
+    a = TruncSeries(order, draw(st.lists(ANY_POLYS, max_size=order + 1)))
+    b = TruncSeries(order, [draw(constant), *draw(st.lists(ANY_POLYS, max_size=order))])
+    return a, b
+
+
+def assert_same(got, want):
+    assert got == want
+    assert [type(c) for p in got.coeffs for c in p.coeffs] == [
+        type(c) for p in want.coeffs for c in p.coeffs]
+
+
+@SERIES_SETTINGS
+@given(series_pairs(), ANY_POLYS, SCALARS)
+def test_product_sum_and_difference_match_the_poly_methods(pair, p, c):
+    a, b = pair
+    assert_same(a * b, series_mul_by_poly(a, b))
+    assert_same(b * a, series_mul_by_poly(a, b))
+    for scalar in (p, c):
+        assert_same(a * scalar, series_mul_by_poly(a, scalar))
+        assert_same(scalar * a, series_mul_by_poly(a, scalar))
+    assert_same(a + b, TruncSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)]))
+    assert_same(a - b, TruncSeries(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)]))
+
+
+@SERIES_SETTINGS
+@given(series_pairs(ANY_POLYS.filter(bool)), SCALARS.filter(bool))
+def test_division_matches_the_poly_method(pair, c):
+    # a nonconstant d0 often leaves a remainder: then both raise
+    a, d = pair
+    try:
+        want = series_div_by_poly(a, d)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            a / d
+    else:
+        assert_same(a / d, want)
+    assert_same(a / c, series_div_by_poly(a, c))
+    no_constant = TruncSeries(d.order, [0, *d.coeffs[1:]])
+    for divide in (TruncSeries.__truediv__, series_div_by_poly):
+        with pytest.raises(ValueError, match="nonzero constant coefficient"):
+            divide(a, no_constant)
+
+
+@SERIES_SETTINGS
+@given(st.one_of(unit_series(st.just(1)), unit_series(st.just(1), full=True),
+                 st.integers(0, 6).flatmap(lambda order: int_series(order, st.just(ONE)))))
+def test_sqrt_matches_the_poly_method(s):
+    assert_same(s.sqrt(), series_sqrt_by_poly(s))
+
+
+@SERIES_SETTINGS
+@given(unit_series(ANY_POLYS.filter(lambda p: p != ONE)))
+def test_sqrt_refuses_a_constant_other_than_1_like_the_poly_method(s):
+    for sqrt in (TruncSeries.sqrt, series_sqrt_by_poly):
+        with pytest.raises(ValueError, match="constant coefficient 1"):
+            sqrt(s)
