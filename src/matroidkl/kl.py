@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import T, Poly, _add_product
+from .poly import T, Poly, _add_product, _divexact
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -195,39 +195,28 @@ def kl_closed(family, n):
     raise ArithmeticError(f"{family} kl_closed({n}): inexact division at k = {k}")
 
 
-def _binomials(n):
-    """C(n, 0), ..., C(n, n), each stepped from the last by (n - k) / (k + 1)."""
-    row = [1]
-    for k in range(n):
-        c, r = divmod(row[-1] * (n - k), k + 1)
-        if r:
-            raise ArithmeticError(f"C({n}, {k + 1}): inexact division")
-        row.append(c)
-    return row
-
-
 def z_closed(family, n):
-    """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on; the
-    fan's is the Narayana polynomial of index n + 1, C(n+1, k+1) C(n+1, k)
-    / (n+1), the wheel's C(n, k)^2 - 2 C(n, k+1) C(n, k-1) / n and the
-    whirl's C(n, k)^2.  The binomials are stepped by their term ratios, and
-    every division by n + 1 or n is checked exact by its divmod."""
+    """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on: the
+    fan's is the Narayana polynomial of index n + 1, C(m, k+1) C(m, k) / m
+    with m = n + 1, the wheel's C(m, k)^2 - 2 C(m, k+1) C(m, k-1) / m with
+    m = n, and the whirl's C(n, k)^2.  The binomials C(m, k) step from the
+    last by (m - k) / (k + 1), and each division by m is checked exact by
+    its divmod."""
     _first_n("z_closed", family, n)
-    if family == "whirl":
-        return Poly([c * c for c in _binomials(n)])
     fan = family in ("fan", "square")
-    # one 0 past the end: C(n, n+1), and at index -1 C(n, -1)
-    row = _binomials(n + 1 if fan else n) + [0]
+    m = n + 1 if fan else n
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    if family == "whirl":
+        return Poly([c * c for c in row])
+    row.append(0)  # C(m, m+1), and C(m, -1) at index -1
     terms = []
     for k in range(n + 1):
-        if fan:
-            q, r = divmod(row[k + 1] * row[k], n + 1)
-        else:
-            q, r = divmod(2 * row[k + 1] * row[k - 1], n)
-            q = row[k] * row[k] - q
+        q, r = divmod(row[k + 1] * row[k] if fan else 2 * row[k + 1] * row[k - 1], m)
         if r:
             raise ArithmeticError(f"{family} z_closed({n}): inexact division at k = {k}")
-        terms.append(q)
+        terms.append(q if fan else row[k] * row[k] - q)
     return Poly(terms)
 
 
@@ -284,7 +273,8 @@ _RECURRENCES = {
 
 def _expanded(factors):
     """The product of the factors, expanded once: row i lists the ascending
-    coefficients, as a polynomial in n, of its t^i coefficient."""
+    coefficients, as a polynomial in n, of its t^i coefficient.  Tuples, like
+    the table: import leaves no list slack behind."""
     out = [[1]]
     for factor in factors:
         prod = [[] for _ in range(len(out) + len(factor) - 1)]
@@ -292,13 +282,13 @@ def _expanded(factors):
             for j, y in enumerate(factor, i):
                 _add_product(prod[j], x, y)
         out = prod
-    return out
+    return tuple(map(tuple, out))
 
 
 def _step_rows(rec):
     """A recurrence's lead and terms as rows (_expanded), which each step
     evaluates at its n by Horner."""
-    return _expanded(rec["lead"]), [_expanded(factors) for factors in rec["terms"]]
+    return _expanded(rec["lead"]), tuple(_expanded(factors) for factors in rec["terms"])
 
 
 _ROWS = {family: _step_rows(rec) for family, rec in _RECURRENCES.items()}
@@ -324,8 +314,8 @@ def _rec_sequence(family, length):
     it.
 
     Each step sums prod(terms[j-1]) * a[m-j] into one int list and divides it
-    by prod(lead) from the top down, one divmod per quotient coefficient; a
-    nonzero remainder there or below the lead's degree is inexact."""
+    exactly by prod(lead); a remainder, or a quotient coefficient that is not
+    an int, is inexact."""
     lead_rows, term_rows = _ROWS[family]
     cache = _rec_cache[family]
     if not cache:
@@ -336,23 +326,11 @@ def _rec_sequence(family, length):
         num = []
         for j, rows in enumerate(term_rows, 1):
             _add_product(num, _at(rows, n), cache[m - j].coeffs)
-        lead = _at(lead_rows, n)
-        d, top = len(lead) - 1, lead[-1]
-        quotient = [0] * (len(num) - d)
-        for i in range(len(num) - 1, d - 1, -1):
-            q, r = divmod(num[i], top)
-            if r:
-                break
-            quotient[i - d] = q
-            if q:
-                for k, y in enumerate(lead[:-1], i - d):
-                    num[k] -= q * y
-        else:  # every quotient coefficient was exact: what is left is the remainder
-            r = any(num[:d])
-        if r:
+        try:
+            cache.append(Poly(_divexact(num, _at(lead_rows, n))).integerized())
+        except ArithmeticError:
             raise ArithmeticError(f"{family} recurrence step {m}: inexact division "
-                                  f"(transcription error)")
-        cache.append(Poly(quotient))
+                                  f"(transcription error)") from None
     return cache
 
 

@@ -15,15 +15,6 @@ from math import gcd, lcm
 NEG_INF = float("-inf")
 
 
-def _quotient(a, b):
-    """a / b, exact: an int when both are ints and b divides a, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, rem = divmod(a, b)
-        if not rem:
-            return q
-    return Fraction(a, b)
-
-
 def _add_product(acc, x, y, scale=1):
     """acc + scale·x·y for ascending coefficient lists, in place: acc is
     extended to fit and returned."""
@@ -34,6 +25,35 @@ def _add_product(acc, x, y, scale=1):
             for k, d in enumerate(y, i):
                 acc[k] += c * d
     return acc
+
+
+def _scaled_down(row, d):
+    """row / d for a nonzero scalar d, exact: where d divides every entry the
+    floor quotients are exact, so ints stay ints; otherwise Fractions."""
+    if any([c % d for c in row]):
+        return [Fraction(c, d) for c in row]
+    return [c // d for c in row]
+
+
+def _divexact(a, b):
+    """a / b for ascending coefficient lists, b's last entry nonzero; raises
+    ArithmeticError when b leaves a remainder.  Term by term from the top: a
+    quotient term that b's leading coefficient divides stays an int."""
+    if len(b) == 1:
+        return _scaled_down(a, b[0])
+    r = list(a)
+    q = [0] * (len(r) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        c, rem = divmod(r[i + len(b) - 1], b[-1])
+        if rem:
+            c = Fraction(r[i + len(b) - 1], b[-1])
+        q[i] = c
+        if c:
+            for j, d in enumerate(b, i):
+                r[j] -= c * d
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def _norm_coeff(c):
@@ -174,7 +194,7 @@ class Poly:
         """Division by a nonzero scalar; ints that d divides stay ints."""
         if not isinstance(d, (int, Fraction)):
             return NotImplemented
-        return Poly([_quotient(c, d) for c in self.coeffs])
+        return Poly(_scaled_down(list(self.coeffs), d))
 
     def __pow__(self, n):
         _nonnegative_int(n, "power")

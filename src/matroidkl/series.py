@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ONE, ZERO, Poly, _add_product, _nonnegative_int, _quotient
+from .poly import ONE, ZERO, Poly, _add_product, _divexact, _nonnegative_int, _scaled_down
 
 MAX_ORDER = 64
 
@@ -72,33 +72,6 @@ def _mul(a, b):
                 break
             _add_product(out[i + j], x, y)
     return [_trimmed(row) for row in out]
-
-
-def _scaled_down(row, d):
-    """row / d for a nonzero scalar d.  Where d divides every entry the floor
-    quotients are exact, so ints stay ints; otherwise each entry is divided
-    by _quotient."""
-    if any([c % d for c in row]):
-        return [_quotient(c, d) for c in row]
-    return [c // d for c in row]
-
-
-def _divexact(a, b):
-    """a / b for t-coefficient lists, b nonzero; raises ArithmeticError when
-    b leaves a remainder.  Term by term from the top, each quotient term by
-    _quotient, so an int that b's leading coefficient divides stays an int."""
-    if len(b) == 1:
-        return _scaled_down(a, b[0])
-    r = list(a)
-    q = [0] * (len(r) - len(b) + 1)
-    for i in reversed(range(len(q))):
-        c = q[i] = _quotient(r[i + len(b) - 1], b[-1])
-        if c:
-            for j, d in enumerate(b, i):
-                r[j] -= c * d
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def _div(s, d):

@@ -14,7 +14,7 @@ from hypothesis import settings, strategies as st
 from matroidkl.graphs import SimpleGraph
 from matroidkl.kl import _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
-from matroidkl.poly import ONE, ZERO, Poly, _quotient, remainder_sequence
+from matroidkl.poly import ONE, ZERO, Poly, remainder_sequence
 from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
 from matroidkl.realroot import _variations, sturm_chain
 
@@ -868,6 +868,15 @@ def lattice_isomorphic(a, b, budget=2_000_000):
 
 # polynomial division, which the library left when its series kernels began
 # to divide coefficient lists; the oracles below divide with it
+
+
+def _quotient(a, b):
+    """a / b, exact: an int when both are ints and b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, rem = divmod(a, b)
+        if not rem:
+            return q
+    return Fraction(a, b)
 
 
 def poly_divmod(a, b):

@@ -277,12 +277,15 @@ def test_closed_form_exact_division_signal(monkeypatch):
     with pytest.raises(ArithmeticError):
         kl._exact(7, 2)
     # the closed forms check each divmod inline: with every numerator one
-    # too large, the first division by more than 1 leaves a remainder
+    # too large, the first division by more than 1 leaves a remainder; the
+    # whirl's Z, a sum of squared binomials, divides nothing
+    whirl_z = kl.z_closed("whirl", 10)
     monkeypatch.setattr(kl, "divmod", lambda a, b: divmod(a + 1, b), raising=False)
     for family in kl.FAMILIES:
-        for name in ("kl_closed", "z_closed"):
+        for name in ("kl_closed", "z_closed")[:1 if family == "whirl" else 2]:
             with pytest.raises(ArithmeticError, match="inexact division"):
                 getattr(kl, name)(family, 10)
+    assert kl.z_closed("whirl", 10) == whirl_z
 
 
 def test_recurrence_transcription_digests():
