@@ -167,7 +167,7 @@ def kl_closed(family, n):
     binomials, h_k = C(n-1, 2k) C(2k, k) and, for the wheel,
     h_k = C(n, 2k+1) C(2k+1, k), each stepped from the last by its term
     ratio (n-2k+1)(n-2k) / k^2, or / k(k+1) for the wheel.  Every step and
-    every weight is an exact division, checked by its divmod.
+    every weight is an exact division.
     """
     _first_n("kl_closed", family, n)
     wheel = family == "wheel"
@@ -196,12 +196,12 @@ def kl_closed(family, n):
 
 
 def z_closed(family, n):
-    """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on: the
-    fan's is the Narayana polynomial of index n + 1, C(m, k+1) C(m, k) / m
-    with m = n + 1, the wheel's C(m, k)^2 - 2 C(m, k+1) C(m, k-1) / m with
-    m = n, and the whirl's C(n, k)^2.  The binomials C(m, k) step from the
-    last by (m - k) / (k + 1), and each division by m is checked exact by
-    its divmod."""
+    """Closed-form Z-polynomial from n = FIRST_N["z_closed"][family] on; the
+    fan's is the Narayana polynomial of index n + 1."""
+    # the fan's terms are C(m, k+1) C(m, k) / m with m = n + 1, the wheel's
+    # C(m, k)^2 - 2 C(m, k+1) C(m, k-1) / m with m = n, and the whirl's
+    # C(n, k)^2; the binomials step by (m - k) / (k + 1), and each division
+    # by m is an exact division
     _first_n("z_closed", family, n)
     fan = family in ("fan", "square")
     m = n + 1 if fan else n
@@ -271,10 +271,10 @@ _RECURRENCES = {
 }
 
 
+# a product of factors expanded once: row i lists the ascending coefficients,
+# as a polynomial in n, of its t^i coefficient; tuples, like the table, so the
+# import leaves no list slack behind
 def _expanded(factors):
-    """The product of the factors, expanded once: row i lists the ascending
-    coefficients, as a polynomial in n, of its t^i coefficient.  Tuples, like
-    the table: import leaves no list slack behind."""
     out = [[1]]
     for factor in factors:
         prod = [[] for _ in range(len(out) + len(factor) - 1)]
@@ -285,17 +285,16 @@ def _expanded(factors):
     return tuple(map(tuple, out))
 
 
+# a recurrence's lead and terms as rows, which each step evaluates at its n
 def _step_rows(rec):
-    """A recurrence's lead and terms as rows (_expanded), which each step
-    evaluates at its n by Horner."""
-    return _expanded(rec["lead"]), tuple(_expanded(factors) for factors in rec["terms"])
+    return _expanded(rec["lead"]), tuple(map(_expanded, rec["terms"]))
 
 
 _ROWS = {family: _step_rows(rec) for family, rec in _RECURRENCES.items()}
 
 
+# rows evaluated at n by Horner: the product's ascending int coefficients in t
 def _at(rows, n):
-    """The rows evaluated at n: the product's ascending int coefficients in t."""
     out = []
     for row in rows:
         v = 0

@@ -27,20 +27,16 @@ def _add_product(acc, x, y, scale=1):
     return acc
 
 
-def _scaled_down(row, d):
-    """row / d for a nonzero scalar d, exact: where d divides every entry the
-    floor quotients are exact, so ints stay ints; otherwise Fractions."""
-    if any([c % d for c in row]):
-        return [Fraction(c, d) for c in row]
-    return [c // d for c in row]
-
-
 def _divexact(a, b):
     """a / b for ascending coefficient lists, b's last entry nonzero; raises
     ArithmeticError when b leaves a remainder.  Term by term from the top: a
-    quotient term that b's leading coefficient divides stays an int."""
+    quotient term that b's leading coefficient divides stays an int, and by a
+    constant b, all stay ints if it divides each."""
     if len(b) == 1:
-        return _scaled_down(a, b[0])
+        d = b[0]
+        if any([c % d for c in a]):
+            return [Fraction(c, d) for c in a]
+        return [c // d for c in a]
     r = list(a)
     q = [0] * (len(r) - len(b) + 1)
     for i in reversed(range(len(q))):
@@ -194,7 +190,7 @@ class Poly:
         """Division by a nonzero scalar; ints that d divides stay ints."""
         if not isinstance(d, (int, Fraction)):
             return NotImplemented
-        return Poly(_scaled_down(list(self.coeffs), d))
+        return Poly(_divexact(self.coeffs, [d]))
 
     def __pow__(self, n):
         _nonnegative_int(n, "power")

@@ -141,8 +141,7 @@ def narayana_polynomial(n):
 
 
 def _lucas_sequence(x0, x1, k):
-    """x_k of x_{j+1} = t*x_j + x_{j-1}, seeded with x_0 and x_1 as ascending
-    int lists: each step shifts x_j up one power and adds x_{j-1}."""
+    """x_k of x_{j+1} = t*x_j + x_{j-1}, seeded with x_0 and x_1 as int lists."""
     for _ in range(k):
         x0, x1 = x1, _add_product([0, *x1], [1], x0)
     return Poly(x0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ONE, ZERO, Poly, _add_product, _divexact, _nonnegative_int, _scaled_down
+from .poly import ONE, ZERO, Poly, _add_product, _divexact, _nonnegative_int
 
 MAX_ORDER = 64
 
@@ -38,8 +38,8 @@ def _as_poly(c):
 # ---------------------------------------------------------------------------
 # kernels over a series held as one list per power of u, each the ascending
 # t-coefficients of that coefficient with no trailing zeros ([] is 0).  They
-# never change their arguments; a coefficient is an int, or a Fraction only
-# where a division leaves one.
+# never change their arguments, so rows may be shared; a coefficient is an int,
+# or a Fraction only where a division leaves one.
 
 
 def _nonzero(rows):
@@ -74,10 +74,10 @@ def _mul(a, b):
     return [_trimmed(row) for row in out]
 
 
+# coefficient k of s / d is (s_k − Σ_{i≥1} d_i q_{k−i}) / d0, the sum over
+# the nonzero d_i only; a d shorter than s is 0 beyond its end
 def _div(s, d):
-    """s / d for a d whose constant coefficient d0 divides each step:
-    coefficient k of the quotient is (s_k − Σ_{i≥1} d_i q_{k−i}) / d0, the
-    sum over the nonzero d_i only.  A d shorter than s is 0 beyond its end."""
+    """s / d for a d whose constant coefficient d0 divides each step."""
     d0 = d[0]
     if not d0:
         raise ValueError("series division needs a nonzero constant coefficient")
@@ -93,13 +93,12 @@ def _div(s, d):
     return out
 
 
+# r = √p solves 2·p·r′ = p′·r, so with p_0 = 1 coefficient k of r is
+# r_k = Σ_{i≥1} (3i − 2k)·p_i·r_{k−i} / (2k), the sum over the nonzero p_i
+# only: a radicand with m terms costs m − 1 products per coefficient, and
+# the division by 2k keeps the ints it divides ints
 def _sqrt(p):
-    """The principal square root of p, whose constant coefficient is 1.
-
-    r = √p solves 2·p·r′ = p′·r, so with p_0 = 1 coefficient k of r is
-    r_k = Σ_{i≥1} (3i − 2k)·p_i·r_{k−i} / (2k), the sum over the nonzero
-    p_i only: a radicand with m terms costs m − 1 products per coefficient.
-    The division by 2k keeps the ints it divides ints."""
+    """The principal square root of p, whose constant coefficient is 1."""
     tail = _nonzero(p)[1:]
     out = [[1]]
     for k in range(1, len(p)):
@@ -108,7 +107,7 @@ def _sqrt(p):
             if i > k:
                 break
             _add_product(acc, c, out[k - i], 3 * i - 2 * k)
-        out.append(_scaled_down(_trimmed(acc), 2 * k))
+        out.append(_divexact(_trimmed(acc), [2 * k]))
     return out
 
 
@@ -175,8 +174,6 @@ class TruncSeries:
         Q[t]: ArithmeticError when d0 leaves a remainder.  Int coefficients
         that d or d0 divides stay ints."""
         if isinstance(d, (int, Fraction)):
-            if not d:
-                raise ZeroDivisionError("series division by zero")
             return TruncSeries(self.order, _div(self._rows(), [[d]]))
         return TruncSeries(self.order, _div(*self._rows(d)))
 
@@ -195,13 +192,6 @@ class TruncSeries:
     def __repr__(self):
         parts = [f"({c!r})*u^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         return f"TruncSeries(order={self.order}: " + " + ".join(parts or ["0"]) + ")"
-
-
-def _u_poly(order, *coeffs):
-    """c0 + c1 u + c2 u^2 + ... as coefficient lists truncated at the order,
-    each c an int or a list of ascending t-coefficients."""
-    rows = [([c] if c else []) if type(c) is int else list(c) for c in coeffs[:order + 1]]
-    return rows + [[] for _ in range(order + 1 - len(rows))]
 
 
 def _over(numer, a, b, radicand, rad, order):
@@ -236,49 +226,49 @@ def gf_expand(which, order):
     if which not in GF_NAMES:
         raise ValueError(f"unknown generating function {which!r}; expected one of {GF_NAMES}")
     n = order
-    one = _u_poly(n, 1)
+    one = [[1]] + [[]] * n
 
     def poly(*coeffs):  # a polynomial in u, to the order rad is expanded to
-        return _u_poly(n + _SHIFT, *coeffs)
+        return [*coeffs] + [[]] * (n + _SHIFT + 1 - len(coeffs))
 
     def over(numer, a, b):
         return _over(numer, a, b, radicand, rad, n)
 
     if which.startswith("kl"):
         # (u-1)^2 - 4 t u^2 = 1 - 2u + (1-4t) u^2
-        radicand = poly(1, -2, [1, -4])
+        radicand = poly([1], [-2], [1, -4])
         rad = _sqrt(radicand)
         if which == "kl_fan":
             # 1 + 2u / (1 - u + rad)
-            result = _add(one, over(poly(0, 2), poly(1, -1), poly(1)))
+            result = _add(one, over(poly([], [2]), poly([1], [-1]), poly([1])))
         elif which == "kl_wheel":
             # (2u - 2) / (1 - u + rad) - (2u^2 + 2u - 2) / ((u+1)(u + 1 + rad))
             # + 2u / ((u+1) rad)
-            u_plus_1 = poly(1, 1)
-            term1 = over(poly(-2, 2), poly(1, -1), poly(1))
-            term2 = over(poly(-2, 2, 2), _mul(u_plus_1, u_plus_1), u_plus_1)
-            term3 = over(poly(0, 2), poly(0), u_plus_1)
+            u_plus_1 = poly([1], [1])
+            term1 = over(poly([-2], [2]), poly([1], [-1]), poly([1]))
+            term2 = over(poly([-2], [2], [2]), _mul(u_plus_1, u_plus_1), u_plus_1)
+            term3 = over(poly([], [2]), poly(), u_plus_1)
             result = _add(_add(term1, term2, -1), term3)
         else:  # kl_whirl
             # (u+1) / (2 (tu+1) rad) - 1 / (2 (tu+1)): the odd constant of
             # u+1 cannot be halved, so the 1/2 is taken off the difference
-            tu_plus_1 = poly(1, [0, 1])
-            result = _div(_add(over(poly(1, 1), poly(0), tu_plus_1),
-                               over(poly(1), tu_plus_1, poly(0)), -1), [[2]])
+            tu_plus_1 = poly([1], [0, 1])
+            result = _div(_add(over(poly([1], [1]), poly(), tu_plus_1),
+                               over(poly([1]), tu_plus_1, poly()), -1), [[2]])
     else:
         # (1-(t+1)u)^2 - 4 t u^2 = 1 - 2(t+1)u + (t-1)^2 u^2
-        radicand = poly(1, [-2, -2], [1, -2, 1])
+        radicand = poly([1], [-2, -2], [1, -2, 1])
         rad = _sqrt(radicand)
         if which == "z_fan":
             # 2 / (1 - (t+1)u + rad)
-            result = over(poly(2), poly(1, [-1, -1]), poly(1))
+            result = over(poly([2]), poly([1], [-1, -1]), poly([1]))
         elif which == "z_wheel":
             # 1/rad - 1 - 2u (1-(t+1)u) (t+1+tu) / (1 - (t+1)u - 2t u^2 + rad)
-            numer = _mul(_mul(poly(0, 2), poly(1, [-1, -1])), poly([1, 1], [0, 1]))
-            denom = poly(1, [-1, -1], [0, -2])
-            result = _add(_add(over(poly(1), poly(0), poly(1)), one, -1),
-                          over(numer, denom, poly(1)), -1)
+            numer = _mul(_mul(poly([], [2]), poly([1], [-1, -1])), poly([1, 1], [0, 1]))
+            denom = poly([1], [-1, -1], [0, -2])
+            result = _add(_add(over(poly([1]), poly(), poly([1])), one, -1),
+                          over(numer, denom, poly([1])), -1)
         else:  # z_whirl
             # 1/rad - 1
-            result = _add(over(poly(1), poly(0), poly(1)), one, -1)
+            result = _add(over(poly([1]), poly(), poly([1])), one, -1)
     return TruncSeries(n, result).integerized()

@@ -257,9 +257,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
-    # the library has no gcd routine and no polynomial division: a gcd would
-    # take a remainder sequence of its own, which the sequence counts below
-    # rule out
+    # the library has no gcd routine: a gcd would take a remainder sequence of
+    # its own, which the sequence counts below rule out
+    divisions = _count_calls(monkeypatch, poly, "_divexact")
     chains = _count_calls(monkeypatch, realroot, "sturm_chain")
     sequences = _count_calls(monkeypatch, poly, "remainder_sequence")
     z = kl.z_closed("wheel", 20)
@@ -277,6 +277,7 @@ def test_verdicts_take_no_gcd_and_no_exact_division(monkeypatch):
         sequences.clear()
         assert verdict(*args) is True, verdict.__name__
         assert (len(chains), len(sequences)) == (n_chains, n_sequences), verdict.__name__
+    assert divisions == []
 
 
 def test_certificate_path_builds_no_fraction(no_fraction_coeffs):
