@@ -61,14 +61,13 @@ def _add(a, b, sign=1):
 def _mul(a, b):
     """a·b truncated at a's order, over the nonzero coefficients of each,
     the sparser factor outside."""
-    n = len(a) - 1
+    out = [[] for _ in a]
     a, b = _nonzero(a), _nonzero(b)
     if len(a) > len(b):
         a, b = b, a
-    out = [[] for _ in range(n + 1)]
     for i, x in a:
         for j, y in b:
-            if i + j > n:
+            if i + j >= len(out):
                 break
             _add_product(out[i + j], x, y)
     return [_trimmed(row) for row in out]
@@ -162,8 +161,8 @@ class TruncSeries:
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return TruncSeries(self.order, _mul(self._rows(), [list(_as_poly(other).coeffs)]))
+        if not isinstance(other, TruncSeries):  # a constant
+            other = TruncSeries(self.order, [other])
         return TruncSeries(self.order, _mul(*self._rows(other)))
 
     __rmul__ = __mul__
@@ -174,7 +173,7 @@ class TruncSeries:
         Q[t]: ArithmeticError when d0 leaves a remainder.  Int coefficients
         that d or d0 divides stay ints."""
         if isinstance(d, (int, Fraction)):
-            return TruncSeries(self.order, _div(self._rows(), [[d]]))
+            return self * Fraction(1, d)
         return TruncSeries(self.order, _div(*self._rows(d)))
 
     def sqrt(self):
@@ -205,7 +204,7 @@ def _over(numer, a, b, radicand, rad, order):
     by v, it is divided by q̃ in one pass."""
     q = _add(_mul(a, a), _mul(_mul(b, b), radicand), -1)
     v = next((k for k, c in enumerate(q) if c), len(q))
-    if v > len(rad) - 1 - order:
+    if v >= len(rad) - order:
         raise ArithmeticError(f"conjugate denominator divisible by u^{v}, beyond the expansion")
     top = _mul(numer, _add(a, _mul(b, rad), -1))
     if any(top[:v]):
@@ -226,49 +225,50 @@ def gf_expand(which, order):
     if which not in GF_NAMES:
         raise ValueError(f"unknown generating function {which!r}; expected one of {GF_NAMES}")
     n = order
-    one = [[1]] + [[]] * n
 
     def poly(*coeffs):  # a polynomial in u, to the order rad is expanded to
-        return [*coeffs] + [[]] * (n + _SHIFT + 1 - len(coeffs))
+        rows = [([c] if c else []) if type(c) is int else c for c in coeffs]
+        return rows + [[]] * (n + _SHIFT + 1 - len(rows))
+
+    one = poly(1)[:n + 1]
 
     def over(numer, a, b):
         return _over(numer, a, b, radicand, rad, n)
 
     if which.startswith("kl"):
         # (u-1)^2 - 4 t u^2 = 1 - 2u + (1-4t) u^2
-        radicand = poly([1], [-2], [1, -4])
+        radicand = poly(1, -2, [1, -4])
         rad = _sqrt(radicand)
         if which == "kl_fan":
             # 1 + 2u / (1 - u + rad)
-            result = _add(one, over(poly([], [2]), poly([1], [-1]), poly([1])))
+            result = _add(one, over(poly(0, 2), poly(1, -1), poly(1)))
         elif which == "kl_wheel":
             # (2u - 2) / (1 - u + rad) - (2u^2 + 2u - 2) / ((u+1)(u + 1 + rad))
             # + 2u / ((u+1) rad)
-            u_plus_1 = poly([1], [1])
-            term1 = over(poly([-2], [2]), poly([1], [-1]), poly([1]))
-            term2 = over(poly([-2], [2], [2]), _mul(u_plus_1, u_plus_1), u_plus_1)
-            term3 = over(poly([], [2]), poly(), u_plus_1)
-            result = _add(_add(term1, term2, -1), term3)
+            u_plus_1 = poly(1, 1)
+            result = _add(_add(over(poly(-2, 2), poly(1, -1), poly(1)),
+                               over(poly(-2, 2, 2), _mul(u_plus_1, u_plus_1), u_plus_1), -1),
+                          over(poly(0, 2), poly(), u_plus_1))
         else:  # kl_whirl
             # (u+1) / (2 (tu+1) rad) - 1 / (2 (tu+1)): the odd constant of
             # u+1 cannot be halved, so the 1/2 is taken off the difference
-            tu_plus_1 = poly([1], [0, 1])
-            result = _div(_add(over(poly([1], [1]), poly(), tu_plus_1),
-                               over(poly([1]), tu_plus_1, poly()), -1), [[2]])
+            tu_plus_1 = poly(1, [0, 1])
+            result = _div(_add(over(poly(1, 1), poly(), tu_plus_1),
+                               over(poly(1), tu_plus_1, poly()), -1), [[2]])
     else:
         # (1-(t+1)u)^2 - 4 t u^2 = 1 - 2(t+1)u + (t-1)^2 u^2
-        radicand = poly([1], [-2, -2], [1, -2, 1])
+        radicand = poly(1, [-2, -2], [1, -2, 1])
         rad = _sqrt(radicand)
         if which == "z_fan":
             # 2 / (1 - (t+1)u + rad)
-            result = over(poly([2]), poly([1], [-1, -1]), poly([1]))
+            result = over(poly(2), poly(1, [-1, -1]), poly(1))
         elif which == "z_wheel":
             # 1/rad - 1 - 2u (1-(t+1)u) (t+1+tu) / (1 - (t+1)u - 2t u^2 + rad)
-            numer = _mul(_mul(poly([], [2]), poly([1], [-1, -1])), poly([1, 1], [0, 1]))
-            denom = poly([1], [-1, -1], [0, -2])
-            result = _add(_add(over(poly([1]), poly(), poly([1])), one, -1),
-                          over(numer, denom, poly([1])), -1)
+            numer = _mul(_mul(poly(0, 2), poly(1, [-1, -1])), poly([1, 1], [0, 1]))
+            denom = poly(1, [-1, -1], [0, -2])
+            result = _add(_add(over(poly(1), poly(), poly(1)), one, -1),
+                          over(numer, denom, poly(1)), -1)
         else:  # z_whirl
             # 1/rad - 1
-            result = _add(over(poly([1]), poly(), poly([1])), one, -1)
+            result = _add(over(poly(1), poly(), poly(1)), one, -1)
     return TruncSeries(n, result).integerized()
