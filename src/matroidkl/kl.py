@@ -4,12 +4,12 @@ kl_z_chi solves every upper interval [F, top] of the lattice of flats in one
 pass from the top rank down.  By Proudfoot-Xu-Young, P_M is the unique
 polynomial with constant term 1 and deg P_M < rk M / 2 that makes
     Z_M(t) = sum over flats F of t^(rk F) * P_{M^F}(t)
-palindromic; the interval [F, top] is the flat lattice of the simplified
-contraction M^F, so the pass never rebuilds rank oracles.  Every flat above
-F of one rank and one P adds the same term, so the pass counts the flats
-above F in each such class with one popcount of the lattice's bitsets and
-lists no comparable pair.  The result is certified against the defining
-recursion of Elias-Proudfoot-Wakefield,
+palindromic; [F, top] is the flat lattice of the simplified contraction M^F.
+The flats above F of one rank and one P add the same term, so F's P and Z
+depend only on how many of the flats above F each class holds: one popcount
+per class, no comparable pair is listed, and each rank solves each distinct
+count vector once.  The result is certified against the defining recursion
+of Elias-Proudfoot-Wakefield,
     t^(rk M) * P_M(1/t) = sum over flats F of chi_{M_F}(t) * P_{M^F}(t),
 at the bottom flat, summed as sum over flats G of mu(bottom, G) * Z_{M^G}(t),
 which yields chi_M as well.
@@ -44,42 +44,53 @@ def _flat_pass(lat):
     is Z_A - P_A.  Z_A is palindromic of degree r and deg P_A < r/2, so the
     high coefficients of Z_A come from R_A alone and mirror onto the low
     ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.  The flats solved so far
-    are kept in one bitset per class (rank s, P), so R_A takes one popcount
-    per class above A's rank: |containing(A) & class| copies of P at
-    t^(s - rk A).
+    are kept in one bitset per class (rank s, P), and |containing(A) & class|
+    copies of P land at t^(s - rk A).  So R_A, and with it (P_A, Z_A), is a
+    function of A's count vector, one popcount per class above A's rank.
+    Each rank solves each distinct count vector once, and the flats that
+    share it share one (P, Z) pair, which callers only read.
     """
     flats = lat.flats
     top = flats[-1].rank
+    width = len(flats).bit_length()  # bits that hold any count of flats
     classes = {}  # (rank s, P) -> bitset of the flats solved so far in that class
-    rank, above = top, ()
+    rank, above, bitsets, solved = top, (), (), {}
     for a in reversed(range(len(flats))):
         if flats[a].rank != rank:
             # flats of one rank are incomparable: each rank reads the
             # classes of the ranks above it, all complete
-            rank = flats[a].rank
-            above = [(list(enumerate(p, s - rank)), bits) for (s, p), bits in classes.items()]
-        r = top - rank
-        z = [0] * (r + 1)
+            rank, solved = flats[a].rank, {}
+            above, bitsets = list(classes), list(classes.values())
         containing = lat.containing(a)
-        for terms, bits in above:
-            count = (containing & bits).bit_count()
-            if count:
-                for k, c in terms:
-                    z[k] += count * c
-        # built from a list: tuple() of a generator allocates a larger tuple
-        # and shrinks it, which leaves one block per flat on the free lists
-        p = tuple([z[r - k] - z[k] for k in range((r + 1) // 2)]) if r else (1,)
-        # constant term 1 is forced; nonnegativity is the theorem of
-        # Braden-Huh-Matherne-Proudfoot-Wang
-        if p[0] != 1 or min(p) < 0:
-            raise ArithmeticError(
-                f"KL polynomial {list(p)} of a rank-{r} interval must have constant "
-                f"term 1 and nonnegative coefficients"
-            )
-        for k, c in enumerate(p):
-            z[k] += c
-        classes[rank, p] = classes.get((rank, p), 0) | 1 << a
-        yield p, z
+        # the count vector packed into one int, width bits per class: a
+        # tuple, one entry longer at each rank, took fresh allocator pools
+        # for its new sizes and raised the peak RSS
+        counts = 0
+        for bits in bitsets:
+            counts = counts << width | (containing & bits).bit_count()
+        pz = solved.get(counts)
+        if pz is None:
+            r = top - rank
+            z = [0] * (r + 1)
+            for (s, p), bits in zip(above, bitsets):
+                count = (containing & bits).bit_count()
+                if count:
+                    for k, c in enumerate(p, s - rank):
+                        z[k] += count * c
+            p = tuple([z[r - k] - z[k] for k in range((r + 1) // 2)]) if r else (1,)
+            # constant term 1 is forced; nonnegativity is the theorem of
+            # Braden-Huh-Matherne-Proudfoot-Wang
+            if p[0] != 1 or min(p) < 0:
+                raise ArithmeticError(
+                    f"KL polynomial {list(p)} of a rank-{r} interval must have constant "
+                    f"term 1 and nonnegative coefficients"
+                )
+            for k, c in enumerate(p):
+                z[k] += c
+            pz = solved[counts] = p, z
+        key = rank, pz[0]
+        classes[key] = classes.get(key, 0) | 1 << a
+        yield pz
 
 
 def _check_bottom(lat, solved):
@@ -88,8 +99,9 @@ def _check_bottom(lat, solved):
     sum over flats F of chi_{[bottom, F]}(t) * P_F(t) == t^r * P_M(1/t),
     regrouped by the flat G where each term of chi's Moebius sum starts:
     sum over flats G of mu(bottom, G) * Z_G(t) == t^r * P_M(1/t), where Z_G
-    is the Z of [G, top].  Each Z is dropped once added.  Returns P_M, Z_M
-    and the characteristic polynomial, chi_M = sum over G of
+    is the Z of [G, top].  Each Z is read once per flat and never changed,
+    as the flats of one count vector share it.  Returns P_M, Z_M and the
+    characteristic polynomial, chi_M = sum over G of
     mu(bottom, G) * t^(r - rk G)."""
     r = lat.flats[-1].rank
     total, chi = [0] * (r + 1), [0] * (r + 1)

@@ -24,9 +24,10 @@ from . import graphs as _graphs
 MAX_GROUND = 16
 # lattice_of refuses more flats than this.  The KL/Z pass and the Moebius walk
 # take, for each flat, one popcount over a bitset of all the flats per class,
-# so their time grows about 3x when the flats double; a forest's lattice is
-# boolean, and the 14-edge path, with 2^14 flats, takes 0.3-0.5 s.  The
-# brute route's families stay below it (whirl 10 has 15 126 flats)
+# so kl_z_chi's time grows about 2.9x when the flats double (paths of 12 to
+# 14 edges); a forest's lattice is boolean, and the 14-edge path, with 2^14
+# flats, takes 0.2 s (Python 3.11, 2-vCPU Xeon).  The brute route's families
+# stay below it (whirl 10 has 15 126 flats)
 MAX_FLATS = 1 << 14
 
 

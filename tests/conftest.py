@@ -652,6 +652,55 @@ def flat_pass_by_pairs(lat):
     return ps, Poly(z)
 
 
+def flat_pass_per_flat(lat):
+    """The KL/Z pass as it was before each rank solved every distinct count
+    vector once: P and Z of every upper interval [F, top], from the top flat
+    down, each flat solved on its own; the library shares one (P, Z) among
+    the flats of a rank that count the same number of flats in every
+    (rank, P) class above them.
+
+    For a flat A of corank r, R_A = sum over F > A of t^(rk F - rk A) * P_F
+    is Z_A - P_A.  Z_A is palindromic of degree r and deg P_A < r/2, so the
+    high coefficients of Z_A come from R_A alone and mirror onto the low
+    ones: p_k = [t^(r-k)]R_A - [t^k]R_A for k < r/2.  The flats solved so far
+    are kept in one bitset per class (rank s, P), so R_A takes one popcount
+    per class above A's rank: |containing(A) & class| copies of P at
+    t^(s - rk A).
+    """
+    flats = lat.flats
+    top = flats[-1].rank
+    classes = {}  # (rank s, P) -> bitset of the flats solved so far in that class
+    rank, above = top, ()
+    for a in reversed(range(len(flats))):
+        if flats[a].rank != rank:
+            # flats of one rank are incomparable: each rank reads the
+            # classes of the ranks above it, all complete
+            rank = flats[a].rank
+            above = [(list(enumerate(p, s - rank)), bits) for (s, p), bits in classes.items()]
+        r = top - rank
+        z = [0] * (r + 1)
+        containing = lat.containing(a)
+        for terms, bits in above:
+            count = (containing & bits).bit_count()
+            if count:
+                for k, c in terms:
+                    z[k] += count * c
+        # built from a list: tuple() of a generator allocates a larger tuple
+        # and shrinks it, which leaves one block per flat on the free lists
+        p = tuple([z[r - k] - z[k] for k in range((r + 1) // 2)]) if r else (1,)
+        # constant term 1 is forced; nonnegativity is the theorem of
+        # Braden-Huh-Matherne-Proudfoot-Wang
+        if p[0] != 1 or min(p) < 0:
+            raise ArithmeticError(
+                f"KL polynomial {list(p)} of a rank-{r} interval must have constant "
+                f"term 1 and nonnegative coefficients"
+            )
+        for k, c in enumerate(p):
+            z[k] += c
+        classes[rank, p] = classes.get((rank, p), 0) | 1 << a
+        yield p, z
+
+
 def reverse_scaled(p, r):
     """t^r * p(1/t), for r >= deg(p)."""
     return Poly([p.coeff(r - k) for k in range(r + 1)])

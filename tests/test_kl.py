@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from conftest import (
     contraction,
     factor_product,
     flat_pass_by_pairs,
+    flat_pass_per_flat,
     graphs_up_to_16_edges,
     kl_closed_over_q,
     lattice_by_pairs,
@@ -171,6 +173,44 @@ def test_popcount_route_matches_pair_oracle():
 @given(graphs_up_to_16_edges())
 def test_popcount_route_matches_pair_oracle_on_random_graphs(g):
     assert matches_pair_route(graphic_matroid(g))
+
+
+def test_pass_matches_per_flat_oracle():
+    # one solve per distinct count vector yields what solving every flat on
+    # its own yields, flat for flat and in the same order
+    for family, (lo, hi) in cli.ROUTES["kl", "brute"][1].items():
+        for n in range(lo, hi + 1):
+            lat = kl.lattice_of(fam_matroid(family, n))
+            assert list(kl._flat_pass(lat)) == list(flat_pass_per_flat(lat)), (family, n)
+
+
+@RANDOM_GRAPHS
+@given(graphs_up_to_16_edges())
+def test_pass_matches_per_flat_oracle_on_random_graphs(g):
+    lat = kl.lattice_of(graphic_matroid(g))
+    assert list(kl._flat_pass(lat)) == list(flat_pass_per_flat(lat))
+
+
+def test_pass_shares_one_pair_per_count_vector():
+    # wheel 7 has 836 flats but 20 distinct (rank, Z): the flats that share
+    # a Z share one list, so the sharing is live, and no consumer changes a
+    # shared pair while the pass still hands it out
+    lat = kl.lattice_of(fam_matroid("wheel", 7))
+    solved = list(kl._flat_pass(lat))
+    ranks = [f.rank for f in reversed(lat.flats)]
+    assert len(solved) == len(ranks) == 836
+    assert len({id(z) for _, z in solved}) == 20
+    assert len({(rank, tuple(z)) for rank, (_, z) in zip(ranks, solved)}) == 20
+    seen = []
+
+    def copied(pairs):
+        for pair in pairs:
+            seen.append((pair, copy.deepcopy(pair)))
+            yield pair
+
+    assert kl._check_bottom(lat, copied(kl._flat_pass(lat))) == kl.kl_z_chi(fam_matroid("wheel", 7))
+    assert len(seen) == 836
+    assert all(pair == before for pair, before in seen)
 
 
 def test_kl_z_chi_at_the_flat_bound():
