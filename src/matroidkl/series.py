@@ -1,7 +1,9 @@
 """Truncated formal power series in u with exact polynomial-in-t coefficients.
 
-All operations are exact up to the fixed truncation order; nothing silently
-extends precision.  The generating functions for the KL and Z polynomials of
+Series arithmetic runs only in the private list kernels below, exact up to
+the fixed truncation order; nothing silently extends precision.  TruncSeries
+is the value gf_expand returns: it holds and reads coefficients and does no
+arithmetic.  The generating functions for the KL and Z polynomials of
 the fan/wheel/whirl families are quotients N / (A + B·rad) of polynomials in
 u, rad the principal square root (constant term +1) of a quadratic radicand
 P.  The radical is expanded by its differential equation and each quotient
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ONE, ZERO, Poly, _add_product, _divexact, _nonnegative_int
+from .poly import ZERO, Poly, _add_product, _divexact, _nonnegative_int
 
 MAX_ORDER = 64
 
@@ -111,8 +113,8 @@ def _sqrt(p):
 
 
 class TruncSeries:
-    """Power series in u modulo u^(order+1), coefficients in Q[t].  Its
-    arithmetic runs the kernels above on the coefficients' lists."""
+    """Power series in u modulo u^(order+1), coefficients in Q[t]: the value
+    gf_expand returns, with no arithmetic of its own."""
 
     __slots__ = ("order", "coeffs")
 
@@ -126,20 +128,10 @@ class TruncSeries:
         self.coeffs = tuple(cs)
 
     def coefficient(self, n):
-        if not 0 <= n <= self.order:
+        """The coefficient of u^n, for an int n in 0..order."""
+        if _nonnegative_int(n, "coefficient index") > self.order:
             raise ValueError(f"coefficient u^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def _rows(self, other=None):
-        """The coefficient lists of self, or of self and the series other."""
-        rows = [list(c.coeffs) for c in self.coeffs]
-        if other is None:
-            return rows
-        if not isinstance(other, TruncSeries):
-            raise TypeError("series operand expected")
-        if self.order != other.order:
-            raise ValueError("truncation order mismatch")
-        return rows, other._rows()
 
     def __eq__(self, other):
         return (
@@ -150,37 +142,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        return TruncSeries(self.order, _add(*self._rows(other)))
-
-    def __sub__(self, other):
-        return TruncSeries(self.order, _add(*self._rows(other), -1))
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):  # a constant
-            other = TruncSeries(self.order, [other])
-        return TruncSeries(self.order, _mul(*self._rows(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, d):
-        """Division by a nonzero scalar, or by a series whose constant
-        coefficient d0 divides each step (_div), each division exact in
-        Q[t]: ArithmeticError when d0 leaves a remainder.  Int coefficients
-        that d or d0 divides stay ints."""
-        if isinstance(d, (int, Fraction)):
-            return self * Fraction(1, d)
-        return TruncSeries(self.order, _div(*self._rows(d)))
-
-    def sqrt(self):
-        """Principal square root (_sqrt); requires constant coefficient exactly 1."""
-        if self.coeffs[0] != ONE:
-            raise ValueError("series sqrt needs constant coefficient 1")
-        return TruncSeries(self.order, _sqrt(self._rows()))
 
     def integerized(self):
         """Return self, or raise unless every coefficient is an integer polynomial."""

@@ -1412,7 +1412,9 @@ def gf_expand_over_q(which, order):
     """The six generating functions expanded in u itself, as printed, by
     convolution: every radical by convolution_sqrt and every quotient as a
     product with a convolution_inverse, which takes a Fraction inverse of
-    each constant term 2."""
+    each constant term 2.  Products are series_mul_by_poly and sums are
+    taken coefficient by coefficient on the Polys, so none of the library's
+    series kernels runs here."""
     assert which in GF_NAMES and 1 <= order <= MAX_ORDER
     n = order
     t = Poly([0, 1])
@@ -1420,31 +1422,37 @@ def gf_expand_over_q(which, order):
     def ser(*coeffs):
         return TruncSeries(n, coeffs[:n + 1])
 
-    one, u = ser(1), ser(0, 1)
+    def total(*terms):
+        return TruncSeries(n, [sum(cs, ZERO) for cs in zip(*(s.coeffs for s in terms))])
+
+    def minus(s):
+        return series_mul_by_poly(s, -1)
+
+    mul, inv = series_mul_by_poly, convolution_inverse
     if which.startswith("kl"):
         rad = convolution_sqrt(ser(1, -2, Poly([1, -4])))
         if which == "kl_fan":
-            result = one + ser(0, 2) * convolution_inverse(one - u + rad)
+            result = total(ser(1), mul(ser(0, 2), inv(total(ser(1, -1), rad))))
         elif which == "kl_wheel":
             u_plus_1 = ser(1, 1)
-            term1 = ser(-2, 2) * convolution_inverse(rad - u + one)
-            term2 = ser(-2, 2, 2) * convolution_inverse(u_plus_1 * (rad + u + one))
-            term3 = ser(0, 2) * convolution_inverse(u_plus_1 * rad)
-            result = term1 - term2 + term3
+            term1 = mul(ser(-2, 2), inv(total(rad, ser(1, -1))))
+            term2 = mul(ser(-2, 2, 2), inv(mul(u_plus_1, total(rad, u_plus_1))))
+            term3 = mul(ser(0, 2), inv(mul(u_plus_1, rad)))
+            result = total(term1, minus(term2), term3)
         else:  # kl_whirl
-            tu_plus_1 = ser(1, t)
-            result = ser(1, 1) * convolution_inverse(ser(2) * tu_plus_1 * rad) - convolution_inverse(
-                ser(2) * tu_plus_1)
+            two_tu_plus_2 = ser(2, 2 * t)
+            result = total(mul(ser(1, 1), inv(mul(two_tu_plus_2, rad))),
+                           minus(inv(two_tu_plus_2)))
     else:
         rad = convolution_sqrt(ser(1, Poly([-2, -2]), Poly([1, -2, 1])))
         if which == "z_fan":
-            result = ser(2) * convolution_inverse(rad - ser(0, Poly([1, 1])) + one)
+            result = mul(ser(2), inv(total(rad, ser(1, Poly([-1, -1])))))
         elif which == "z_wheel":
-            numer = ser(0, 2) * ser(1, Poly([-1, -1])) * ser(Poly([1, 1]), t)
-            denom = ser(1, Poly([-1, -1]), Poly([0, -2])) + rad
-            result = convolution_inverse(rad) - one - numer * convolution_inverse(denom)
+            numer = mul(mul(ser(0, 2), ser(1, Poly([-1, -1]))), ser(Poly([1, 1]), t))
+            denom = total(ser(1, Poly([-1, -1]), Poly([0, -2])), rad)
+            result = total(inv(rad), ser(-1), minus(mul(numer, inv(denom))))
         else:  # z_whirl
-            result = convolution_inverse(rad) - one
+            result = total(inv(rad), ser(-1))
     return result.integerized()
 
 

@@ -365,6 +365,19 @@ def test_readme_states_the_check_count():
     assert quoted <= built, quoted - built
 
 
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # the "Library quick start" block runs as README prints it, and each
+    # print(...) line prints the text of its trailing comment
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block, = re.findall(r"^## Library quick start\n\n```python\n(.*?)^```$", f.read(),
+                            re.M | re.S)
+    want = re.findall(r"^print\(.*\) +# (.*)$", block, re.M)
+    assert want and len(want) == block.count("print("), block
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_readme_layout_names_exist():
     # every backticked Python name in a row of the Layout table, dotted or
     # not, is an attribute of that row's module
@@ -413,8 +426,6 @@ NOT_DRIVEN = {
     "cli._kl_route": "builds ROUTES at import, before the drive starts",
     "kl._step_rows": "expands the recurrence rows at import, before the drive starts",
     "kl._expanded": "expands the recurrence rows at import, before the drive starts",
-    "series.TruncSeries._rows": "TruncSeries arithmetic: gf_expand runs its list kernels directly",
-    "series.TruncSeries.sqrt": "TruncSeries arithmetic: gf_expand runs its list kernels directly",
 }
 LIBRARY_MODULES = ("checks", "cli", "graphs", "kl", "matroids", "poly", "realroot", "series")
 
@@ -469,8 +480,11 @@ def test_every_library_function_runs(capsys, monkeypatch):
     finally:
         sys.setprofile(None)
     capsys.readouterr()
+    defined = _defined_functions()
+    # an exemption for a function that no longer exists would go unnoticed
+    assert set(NOT_DRIVEN) <= set(defined.values()), set(NOT_DRIVEN) - set(defined.values())
     reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
-    never = {name for key, name in _defined_functions().items()
+    never = {name for key, name in defined.items()
              if key not in reached and name not in NOT_DRIVEN}
     # a function nested in one that never ran is not listed on its own
     outermost = sorted(name for name in never
@@ -722,7 +736,8 @@ def test_every_failing_n_fails_its_own_check(capsys, monkeypatch):
 # the module and function it reads, the arguments at which that function's
 # value is changed, and the change)
 PERTURBATIONS = [
-    ("gf/", "gf/kl_fan/order-10", series, "gf_expand", ("kl_fan", 10), lambda s: s * 2),
+    ("gf/", "gf/kl_fan/order-10", series, "gf_expand", ("kl_fan", 10),
+     lambda s: series.TruncSeries(s.order, [2 * c for c in s.coeffs])),
     ("roots/fan-interlacing/", "roots/fan-interlacing/6", realroot, "interleaves",
      (kl.kl_closed("fan", 6), kl.kl_closed("fan", 7)), lambda verdict: not verdict),
     ("identities/narayana/", "identities/narayana/4", realroot, "narayana_polynomial", (4,),
@@ -769,7 +784,10 @@ def test_each_claim_fails_at_its_perturbed_n(monkeypatch, prefix, check, module,
                         lambda *args: change(fn(*args)) if args == at else fn(*args))
     claim = [item for item in build_suite(prefix.split("/")[0], max_n=10)
              if item[0].startswith(prefix)]
-    assert [got for got, ok, _, _ in map(checks._run_check_timed, claim) if not ok] == [check]
+    failed = [(got, detail) for got, ok, detail, _ in map(checks._run_check_timed, claim) if not ok]
+    assert [got for got, _ in failed] == [check]
+    # on the changed value: a change that crashed the check would fail it too
+    assert not failed[0][1].startswith("exception:"), failed
 
 
 def test_poly_record_builds_one_sturm_chain(monkeypatch):
