@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import T, Poly, _add_product, _divexact
+from .poly import T, Poly, _add_product, _divexact, _nonnegative_int
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -360,9 +360,9 @@ def hadamard_wheel_coeff(n, k):
     """Three-sequence factorization of the wheel KL coefficients:
     a_k * b_k * c_k equals the t^k coefficient of the wheel polynomial.  a_k
     and c_k (a Lucas polynomial coefficient) are ints, b_k a Fraction."""
-    if n < 3:
+    if _nonnegative_int(n, "n") < 3:
         raise ValueError("needs n >= 3")
-    if not 0 <= k <= (n - 1) // 2:
+    if _nonnegative_int(k, "k") > (n - 1) // 2:
         raise ValueError("k out of range")
     a = (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + (k**3 + 3 * k**2 - k - 1)
     b = Fraction(factorial(n), (n - 1) * factorial(k + 1) * factorial(n + 1 - k))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .poly import Poly
+from .poly import Poly, _nonnegative_int
 from . import graphs as _graphs
 
 MAX_GROUND = 16
@@ -138,7 +138,7 @@ def outer_cycle_mask(n):
 def whirl_matroid(n):
     """Relaxation of the wheel's cycle matroid: the outer cycle is declared
     independent, every other rank value is untouched."""
-    if not 3 <= n <= MAX_GROUND // 2:  # the wheel has 2n edges
+    if not 3 <= _nonnegative_int(n, "n") <= MAX_GROUND // 2:  # the wheel has 2n edges
         raise ValueError(f"whirl needs 3 <= n <= {MAX_GROUND // 2}")
     g = _graphs.make_family("wheel", n)
     table = bytearray(_graphic_rank_table(g.edges))

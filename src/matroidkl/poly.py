@@ -5,6 +5,13 @@ polynomial has an empty coefficient tuple.  Integer values stay Python ints,
 everything else is a fractions.Fraction, so all arithmetic is exact and
 arbitrary precision.  The degree of the zero polynomial is float("-inf"),
 not -1, so that deg(a*b) = deg(a) + deg(b) holds when a factor is zero.
+
+The private kernels on ascending coefficient lists, _add_product, _divexact
+and _trimmed, add, multiply, divide and trim: Poly's +, - and * are
+_add_product calls, and the series kernels, the recurrences and the
+palindromic root reduction run on the same three.  Only the hottest loops
+keep their own arithmetic: kl's flat pass, bottom certificate and Horner
+step, and remainder_sequence's scaled pseudo-division below.
 """
 
 from __future__ import annotations
@@ -52,6 +59,13 @@ def _divexact(a, b):
     return q
 
 
+def _trimmed(cs):
+    """The list cs, its trailing zeros popped in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
 def _norm_coeff(c):
     if isinstance(c, bool):
         raise TypeError("bool is not a polynomial coefficient")
@@ -71,6 +85,17 @@ def _nonnegative_int(n, what):
     return n
 
 
+def _operand(other):
+    """The coefficients of a Poly, int or Fraction operand, a scalar through
+    the constructor, so a bool is refused; None for any other type."""
+    # Poly first: a Poly operand then skips Fraction's ABC instance check
+    if isinstance(other, Poly):
+        return other.coeffs
+    if isinstance(other, (int, Fraction)):
+        return Poly([other]).coeffs
+    return None
+
+
 class Poly:
     """Immutable dense polynomial in one variable t over Z or Q."""
 
@@ -80,9 +105,7 @@ class Poly:
         cs = list(coeffs)
         if not set(map(type, cs)) <= {int}:  # plain ints need no normalizing
             cs = [_norm_coeff(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trimmed(cs))
 
     @property
     def degree(self):
@@ -132,18 +155,10 @@ class Poly:
         return hash(cs)
 
     def __add__(self, other):
-        # Poly first: a Poly operand then skips Fraction's ABC instance check
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        return Poly(_add_product(list(self.coeffs), [1], b))
 
     __radd__ = __add__
 
@@ -151,38 +166,19 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] += c
-        return Poly(out)
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        return Poly(_add_product(list(self.coeffs), [-1], b))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return Poly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        return Poly(_add_product([], self.coeffs, b))
 
     __rmul__ = __mul__
 
@@ -190,7 +186,7 @@ class Poly:
         """Division by a nonzero scalar; ints that d divides stay ints."""
         if not isinstance(d, (int, Fraction)):
             return NotImplemented
-        return Poly(_divexact(self.coeffs, [d]))
+        return Poly(_divexact(self.coeffs, [_norm_coeff(d)]))
 
     def __pow__(self, n):
         _nonnegative_int(n, "power")
@@ -232,9 +228,7 @@ T = Poly([0, 1])
 
 def _stripped(cs, sign=1):
     """The int list cs, trailing zeros popped, over sign * its content."""
-    while cs and not cs[-1]:
-        cs.pop()
-    g = sign * gcd(*cs)
+    g = sign * gcd(*_trimmed(cs))
     return [c // g for c in cs] if cs else cs
 
 

@@ -14,11 +14,10 @@ out first (1+t always divides at odd degree), so none lies at s = -2 or 2.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import zip_longest
 from math import comb, factorial
 from operator import ne
 
-from .poly import Poly, _add_product, remainder_sequence
+from .poly import T, Poly, _add_product, _divexact, _nonnegative_int, remainder_sequence
 from . import kl as _kl
 
 
@@ -53,12 +52,12 @@ def _sign_variations(polys, *points):
 def _root_flags(p):
     """(real-rooted, all zeros negative) off one Sturm chain: of p, or of q
     for a palindromic p of degree >= 2.  Such a p, its roots t = -1 and 1
-    divided out by synthetic division in ints, is t^m * q(t + 1/t) with
+    divided out by exact list division, is t^m * q(t + 1/t) with
     q(s) = c_m + sum_j c_(m+j) * D_j(s) in the Dickson polynomials D_0 = 2,
     D_1 = s, D_(j+1) = s*D_j - D_(j-1).  A root s of q gives the roots of
     t^2 - s*t + 1, real iff |s| >= 2 and negative iff s <= -2.  With t = -1
     and 1 gone, q(-2) and q(2) are nonzero, so V(-2) and V(2) count."""
-    cs = list(p.coeffs)
+    cs = p.coeffs
     if len(cs) < 3 or cs != cs[::-1]:
         chain = sturm_chain(p)
         v_neg, v_zero, v_pos = _sign_variations(chain.polys, 0)
@@ -66,14 +65,12 @@ def _root_flags(p):
         return real, real and cs[0] != 0 and v_neg - v_zero == chain.distinct_roots
     for r in (-1, 1):
         while not sum(cs[::2]) + r * sum(cs[1::2]):
-            for k in range(len(cs) - 2, 0, -1):
-                cs[k] += r * cs[k + 1]
-            cs = cs[1:]
+            cs = _divexact(cs, [-r, 1])
     m = len(cs) // 2
     q, d_prev, d = [cs[m]], [2], [0, 1]
     for c in cs[m + 1:]:
-        q = [a + c * b for a, b in zip_longest(q, d, fillvalue=0)]
-        d_prev, d = d, [a - b for a, b in zip_longest([0, *d], d_prev, fillvalue=0)]
+        _add_product(q, [c], d)
+        d_prev, d = d, _add_product([0, *d], [-1], d_prev)
     chain = sturm_chain(Poly(q))
     v_neg, v_low, v_high, v_pos = _sign_variations(chain.polys, -2, 2)
     # real: no root of q in (-2, 2); negative: besides, none above 2 and p(1) != 0
@@ -120,22 +117,17 @@ def interleaves(g, f):
 
 def n_sequence_check(gamma, n):
     """Transformed-binomial criterion: admissible iff
-    sum(gamma_k * C(n,k) * t^k) has only real zeros, all of one sign."""
+    p = sum(gamma_k * C(n,k) * t^k) has only real zeros, all of one sign,
+    that is all zeros of p(t) or all zeros of p(-t) negative."""
     if len(gamma) != n + 1:
         raise ValueError("gamma must have length n+1")
     p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
-    chain = sturm_chain(p)
-    v_neg, v_zero, v_pos = _sign_variations(chain.polys, 0)
-    real = v_neg - v_pos
-    if real != chain.distinct_roots or p.coeff(0) == 0:
-        return False
-    nonpos = v_neg - v_zero
-    return nonpos == 0 or nonpos == real
+    return all_zeros_negative(p) or all_zeros_negative(p(-T))
 
 
 def narayana_polynomial(n):
     """Classical Narayana polynomial."""
-    if n < 1:
+    if _nonnegative_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     return Poly([_kl._exact(comb(n, k) * comb(n, k + 1), n) for k in range(n)])
 
@@ -149,14 +141,12 @@ def _lucas_sequence(x0, x1, k):
 
 def lucas_polynomial(n):
     """Lucas polynomial by its defining recurrence, seeded with (2, t)."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    return _lucas_sequence([2], [0, 1], n)
+    return _lucas_sequence([2], [0, 1], _nonnegative_int(n, "n"))
 
 
 def fibonacci_polynomial(n):
     """Fibonacci polynomial by its defining recurrence, seeded with (0, 1)."""
-    if n < 1:
+    if _nonnegative_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     return _lucas_sequence([], [1], n)
 
@@ -164,7 +154,7 @@ def fibonacci_polynomial(n):
 def verify_narayana_identity(n):
     """N_n(t) == (1+t)^(n-1) * P_fan(t/(1+t)^2), and the fan Z-polynomial one
     index down is that same Narayana polynomial."""
-    if n < 1:
+    if _nonnegative_int(n, "n") < 1:
         raise ValueError("needs n >= 1")
     nara = narayana_polynomial(n)
     # c t^k in P_fan becomes c t^k (1+t)^(n-1-2k)
@@ -182,7 +172,7 @@ def verify_lucas_fibonacci(n):
     polynomial and the whirl binomial sum onto the Fibonacci polynomial, plus
     negativity of both image polynomials.  No fractional powers appear: the
     t^k coefficient corresponds to the x^(n-1-2k) coefficient."""
-    if n < 3:
+    if _nonnegative_int(n, "n") < 3:
         raise ValueError("needs n >= 3")
     m = (n - 1) // 2
     f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)])
@@ -201,7 +191,7 @@ def verify_wheel_z_quadratic(n):
     n * ((n+1)t^2 + (n^2-n+4)t + (n+1)) * (1+t)^(n-2) with positive
     discriminant, and multiplied back by the multiplier-sequence weights it
     reproduces the wheel Z closed form."""
-    if n < 3:
+    if _nonnegative_int(n, "n") < 3:
         raise ValueError("needs n >= 3")
     gammas = [(1 + k) * n**2 + (1 - 2 * k - k**2) * n + 2 * k**2 for k in range(n + 1)]
     h = Poly([gammas[k] * comb(n, k) for k in range(n + 1)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ZERO, Poly, _add_product, _divexact, _nonnegative_int
+from .poly import ZERO, Poly, _add_product, _divexact, _nonnegative_int, _trimmed
 
 MAX_ORDER = 64
 
@@ -47,12 +47,6 @@ def _as_poly(c):
 def _nonzero(rows):
     """(i, row) for every nonzero coefficient row of u^i."""
     return [(i, row) for i, row in enumerate(rows) if row]
-
-
-def _trimmed(row):
-    while row and not row[-1]:
-        row.pop()
-    return row
 
 
 def _add(a, b, sign=1):

@@ -418,6 +418,36 @@ def test_every_module_stays_within_the_token_budget():
     assert not over, over
 
 
+def test_every_module_uses_each_name_it_imports():
+    # an import whose last use was deleted stays behind silently: each name an
+    # import binds must be read in its module or exported through __all__
+    import ast
+
+    import matroidkl
+
+    package = os.path.dirname(matroidkl.__file__)
+    unused = {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        bound, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        unused[name] = sorted(bound - read - exported)
+    assert "kl.py" in unused and "__init__.py" in unused, unused
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 # functions that the drive in test_every_library_function_runs need not reach,
 # each with its reason; dunder methods are exempt as a whole: they are the
 # value types' protocol (equality, hashing, arithmetic), and the benchmark's

@@ -26,7 +26,7 @@ from conftest import (
     reverse_scaled,
     z_closed_over_q,
 )
-from matroidkl import cli, kl, matroids, series
+from matroidkl import cli, kl, matroids, realroot, series
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
@@ -245,6 +245,21 @@ def test_every_route_rejects_an_n_that_is_not_an_int():
             for family in cli.ROUTES[kind, method][1]:
                 with pytest.raises(TypeError, match="int"):
                     cli.compute_record(family, bad, kind, method)
+
+
+@pytest.mark.parametrize("call", [
+    realroot.narayana_polynomial, realroot.lucas_polynomial, realroot.fibonacci_polynomial,
+    realroot.verify_narayana_identity, realroot.verify_lucas_fibonacci,
+    realroot.verify_wheel_z_quadratic, matroids.whirl_matroid,
+    lambda n: kl.hadamard_wheel_coeff(n, 0), lambda n: kl.hadamard_wheel_coeff(5, n),
+], ids=["narayana", "lucas", "fibonacci", "verify_narayana", "verify_lucas_fibonacci",
+        "verify_wheel_z_quadratic", "whirl_matroid", "hadamard_n", "hadamard_k"])
+def test_every_identity_helper_rejects_an_n_that_is_not_an_int(call):
+    # the type is checked before the range: True would pass for 1, and a
+    # float would fail in range() with no name for the argument
+    for bad in (True, False, 1.0, 4.0):
+        with pytest.raises(TypeError, match="must be an int, got"):
+            call(bad)
 
 
 def closed_range(kind, family, hi):

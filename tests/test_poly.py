@@ -8,6 +8,7 @@ from conftest import (
     divexact, euclid_over_q, gcd_over_q, poly_divmod, poly_divmod_over_q, poly_gcd,
     primitive_part,
 )
+from matroidkl import poly
 from matroidkl.poly import NEG_INF, ZERO, Poly, remainder_sequence
 
 
@@ -206,6 +207,37 @@ def test_bool_is_not_a_constant_poly():
     assert True not in {Poly([1])} and Poly([1]) not in [True]
     assert False not in {ZERO} and ZERO not in {False: "f"}
     assert Poly([1]) != True and not Poly([0]) == False  # noqa: E712
+    # but in arithmetic a bool is refused like any other non-coefficient,
+    # with the constructor's message, while a float is left to float
+    p = Poly([1, 2])
+    for op in (lambda: p + True, lambda: p - False, lambda: True - p, lambda: p * True,
+               lambda: True * p, lambda: p * False, lambda: p / True, lambda: p / False):
+        with pytest.raises(TypeError, match="bool is not a polynomial coefficient"):
+            op()
+    for method in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(p, method)(1.5) is NotImplemented, method
+    with pytest.raises(TypeError):
+        p * 1.5
+
+
+def test_sum_difference_and_product_run_on_the_list_kernel(monkeypatch):
+    # one convolution loop: Poly's +, - and * are _add_product calls
+    calls = []
+    kernel = poly._add_product
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(poly, "_add_product", counted)
+    p, q = Poly([1, 2, 3]), Poly([Fraction(1, 2), -1])
+    for op, want in ((p.__add__, Poly([Fraction(3, 2), 1, 3])),
+                     (p.__sub__, Poly([Fraction(1, 2), 3, 3])),
+                     (p.__mul__, Poly([Fraction(1, 2), 0, Fraction(-1, 2), -3]))):
+        calls.clear()
+        assert op(q) == want and len(calls) == 1, op.__name__
+    calls.clear()
+    assert p * 2 == Poly([2, 4, 6]) and p + 1 == Poly([2, 2, 3]) and len(calls) == 2
 
 
 def test_integerized_signal():
