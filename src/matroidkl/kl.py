@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import T, Poly, _add_product, _divexact, _nonnegative_int
+from .poly import T, Poly, _add_product, _divexact, _int_in
 from . import graphs as _graphs
 from . import matroids as _matroids
 from .matroids import lattice_of
@@ -150,15 +150,13 @@ FIRST_N = {
 
 
 def _first_n(name, family, n):
-    """FIRST_N[name][family]; raises TypeError unless n is an int, and
-    ValueError unless name covers family and n is at least that first n."""
-    if type(n) is not int:
-        raise TypeError(f"{name} needs an int n, got {type(n).__name__}")
+    """FIRST_N[name][family]; raises ValueError unless name covers family,
+    then, through poly._int_in, TypeError unless n is an int and ValueError
+    unless it is at least that first n."""
     first = FIRST_N[name].get(family)
     if first is None:
         raise ValueError(f"{name} covers the families {tuple(FIRST_N[name])}, not {family!r}")
-    if n < first:
-        raise ValueError(f"{family} {name} needs n >= {first}")
+    _int_in(n, f"{family} {name} n", first)
     return first
 
 
@@ -360,10 +358,8 @@ def hadamard_wheel_coeff(n, k):
     """Three-sequence factorization of the wheel KL coefficients:
     a_k * b_k * c_k equals the t^k coefficient of the wheel polynomial.  a_k
     and c_k (a Lucas polynomial coefficient) are ints, b_k a Fraction."""
-    if _nonnegative_int(n, "n") < 3:
-        raise ValueError("needs n >= 3")
-    if _nonnegative_int(k, "k") > (n - 1) // 2:
-        raise ValueError("k out of range")
+    _int_in(n, "n", 3)
+    _int_in(k, "k", 0, (n - 1) // 2)
     a = (k + 1) * n**2 - (2 * k**2 + 4 * k) * n + (k**3 + 3 * k**2 - k - 1)
     b = Fraction(factorial(n), (n - 1) * factorial(k + 1) * factorial(n + 1 - k))
     c = _exact((n - 1) * factorial(n - 2 - k), factorial(k) * factorial(n - 1 - 2 * k))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .poly import Poly, _nonnegative_int
+from .poly import Poly, _int_in
 from . import graphs as _graphs
 
 MAX_GROUND = 16
@@ -41,9 +41,7 @@ class RankOracleMatroid:
     __slots__ = ("m", "table", "full_rank")
 
     def __init__(self, m, table):
-        if m > MAX_GROUND:
-            raise ValueError(f"ground sets above {MAX_GROUND} elements unsupported")
-        if len(table) != 1 << m:
+        if len(table) != 1 << _int_in(m, "ground set size", 0, MAX_GROUND):
             raise ValueError("rank table size mismatch")
         # a private copy, every value in 0..m: one C-level delete of the
         # allowed bytes; flats() checks that each step is 0 or 1
@@ -138,8 +136,7 @@ def outer_cycle_mask(n):
 def whirl_matroid(n):
     """Relaxation of the wheel's cycle matroid: the outer cycle is declared
     independent, every other rank value is untouched."""
-    if not 3 <= _nonnegative_int(n, "n") <= MAX_GROUND // 2:  # the wheel has 2n edges
-        raise ValueError(f"whirl needs 3 <= n <= {MAX_GROUND // 2}")
+    _int_in(n, "whirl n", 3, MAX_GROUND // 2)  # the wheel has 2n edges
     g = _graphs.make_family("wheel", n)
     table = bytearray(_graphic_rank_table(g.edges))
     table[outer_cycle_mask(n)] = n

@@ -12,6 +12,9 @@ _add_product calls, and the series kernels, the recurrences and the
 palindromic root reduction run on the same three.  Only the hottest loops
 keep their own arithmetic: kl's flat pass, bottom certificate and Horner
 step, and remainder_sequence's scaled pseudo-division below.
+
+_int_in is the library's one check of an int argument, an order, index,
+size or power: its type, bools refused, and its range, each with a message.
 """
 
 from __future__ import annotations
@@ -76,12 +79,14 @@ def _norm_coeff(c):
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
-def _nonnegative_int(n, what):
-    """n if it is a nonnegative int; a bool is refused like any other type."""
+def _int_in(n, what, lo=0, hi=None):
+    """n if it is an int in lo..hi, with no upper bound when hi is None; a
+    bool is refused like any other type."""
     if type(n) is not int:
         raise TypeError(f"{what} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
+    if not lo <= n <= (n if hi is None else hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{what} must be {bound}, got {n}")
     return n
 
 
@@ -186,10 +191,13 @@ class Poly:
         """Division by a nonzero scalar; ints that d divides stay ints."""
         if not isinstance(d, (int, Fraction)):
             return NotImplemented
-        return Poly(_divexact(self.coeffs, [_norm_coeff(d)]))
+        d = _norm_coeff(d)
+        if not d:  # refused here: the zero polynomial has no coefficient to divide
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly(_divexact(self.coeffs, [d]))
 
     def __pow__(self, n):
-        _nonnegative_int(n, "power")
+        _int_in(n, "power")
         result = ONE
         base = self
         while n:

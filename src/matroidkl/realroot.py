@@ -17,7 +17,7 @@ from collections import namedtuple
 from math import comb, factorial
 from operator import ne
 
-from .poly import T, Poly, _add_product, _divexact, _nonnegative_int, remainder_sequence
+from .poly import T, Poly, _add_product, _divexact, _int_in, remainder_sequence
 from . import kl as _kl
 
 
@@ -119,7 +119,7 @@ def n_sequence_check(gamma, n):
     """Transformed-binomial criterion: admissible iff
     p = sum(gamma_k * C(n,k) * t^k) has only real zeros, all of one sign,
     that is all zeros of p(t) or all zeros of p(-t) negative."""
-    if len(gamma) != n + 1:
+    if len(gamma) != _int_in(n, "n") + 1:
         raise ValueError("gamma must have length n+1")
     p = Poly([gamma[k] * comb(n, k) for k in range(n + 1)])
     return all_zeros_negative(p) or all_zeros_negative(p(-T))
@@ -127,8 +127,7 @@ def n_sequence_check(gamma, n):
 
 def narayana_polynomial(n):
     """Classical Narayana polynomial."""
-    if _nonnegative_int(n, "n") < 1:
-        raise ValueError("needs n >= 1")
+    _int_in(n, "n", 1)
     return Poly([_kl._exact(comb(n, k) * comb(n, k + 1), n) for k in range(n)])
 
 
@@ -141,22 +140,18 @@ def _lucas_sequence(x0, x1, k):
 
 def lucas_polynomial(n):
     """Lucas polynomial by its defining recurrence, seeded with (2, t)."""
-    return _lucas_sequence([2], [0, 1], _nonnegative_int(n, "n"))
+    return _lucas_sequence([2], [0, 1], _int_in(n, "n"))
 
 
 def fibonacci_polynomial(n):
     """Fibonacci polynomial by its defining recurrence, seeded with (0, 1)."""
-    if _nonnegative_int(n, "n") < 1:
-        raise ValueError("needs n >= 1")
-    return _lucas_sequence([], [1], n)
+    return _lucas_sequence([], [1], _int_in(n, "n", 1))
 
 
 def verify_narayana_identity(n):
     """N_n(t) == (1+t)^(n-1) * P_fan(t/(1+t)^2), and the fan Z-polynomial one
     index down is that same Narayana polynomial."""
-    if _nonnegative_int(n, "n") < 1:
-        raise ValueError("needs n >= 1")
-    nara = narayana_polynomial(n)
+    nara = narayana_polynomial(n)  # which checks n
     # c t^k in P_fan becomes c t^k (1+t)^(n-1-2k)
     substituted = sum((Poly([0] * k + [c]) * Poly([1, 1]) ** (n - 1 - 2 * k)
                        for k, c in enumerate(_kl.kl_closed("fan", n).coeffs)), Poly())
@@ -172,8 +167,7 @@ def verify_lucas_fibonacci(n):
     polynomial and the whirl binomial sum onto the Fibonacci polynomial, plus
     negativity of both image polynomials.  No fractional powers appear: the
     t^k coefficient corresponds to the x^(n-1-2k) coefficient."""
-    if _nonnegative_int(n, "n") < 3:
-        raise ValueError("needs n >= 3")
+    _int_in(n, "n", 3)
     m = (n - 1) // 2
     f_n = Poly([_kl.hadamard_wheel_coeff(n, k)[2] for k in range(m + 1)])
     g_n = Poly([comb(n - k - 1, k) for k in range(m + 1)])
@@ -191,8 +185,7 @@ def verify_wheel_z_quadratic(n):
     n * ((n+1)t^2 + (n^2-n+4)t + (n+1)) * (1+t)^(n-2) with positive
     discriminant, and multiplied back by the multiplier-sequence weights it
     reproduces the wheel Z closed form."""
-    if _nonnegative_int(n, "n") < 3:
-        raise ValueError("needs n >= 3")
+    _int_in(n, "n", 3)
     gammas = [(1 + k) * n**2 + (1 - 2 * k - k**2) * n + 2 * k**2 for k in range(n + 1)]
     h = Poly([gammas[k] * comb(n, k) for k in range(n + 1)])
     quad = Poly([n + 1, n**2 - n + 4, n + 1])

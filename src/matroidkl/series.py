@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import ZERO, Poly, _add_product, _divexact, _nonnegative_int, _trimmed
+from .poly import ZERO, Poly, _add_product, _divexact, _int_in, _trimmed
 
 MAX_ORDER = 64
 
@@ -113,7 +113,7 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=()):
-        _nonnegative_int(order, "truncation order")
+        _int_in(order, "truncation order")
         cs = [_as_poly(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
@@ -123,9 +123,7 @@ class TruncSeries:
 
     def coefficient(self, n):
         """The coefficient of u^n, for an int n in 0..order."""
-        if _nonnegative_int(n, "coefficient index") > self.order:
-            raise ValueError(f"coefficient u^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return self.coeffs[_int_in(n, "coefficient index", 0, self.order)]
 
     def __eq__(self, other):
         return (
@@ -174,12 +172,9 @@ def gf_expand(which, order):
     Each formula is written in u as printed, as a sum of quotients
     N / (A + B·rad) taken by _over; both radicals have integer coefficients,
     and so does every quotient."""
-    _nonnegative_int(order, "order")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}")
+    n = _int_in(order, "order", 1, MAX_ORDER)
     if which not in GF_NAMES:
         raise ValueError(f"unknown generating function {which!r}; expected one of {GF_NAMES}")
-    n = order
 
     def poly(*coeffs):  # a polynomial in u, to the order rad is expanded to
         rows = [([c] if c else []) if type(c) is int else c for c in coeffs]

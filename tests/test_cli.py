@@ -448,6 +448,43 @@ def test_every_module_uses_each_name_it_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+# the only functions that may test `type(x) is int` or `type(x) is not int`:
+# every int argument is checked by poly._int_in; integerized tests
+# coefficients, and gf_expand's poly helper dispatches on them; the two
+# checks of the command line raise a UsageError that prints the supported
+# matrix
+INT_TYPE_TESTS = {"poly._int_in", "poly.Poly.integerized", "series.gf_expand.poly",
+                  "cli._check_combo", "checks.build_suite"}
+
+
+def test_every_int_argument_is_checked_by_int_in():
+    import ast
+
+    import matroidkl
+
+    package = os.path.dirname(matroidkl.__file__)
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.comparators[0], ast.Name)
+                and node.comparators[0].id == "int"):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                visit(ast.parse(f.read()), name[:-3])
+    assert "poly._int_in" in found, found
+    assert found - INT_TYPE_TESTS == set()
+
+
 # functions that the drive in test_every_library_function_runs need not reach,
 # each with its reason; dunder methods are exempt as a whole: they are the
 # value types' protocol (equality, hashing, arithmetic), and the benchmark's

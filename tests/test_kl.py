@@ -26,7 +26,7 @@ from conftest import (
     reverse_scaled,
     z_closed_over_q,
 )
-from matroidkl import cli, kl, matroids, realroot, series
+from matroidkl import cli, graphs, kl, matroids, realroot, series
 from matroidkl.graphs import SimpleGraph, make_family
 from matroidkl.matroids import (
     MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
@@ -239,7 +239,7 @@ def test_every_route_rejects_an_n_that_is_not_an_int():
     for bad in (True, 2.0, 4.0):
         for name, entry in kl.FIRST_N.items():
             for family in entry:
-                with pytest.raises(TypeError, match="int n"):
+                with pytest.raises(TypeError, match="must be an int, got"):
                     getattr(kl, name)(family, bad)
         for kind, method in cli.ROUTES:
             for family in cli.ROUTES[kind, method][1]:
@@ -247,18 +247,42 @@ def test_every_route_rejects_an_n_that_is_not_an_int():
                     cli.compute_record(family, bad, kind, method)
 
 
-@pytest.mark.parametrize("call", [
-    realroot.narayana_polynomial, realroot.lucas_polynomial, realroot.fibonacci_polynomial,
-    realroot.verify_narayana_identity, realroot.verify_lucas_fibonacci,
-    realroot.verify_wheel_z_quadratic, matroids.whirl_matroid,
-    lambda n: kl.hadamard_wheel_coeff(n, 0), lambda n: kl.hadamard_wheel_coeff(5, n),
-], ids=["narayana", "lucas", "fibonacci", "verify_narayana", "verify_lucas_fibonacci",
-        "verify_wheel_z_quadratic", "whirl_matroid", "hadamard_n", "hadamard_k"])
-def test_every_identity_helper_rejects_an_n_that_is_not_an_int(call):
+# (call, lo, hi): each entry point that takes an int argument, with that
+# argument's range, hi None where it has no upper bound
+INT_ARGUMENTS = {
+    "narayana": (realroot.narayana_polynomial, 1, None),
+    "lucas": (realroot.lucas_polynomial, 0, None),
+    "fibonacci": (realroot.fibonacci_polynomial, 1, None),
+    "verify_narayana": (realroot.verify_narayana_identity, 1, None),
+    "verify_lucas_fibonacci": (realroot.verify_lucas_fibonacci, 3, None),
+    "verify_wheel_z_quadratic": (realroot.verify_wheel_z_quadratic, 3, None),
+    "n_sequence_check": (lambda n: realroot.n_sequence_check([1, 1], n), 0, None),
+    "whirl_matroid": (matroids.whirl_matroid, 3, matroids.MAX_GROUND // 2),
+    "hadamard_n": (lambda n: kl.hadamard_wheel_coeff(n, 0), 3, None),
+    "hadamard_k": (lambda n: kl.hadamard_wheel_coeff(5, n), 0, 2),
+    **{f"make_family_{family}": (lambda n, family=family: make_family(family, n), first, None)
+       for family, first in graphs.FIRST_N.items()},
+    "graph_vertex_count": (SimpleGraph, 0, None),
+    "graph_edge_endpoint": (lambda v: SimpleGraph(3, [(0, v)]), 0, 2),
+    "rank_oracle_ground_set": (lambda m: matroids.RankOracleMatroid(m, b"\x00\x01"),
+                               0, matroids.MAX_GROUND),
+    "gf_expand": (lambda n: gf_expand("kl_fan", n), 1, MAX_ORDER),
+    "truncation_order": (series.TruncSeries, 0, None),
+    "coefficient_index": (lambda n: series.TruncSeries(2).coefficient(n), 0, 2),
+    "power": (lambda n: Poly([1, 1]) ** n, 0, None),
+}
+
+
+@pytest.mark.parametrize("call, lo, hi", list(INT_ARGUMENTS.values()), ids=list(INT_ARGUMENTS))
+def test_every_identity_helper_rejects_an_n_that_is_not_an_int(call, lo, hi):
     # the type is checked before the range: True would pass for 1, and a
-    # float would fail in range() with no name for the argument
+    # float would fail in range() with no name for the argument; every
+    # entry point checks both through poly._int_in, so each says "must be"
     for bad in (True, False, 1.0, 4.0):
         with pytest.raises(TypeError, match="must be an int, got"):
+            call(bad)
+    for bad in (lo - 1,) if hi is None else (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match="must be"):
             call(bad)
 
 

@@ -426,6 +426,17 @@ def test_rank_table_values_above_m_are_refused():
         RankOracleMatroid(3, bytearray([0, 1, 1, 2, 1, 4, 2, 3]))
 
 
+def test_ground_set_size_must_be_an_int_in_range():
+    # refused by name before the table's size is computed by a shift: a bool
+    # would build a matroid of True elements, and a float or a negative size
+    # would fail in the shift
+    for m in (True, 2.0):
+        with pytest.raises(TypeError, match="ground set size must be an int"):
+            RankOracleMatroid(m, b"\x00\x01")
+    with pytest.raises(ValueError, match=r"ground set size must be in 0\.\.16, got -1"):
+        RankOracleMatroid(-1, b"\x00\x01")
+
+
 def test_rank_table_is_copied_at_construction():
     # changing the caller's table afterwards changes neither the stored
     # table nor any answer: full_rank and kl_z_chi stay those of rank 2

@@ -127,6 +127,15 @@ def test_power_needs_int_exponent():
         Poly([1, 1]) ** -1
 
 
+def test_scalar_division_refuses_a_zero_divisor():
+    # the zero polynomial as well, which has no coefficient to divide by 0
+    for p in (Poly(), Poly([1]), Poly([0, Fraction(1, 2)])):
+        for d in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                p / d
+    assert Poly([2, 4]) / 2 == Poly([1, 2]) and Poly() / Fraction(1, 3) == Poly()
+
+
 def test_construction_normalizes_only_non_int_coefficients():
     with pytest.raises(TypeError):
         Poly([True])
