@@ -257,15 +257,14 @@ INT_ARGUMENTS = {
     "verify_lucas_fibonacci": (realroot.verify_lucas_fibonacci, 3, None),
     "verify_wheel_z_quadratic": (realroot.verify_wheel_z_quadratic, 3, None),
     "n_sequence_check": (lambda n: realroot.n_sequence_check([1, 1], n), 0, None),
-    "whirl_matroid": (matroids.whirl_matroid, 3, matroids.MAX_GROUND // 2),
+    "whirl_matroid": (whirl_matroid, 3, MAX_GROUND // 2),
     "hadamard_n": (lambda n: kl.hadamard_wheel_coeff(n, 0), 3, None),
     "hadamard_k": (lambda n: kl.hadamard_wheel_coeff(5, n), 0, 2),
     **{f"make_family_{family}": (lambda n, family=family: make_family(family, n), first, None)
        for family, first in graphs.FIRST_N.items()},
     "graph_vertex_count": (SimpleGraph, 0, None),
     "graph_edge_endpoint": (lambda v: SimpleGraph(3, [(0, v)]), 0, 2),
-    "rank_oracle_ground_set": (lambda m: matroids.RankOracleMatroid(m, b"\x00\x01"),
-                               0, matroids.MAX_GROUND),
+    "rank_oracle_ground_set": (lambda m: RankOracleMatroid(m, b"\x00\x01"), 0, MAX_GROUND),
     "gf_expand": (lambda n: gf_expand("kl_fan", n), 1, MAX_ORDER),
     "truncation_order": (series.TruncSeries, 0, None),
     "coefficient_index": (lambda n: series.TruncSeries(2).coefficient(n), 0, 2),
