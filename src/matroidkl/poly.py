@@ -13,8 +13,9 @@ palindromic root reduction run on the same three.  Only the hottest loops
 keep their own arithmetic: kl's flat pass, bottom certificate and Horner
 step, and remainder_sequence's scaled pseudo-division below.
 
-_int_in is the library's one check of an int argument, an order, index,
-size or power: its type, bools refused, and its range, each with a message.
+_int_in checks every int argument below the command line, a family n, an
+order, index, size or power: its type, bools refused, and its range, each
+with a message.
 """
 
 from __future__ import annotations
