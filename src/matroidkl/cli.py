@@ -17,13 +17,8 @@ from functools import partial
 
 from . import graphs, kl, matroids, realroot
 
-# largest n any command accepts, so that no request runs for minutes: the
-# Sturm chain behind every record's root flags grows in length and in
-# coefficient size with n.  For the wheel KL polynomial (Python 3.11, 2-vCPU
-# Xeon, three runs) it takes 0.011-0.014 s at n = 64, 0.12-0.18 s at n = 96
-# and 0.58-0.81 s at n = 128, about 40 % of it in pseudo-division, which
-# stays in the integers, and the rest in content stripping
-N_MAX = 64
+# largest n any command accepts; kl.N_MAX says why
+N_MAX = kl.N_MAX
 
 
 # Every route looks its library function up on the module when it runs, so

@@ -35,6 +35,12 @@ from matroidkl.poly import T, Poly
 from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
 
 
+def recurrence_terms(family, length):
+    """a[0..length-1] of a recurrence sequence, each read through kl_recurrence."""
+    first = kl.FIRST_N["kl_recurrence"][family]
+    return [kl.kl_recurrence(family, n) for n in range(first, first + length)]
+
+
 def fam_matroid(family, n):
     return kl.family_matroid(family, n)
 
@@ -387,7 +393,7 @@ def test_recurrence_values_digests(monkeypatch):
     }
     monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
     for name, want in frozen.items():
-        values = repr([p.coeffs for p in kl._rec_sequence(name, 201)[:201]])
+        values = repr([p.coeffs for p in recurrence_terms(name, 201)])
         assert hashlib.sha256(values.encode()).hexdigest() == want, name
 
 
@@ -614,4 +620,46 @@ def test_import_time_rows_match_the_factor_products():
 def test_int_list_step_matches_poly_stepper(monkeypatch):
     monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
     for family in ("fan", "wheel", "whirl"):
-        assert kl._rec_sequence(family, 201)[:201] == rec_sequence_by_poly(family, 201), family
+        assert recurrence_terms(family, 201) == rec_sequence_by_poly(family, 201), family
+
+
+def test_recurrence_cache_serves_any_order(monkeypatch):
+    # from an empty cache: a top term, a dropped one, two kept ones and the
+    # next one, each equal to the Poly stepper's; a kept term takes no step
+    # and a dropped one steps again from a[N_MAX], never from the seeds
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
+    calls = []
+    at = kl._at
+    monkeypatch.setattr(kl, "_at", lambda rows, n: calls.append(n) or at(rows, n))
+    for family, first in kl.FIRST_N["kl_recurrence"].items():
+        want = rec_sequence_by_poly(family, 202 - first)
+        calls_per_step = 1 + len(kl._RECURRENCES[family]["terms"])
+        for n, most in ((200, 200), (150, 150 - kl.N_MAX), (kl.N_MAX, 0), (first, 0),
+                        (201, 1)):
+            calls.clear()
+            assert kl.kl_recurrence(family, n) == want[n - first], (family, n)
+            assert len(calls) <= most * calls_per_step, (family, n, len(calls))
+
+
+def test_recurrence_cache_holds_only_k_terms_above_n_max(monkeypatch):
+    # stepped to n = 200, the cache keeps a[0..N_MAX] and the k latest terms,
+    # 0.20 MB; a cache that kept every term would hold 1.69 MB
+    import gc
+    import tracemalloc
+
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for family in kl._RECURRENCES:
+            kl.kl_recurrence(family, 200)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 300_000, held
+    for family, cache in kl._rec_cache.items():
+        k = len(kl._RECURRENCES[family]["terms"])
+        live = sum(term is not None for term in cache)
+        assert live <= kl.N_MAX + 1 + k, (family, live)
