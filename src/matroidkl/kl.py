@@ -37,7 +37,7 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 # Xeon, three runs) it takes 0.011-0.014 s at n = 64, 0.12-0.18 s at n = 96
 # and 0.58-0.81 s at n = 128, about 40 % of it in pseudo-division, which
 # stays in the integers, and the rest in content stripping.  The recurrence
-# cache keeps every term up to it.
+# cache keeps a[0..N_MAX], which covers every n <= N_MAX.
 N_MAX = 64
 
 
@@ -330,41 +330,34 @@ def _rec_sequence(family, i):
     """a[i] of the recurrence-defined sequence a[0], a[1], ....
 
     _rec_cache[family] lists the terms stepped so far.  It keeps a[0..N_MAX],
-    which holds every term a route serves, and above that only the k =
-    len(terms) latest, which the next step reads: each older one is set to
-    None as soon as the step after it is taken.  A request for such a term
-    steps again from a[N_MAX-k+1..N_MAX] in a window of its own, which leaves
-    the cache as it is.
+    which covers every n <= N_MAX and so every term a route serves, and above
+    that only the k = len(terms) latest, which the next step reads: each older
+    one is set to None as soon as the step after it is taken.  A request for
+    such a term cuts the cache back to a[0..N_MAX] and steps on from there.
 
     Each step sums prod(terms[j-1]) * a[m-j] into one int list and divides it
     exactly by prod(lead); a remainder, or a quotient coefficient that is not
     an int, is inexact."""
     lead_rows, term_rows = _ROWS[family]
-    k = len(term_rows)
     cache = _rec_cache[family]
     if not cache:
         cache.extend(Poly(s) for s in _RECURRENCES[family]["seeds"])
-    grow = i >= len(cache)
-    if not grow and cache[i] is not None:
-        return cache[i]
-    start = len(cache) if grow else N_MAX + 1
-    window = cache[start - k:start]
-    for m in range(start, i + 1):
-        n = m - k
+    if i < len(cache) and cache[i] is None:
+        del cache[N_MAX + 1:]
+    while len(cache) <= i:
+        m = len(cache)
+        n = m - len(term_rows)
         num = []
         for j, rows in enumerate(term_rows, 1):
-            _add_product(num, _at(rows, n), window[-j].coeffs)
+            _add_product(num, _at(rows, n), cache[m - j].coeffs)
         try:
-            window.append(Poly(_divexact(num, _at(lead_rows, n))).integerized())
+            cache.append(Poly(_divexact(num, _at(lead_rows, n))).integerized())
         except ArithmeticError:
             raise ArithmeticError(f"{family} recurrence step {m}: inexact division "
                                   f"(transcription error)") from None
-        del window[0]
-        if grow:
-            cache.append(window[-1])
-            if n > N_MAX:  # a[n], n = m - k, is read by no later step
-                cache[n] = None
-    return window[-1]
+        if n > N_MAX:  # a[n], n = m - k, is read by no later step
+            cache[n] = None
+    return cache[i]
 
 
 def kl_recurrence(family, n):

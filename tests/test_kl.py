@@ -623,22 +623,43 @@ def test_int_list_step_matches_poly_stepper(monkeypatch):
         assert recurrence_terms(family, 201) == rec_sequence_by_poly(family, 201), family
 
 
+def counted_steps(monkeypatch):
+    """A list that gets one entry per call of kl._at, 1 + k of them per step."""
+    calls = []
+    at = kl._at
+    monkeypatch.setattr(kl, "_at", lambda rows, n: calls.append(n) or at(rows, n))
+    return calls
+
+
 def test_recurrence_cache_serves_any_order(monkeypatch):
     # from an empty cache: a top term, a dropped one, two kept ones and the
     # next one, each equal to the Poly stepper's; a kept term takes no step
     # and a dropped one steps again from a[N_MAX], never from the seeds
     monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
-    calls = []
-    at = kl._at
-    monkeypatch.setattr(kl, "_at", lambda rows, n: calls.append(n) or at(rows, n))
+    calls = counted_steps(monkeypatch)
     for family, first in kl.FIRST_N["kl_recurrence"].items():
         want = rec_sequence_by_poly(family, 202 - first)
         calls_per_step = 1 + len(kl._RECURRENCES[family]["terms"])
         for n, most in ((200, 200), (150, 150 - kl.N_MAX), (kl.N_MAX, 0), (first, 0),
-                        (201, 1)):
+                        (201, 201 - kl.N_MAX)):
             calls.clear()
             assert kl.kl_recurrence(family, n) == want[n - first], (family, n)
             assert len(calls) <= most * calls_per_step, (family, n, len(calls))
+
+
+def test_recurrence_cache_walks_again_in_linear_steps(monkeypatch):
+    # after a walk to n = 200, a second ascending walk over n = N_MAX + 1..200
+    # steps each term once more, not once per request from a[N_MAX]
+    monkeypatch.setattr(kl, "_rec_cache", {family: [] for family in kl._RECURRENCES})
+    calls = counted_steps(monkeypatch)
+    for family, first in kl.FIRST_N["kl_recurrence"].items():
+        want = rec_sequence_by_poly(family, 201 - first)
+        kl.kl_recurrence(family, 200)
+        calls.clear()
+        for n in range(kl.N_MAX + 1, 201):
+            assert kl.kl_recurrence(family, n) == want[n - first], (family, n)
+        calls_per_step = 1 + len(kl._RECURRENCES[family]["terms"])
+        assert len(calls) <= (200 - kl.N_MAX) * calls_per_step, (family, len(calls))
 
 
 def test_recurrence_cache_holds_only_k_terms_above_n_max(monkeypatch):
