@@ -12,8 +12,9 @@ from functools import partial
 from math import comb
 
 from . import graphs, kl, matroids, realroot, series
-from .cli import N_MAX, ROUTES, UsageError, compute_record
-from .poly import Poly
+from .cli import ROUTES, UsageError, compute_record
+from .kl import N_MAX
+from .poly import Poly, _int_in
 
 
 def _compare(got, want, n):
@@ -149,10 +150,8 @@ def _spot_values():
 
 def build_suite(suite, max_n=None):
     """The (name, check) pairs of a suite."""
-    if max_n is not None and type(max_n) is not int:
-        raise TypeError(f"--max-n must be an int, got {type(max_n).__name__}")
-    if max_n is not None and not 1 <= max_n <= N_MAX:
-        raise UsageError(f"--max-n needs 1 <= max-n <= {N_MAX}, got {max_n}")
+    if max_n is not None:
+        _int_in(max_n, "--max-n", 1, N_MAX)
     checks = []
 
     def add(name, fn, *args):

@@ -17,9 +17,6 @@ from functools import partial
 
 from . import graphs, kl, matroids, realroot
 
-# largest n any command accepts; kl.N_MAX says why
-N_MAX = kl.N_MAX
-
 
 # Every route looks its library function up on the module when it runs, so
 # that rebinding that function reaches every route.
@@ -43,9 +40,10 @@ def _kl_function(name, family, n):
 
 def _kl_route(name):
     """The route of kl's closed form or recurrence `name`: from its first n in
-    kl.FIRST_N, but at least 1, up to N_MAX."""
+    kl.FIRST_N, but at least 1, up to kl.N_MAX, the largest n any command
+    accepts."""
     return (partial(_kl_function, name),
-            {fam: (max(lo, 1), N_MAX) for fam, lo in kl.FIRST_N[name].items()})
+            {fam: (max(lo, 1), kl.N_MAX) for fam, lo in kl.FIRST_N[name].items()})
 
 
 # ROUTES[(kind, method)] = (fn(family, n), {family: (lo, hi)}): the supported
@@ -115,7 +113,7 @@ def _check_combo(family, n, kind, method):
         raise UsageError(f"unsupported combination family={family} kind={kind} method={method}")
     lo, hi = fams[family]
     if n < lo:
-        raise UsageError(f"{family} {kind} ({method}) needs n >= {lo}")
+        raise UsageError(f"{family} {kind} ({method}) needs n >= {lo}, got {n}")
     if n > hi:
         raise UsageError(f"{family} {kind} ({method}) is limited to n <= {hi}, got {n}")
 
@@ -173,13 +171,8 @@ def cmd_compute(args):
 
 def cmd_table(args):
     kind, family = args.kind, args.family
-    fams = ROUTES.get((kind, "closed"), (None, {}))[1]
-    if family not in fams:
-        raise UsageError(f"no closed form to tabulate for family={family} kind={kind}")
-    start = fams[family][0]
-    if not start <= args.max_n <= N_MAX:
-        raise UsageError(f"--max-n needs {start} <= max-n <= {N_MAX} for a {family} {kind} "
-                         f"table, got {args.max_n}")
+    _check_combo(family, args.max_n, kind, "closed")
+    start = ROUTES[kind, "closed"][1][family][0]
     records = [compute_record(family, n, kind, "closed") for n in range(start, args.max_n + 1)]
     if args.format == "json":
         return 0, _records_text(records, "json")
@@ -230,28 +223,29 @@ def build_parser():
     return parser
 
 
+def _write(stream, text):
+    try:
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`), which leaves the
+        # outcome and the exit code as they were; what is still buffered goes
+        # to the null device, so that the interpreter's last flush at exit
+        # raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     command = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify}
     try:
         code, text = command[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.command in ("compute", "table"):
-            print(supported_matrix(), file=sys.stderr)
+    except (UsageError, ValueError) as exc:
+        matrix = isinstance(exc, UsageError) and args.command in ("compute", "table")
+        _write(sys.stderr, f"error: {exc}\n" + (supported_matrix() + "\n" if matrix else ""))
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early (`| head`), which leaves the
-        # outcome as it was; what is still buffered goes to the null device,
-        # so that the interpreter's last flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _write(sys.stdout, text)
     return code
 
 

@@ -37,7 +37,8 @@ FAMILIES = ("fan", "square", "wheel", "whirl")
 # Xeon, three runs) it takes 0.011-0.014 s at n = 64, 0.12-0.18 s at n = 96
 # and 0.58-0.81 s at n = 128, about 40 % of it in pseudo-division, which
 # stays in the integers, and the rest in content stripping.  The recurrence
-# cache keeps a[0..N_MAX], which covers every n <= N_MAX.
+# cache keeps a[0..N_MAX], which covers every n <= N_MAX, and gf_expand
+# takes orders up to N_MAX.
 N_MAX = 64
 
 

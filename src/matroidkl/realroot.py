@@ -2,7 +2,8 @@
 
 Every verdict (real-rootedness, negativity, the n-sequence criterion and
 interlacing) reads the sign variations of one remainder sequence at -inf, 0
-and +inf, and takes no gcd and isolates no root.  Zero entries are skipped,
+and +inf, interlacing besides the Sturm chain of its sequence's last term,
+and takes no gcd and isolates no root.  Zero entries are skipped,
 so V(-inf) - V(x) counts the distinct real roots <= x of p, for any x with
 p(x) != 0.  The signs at -inf and +inf come from the leading coefficients
 and the degree parities, the signs at 0 from the constant coefficients.
@@ -91,28 +92,28 @@ def all_zeros_negative(p):
 
 
 def interleaves(g, f):
-    """Exact check that g is an interleaver of f (weak inequalities, shared
-    roots allowed); requires real-rooted inputs with positive leading
+    """True iff f and g are real-rooted and g interleaves f (weak
+    inequalities, shared roots allowed); requires positive leading
     coefficients and deg f - deg g in {0, 1}.
 
     Interlacing holds iff 0 <= N_f(x) - N_g(x) <= 1 for every x, where N
     counts roots >= x with multiplicity.  Dividing out h = gcd(f, g) leaves
-    that difference unchanged, and for the coprime quotients f1, g1 it holds
-    iff the Cauchy index of g1/f1 over the reals is +deg f1.  By Sylvester's
-    theorem that index is V(-inf) - V(+inf) of the signed remainder sequence
-    of (f1, g1), which is that of (f, g) divided by h, its last term."""
+    that difference unchanged, and for the coprime quotients f1, g1 it holds,
+    with f1 and g1 real-rooted, iff the Cauchy index of g1/f1 over the reals
+    is +deg f1; that index forces both to be real-rooted, so f and g are
+    exactly when h is.  By Sylvester's theorem the index is V(-inf) - V(+inf)
+    of the signed remainder sequence of (f1, g1), which is that of (f, g)
+    divided by h, its last term."""
     for p in (f, g):
         if p.is_zero():
             raise ValueError("zero polynomial")
         if p.leading <= 0:
             raise ValueError("positive leading coefficient required")
-        if not is_real_rooted(p):
-            raise ValueError("interleaves requires real-rooted polynomials")
     if f.degree - g.degree not in (0, 1):
         raise ValueError("degree gap must be 0 or 1")
     seq = remainder_sequence(f, g)
     v_neg, v_pos = _sign_variations(seq)
-    return v_neg - v_pos == f.degree - seq[-1].degree
+    return v_neg - v_pos == f.degree - seq[-1].degree and is_real_rooted(seq[-1])
 
 
 def n_sequence_check(gamma, n):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .kl import N_MAX
 from .poly import ZERO, Poly, _add_product, _divexact, _int_in, _trimmed
-
-MAX_ORDER = 64
 
 GF_NAMES = ("kl_fan", "kl_wheel", "kl_whirl", "z_fan", "z_wheel", "z_whirl")
 # the power of u at which each series starts: its lower coefficients are 0
@@ -55,13 +54,10 @@ def _add(a, b, sign=1):
 
 
 def _mul(a, b):
-    """a·b truncated at a's order, over the nonzero coefficients of each,
-    the sparser factor outside."""
+    """a·b truncated at a's order, over the nonzero coefficients of each."""
     out = [[] for _ in a]
-    a, b = _nonzero(a), _nonzero(b)
-    if len(a) > len(b):
-        a, b = b, a
-    for i, x in a:
+    b = _nonzero(b)
+    for i, x in _nonzero(a):
         for j, y in b:
             if i + j >= len(out):
                 break
@@ -172,7 +168,7 @@ def gf_expand(which, order):
     Each formula is written in u as printed, as a sum of quotients
     N / (A + B·rad) taken by _over; both radicals have integer coefficients,
     and so does every quotient."""
-    n = _int_in(order, "order", 1, MAX_ORDER)
+    n = _int_in(order, "order", 1, N_MAX)
     if which not in GF_NAMES:
         raise ValueError(f"unknown generating function {which!r}; expected one of {GF_NAMES}")
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from matroidkl.graphs import SimpleGraph
-from matroidkl.kl import _RECURRENCES, kl_poly
+from matroidkl.kl import N_MAX, _RECURRENCES, kl_poly
 from matroidkl.matroids import MAX_GROUND, Flat, RankOracleMatroid, graphic_matroid
 from matroidkl.poly import ONE, ZERO, Poly, remainder_sequence
-from matroidkl.series import GF_NAMES, MAX_ORDER, TruncSeries
+from matroidkl.series import GF_NAMES, TruncSeries
 from matroidkl.realroot import _variations, sturm_chain
 
 
@@ -1415,7 +1415,7 @@ def gf_expand_over_q(which, order):
     each constant term 2.  Products are series_mul_by_poly and sums are
     taken coefficient by coefficient on the Polys, so none of the library's
     series kernels runs here."""
-    assert which in GF_NAMES and 1 <= order <= MAX_ORDER
+    assert which in GF_NAMES and 1 <= order <= N_MAX
     n = order
     t = Poly([0, 1])
 

@@ -10,8 +10,9 @@ import pytest
 
 from matroidkl import checks, cli, kl, matroids, realroot, series
 from matroidkl.checks import build_suite
-from matroidkl.cli import N_MAX, OutputRecord, main, supported_matrix
+from matroidkl.cli import OutputRecord, main, supported_matrix
 from matroidkl.graphs import make_family
+from matroidkl.kl import N_MAX
 from matroidkl.matroids import graphic_matroid
 from matroidkl.poly import T, Poly
 
@@ -94,7 +95,8 @@ def test_unsupported_combo_exits_2(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"n <= {N_MAX}" in err
+        bound = f"in 1..{N_MAX}" if argv[0] == "verify" else f"n <= {N_MAX}"
+        assert f"{bound}, got {too_big}" in err, err
         # the matrix lists compute/table combinations, which verify errors are not about
         assert ("supported" in err) == (argv[0] != "verify")
 
@@ -203,6 +205,21 @@ def test_closed_stdout_keeps_the_outcome():
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
+def test_closed_stderr_keeps_the_usage_exit_code():
+    # a usage error exits 2, not 1, when its message has no reader: the
+    # error path guards stderr as the output path guards stdout
+    for argv in (("compute", "--family", "whirl", "--n", "3", "--kind", "chromatic"),
+                 ("table", "--family", "fan", "--kind", "kl", "--max-n", "65"),
+                 ("verify", "--suite", "gf", "--max-n", "0")):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_module(*argv, stdout=subprocess.PIPE, stderr=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
 
 
 IMPORT_FOOTPRINT = """
@@ -450,11 +467,11 @@ def test_every_module_uses_each_name_it_imports():
 
 # the only functions that may test `type(x) is int` or `type(x) is not int`:
 # every int argument is checked by poly._int_in; integerized tests
-# coefficients, and gf_expand's poly helper dispatches on them; the two
-# checks of the command line raise a UsageError that prints the supported
+# coefficients, and gf_expand's poly helper dispatches on them; the command
+# line's combination check raises a UsageError that prints the supported
 # matrix
 INT_TYPE_TESTS = {"poly._int_in", "poly.Poly.integerized", "series.gf_expand.poly",
-                  "cli._check_combo", "checks.build_suite"}
+                  "cli._check_combo"}
 
 
 def test_every_int_argument_is_checked_by_int_in():
@@ -637,7 +654,7 @@ def test_table_below_range_exits_2(capsys):
         code, out, err = run(capsys, "table", "--family", family, "--kind", kind,
                              "--max-n", max_n)
         assert code == 2 and out == "", (family, kind, max_n)
-        assert f"{lo} <= max-n <= {N_MAX}" in err and "supported" in err, err
+        assert f"needs n >= {lo}, got {max_n}" in err and "supported" in err, err
     code, out, _ = run(capsys, "table", "--family", "whirl", "--kind", "kl", "--max-n", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
@@ -658,7 +675,7 @@ def test_verify_flags_out_of_range_exit_2(capsys):
                          ("gf", "0"), ("gf", str(N_MAX + 1))):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", value)
         assert code == 2 and out == "", (suite, value)
-        assert err == f"error: --max-n needs 1 <= max-n <= {N_MAX}, got {value}\n", err
+        assert err == f"error: --max-n must be in 1..{N_MAX}, got {value}\n", err
 
 
 def test_each_check_runs_the_n_that_ends_its_name(capsys):

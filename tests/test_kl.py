@@ -26,13 +26,14 @@ from conftest import (
     reverse_scaled,
     z_closed_over_q,
 )
-from matroidkl import cli, graphs, kl, matroids, realroot, series
+from matroidkl import checks, cli, graphs, kl, matroids, realroot, series
 from matroidkl.graphs import SimpleGraph, make_family
+from matroidkl.kl import N_MAX
 from matroidkl.matroids import (
     MAX_FLATS, MAX_GROUND, RankOracleMatroid, graphic_matroid, whirl_matroid,
 )
 from matroidkl.poly import T, Poly
-from matroidkl.series import GF_NAMES, MAX_ORDER, gf_expand
+from matroidkl.series import GF_NAMES, gf_expand
 
 
 def recurrence_terms(family, length):
@@ -271,7 +272,8 @@ INT_ARGUMENTS = {
     "graph_vertex_count": (SimpleGraph, 0, None),
     "graph_edge_endpoint": (lambda v: SimpleGraph(3, [(0, v)]), 0, 2),
     "rank_oracle_ground_set": (lambda m: RankOracleMatroid(m, b"\x00\x01"), 0, MAX_GROUND),
-    "gf_expand": (lambda n: gf_expand("kl_fan", n), 1, MAX_ORDER),
+    "gf_expand": (lambda n: gf_expand("kl_fan", n), 1, N_MAX),
+    "build_suite_max_n": (lambda n: checks.build_suite("gf", n), 1, N_MAX),
     "truncation_order": (series.TruncSeries, 0, None),
     "coefficient_index": (lambda n: series.TruncSeries(2).coefficient(n), 0, 2),
     "power": (lambda n: Poly([1, 1]) ** n, 0, None),
@@ -341,7 +343,7 @@ def test_expand_route_builds_no_fraction(monkeypatch, no_fraction_coeffs):
     for name in kernels:
         monkeypatch.setattr(series, name, ints_only(getattr(series, name)))
     for name in GF_NAMES:
-        gf_expand(name, MAX_ORDER)
+        gf_expand(name, N_MAX)
     assert ran == set(kernels)
     for family in ("fan", "wheel", "whirl"):
         kl.kl_recurrence(family, 60)

@@ -11,7 +11,8 @@ from conftest import (
 )
 from matroidkl import kl, series
 from matroidkl.poly import Poly
-from matroidkl.series import GF_NAMES, GF_START, MAX_ORDER, TruncSeries, gf_expand
+from matroidkl.kl import N_MAX
+from matroidkl.series import GF_NAMES, GF_START, TruncSeries, gf_expand
 
 ONE = Poly([1])
 
@@ -168,9 +169,9 @@ def test_gf_expand_matches_u_space_oracle(name, monkeypatch):
     with monkeypatch.context() as m:
         for kernel in ("_add", "_mul", "_div", "_sqrt"):
             m.setattr(series, kernel, counted(getattr(series, kernel)))
-        want = gf_expand_over_q(name, MAX_ORDER).coeffs
+        want = gf_expand_over_q(name, N_MAX).coeffs
     assert calls == []
-    for order in range(1, MAX_ORDER + 1):
+    for order in range(1, N_MAX + 1):
         got = gf_expand(name, order).coeffs
         assert got == want[:order + 1], (name, order)
         assert all(type(c) is int for p in got for c in p.coeffs)
